@@ -188,117 +188,5 @@ fn bench_batch(c: &mut Criterion) {
     }
 }
 
-/// The elaboration-time `init` program: tree interpreter vs the
-/// compiled init tape — the cost `set_generics` pays at every batch
-/// point re-instantiation.
-fn bench_init(c: &mut Criterion) {
-    mems_bench::print_banner(
-        "HDL init program",
-        "per-instantiation init pass: tree interpreter vs init tape",
-    );
-    const BRANCHY: &str = r#"
-ENTITY gapcell IS
-  GENERIC (g0, mode : analog);
-  PIN (p, q : electrical);
-END ENTITY gapcell;
-ARCHITECTURE a OF gapcell IS
-VARIABLE e0, gap, c0, guard : analog;
-BEGIN
-  RELATION
-    PROCEDURAL FOR init =>
-      e0 := 8.8542e-12;
-      IF mode > 1.5 THEN
-        gap := g0 * 2.0;
-      ELSIF mode > 0.5 THEN
-        gap := limit(g0, 1.0e-6, 1.0e-3);
-      ELSE
-        gap := max(g0, 1.0e-6);
-      END IF;
-      guard := min(gap, 1.0e-3);
-      ASSERT gap > 0.0 REPORT "gap must be positive";
-      c0 := e0 / gap;
-    PROCEDURAL FOR dc, ac, transient =>
-      [p, q].i %= c0 * [p, q].v;
-  END RELATION;
-END ARCHITECTURE a;
-"#;
-    let model = HdlModel::compile(BRANCHY, "gapcell", None).expect("bench model compiles");
-    let mut group = c.benchmark_group("hdl_init_pass");
-    for (id, bytecode) in [("tree_walk", false), ("init_tape", true)] {
-        let mut k = 0u64;
-        group.bench_function(id, |b| {
-            b.iter(|| {
-                k += 1;
-                let bound = [0.1e-3 + (k % 5) as f64 * 1e-5, (k % 3) as f64];
-                black_box(model.init_values_with(&bound, bytecode).expect("init runs"))
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_table_fold(c: &mut Criterion) {
-    mems_bench::print_banner(
-        "HDL table fold",
-        "per-instantiation table1d breakpoint folding: tree folder vs fold tape",
-    );
-    // A breakpoint-heavy model: two 8-segment tables derived from
-    // generics and init constants — the per-point cost of `.STEP`/`.MC`
-    // re-instantiation for table-based device models.
-    const TABLED: &str = r#"
-ENTITY pwlcell IS
-  GENERIC (scale, span : analog);
-  PIN (p, q : electrical);
-END ENTITY pwlcell;
-ARCHITECTURE a OF pwlcell IS
-VARIABLE gain : analog;
-BEGIN
-  RELATION
-    PROCEDURAL FOR init =>
-      gain := max(scale, 0.1);
-    PROCEDURAL FOR dc, ac, transient =>
-      [p, q].i %= table1d([p, q].v,
-        0.0 - span, 0.0 - gain,
-        0.0 - span * 0.75, 0.0 - gain * 0.9,
-        0.0 - span * 0.5, 0.0 - gain * 0.7,
-        0.0 - span * 0.25, 0.0 - gain * 0.4,
-        0.0, 0.0,
-        span * 0.25, gain * 0.4,
-        span * 0.5, gain * 0.7,
-        span, gain)
-        + table1d([p, q].v,
-        0.0 - span * 2.0, 0.0 - gain,
-        0.0, 0.0,
-        span * 2.0, gain);
-  END RELATION;
-END ARCHITECTURE a;
-"#;
-    let model = HdlModel::compile(TABLED, "pwlcell", None).expect("bench model compiles");
-    assert!(model.bytecode().table_fold.is_some());
-    let mut group = c.benchmark_group("hdl_table_fold");
-    for (id, bytecode) in [("tree_folder", false), ("fold_tape", true)] {
-        let mut k = 0u64;
-        group.bench_function(id, |b| {
-            b.iter(|| {
-                k += 1;
-                let bound = [1.0 + (k % 7) as f64 * 0.25, 0.5 + (k % 5) as f64 * 0.1];
-                let init = model.init_values_with(&bound, true).expect("init runs");
-                black_box(
-                    model
-                        .fold_tables_with(&bound, &init, bytecode)
-                        .expect("fold runs"),
-                )
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_eval,
-    bench_batch,
-    bench_init,
-    bench_table_fold
-);
+criterion_group!(benches, bench_eval, bench_batch);
 criterion_main!(benches);

@@ -123,8 +123,10 @@ impl Tape {
     }
 }
 
-/// The compiled tapes of one [`CompiledModel`]: the three analysis
-/// programs plus (when expressible) the `init` program.
+/// The compiled tapes of one [`CompiledModel`]: its three analysis
+/// programs. The `init` program and the `table1d` breakpoints run once
+/// per instantiation, never inside Newton, so [`crate::model`] folds
+/// them with the tree interpreter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BytecodeModel {
     /// DC program tape.
@@ -133,33 +135,15 @@ pub struct BytecodeModel {
     pub ac: Tape,
     /// Transient program tape.
     pub tran: Tape,
-    /// `init` program tape, executed with plain-`f64` semantics by
-    /// [`run_init_tape`] at every (re-)elaboration — the hot spot of
-    /// `set_generics` re-instantiation in parametric batches. `None`
-    /// when the program uses constructs the init VM cannot express
-    /// (contributions, residuals, branch/time/history reads);
-    /// [`crate::model`] then falls back to the tree interpreter,
-    /// which reports those with its own diagnostics.
-    pub init: Option<Tape>,
-    /// `table1d` breakpoint fold tape: all breakpoint expressions of
-    /// all tables compiled onto the plain-`f64` VM, run by
-    /// [`run_table_fold`] at every (re-)elaboration — the other half
-    /// of the per-point `set_generics` cost. `None` when there are no
-    /// tables or a breakpoint reaches for run-time quantities (the
-    /// tree folder then reports its "not a constant expression"
-    /// diagnostic).
-    pub table_fold: Option<TableFoldTape>,
 }
 
 impl BytecodeModel {
-    /// Compiles all programs of a model.
+    /// Compiles the analysis programs of a model.
     pub fn compile(model: &CompiledModel) -> Self {
         BytecodeModel {
             dc: compile_program(&model.dc_program),
             ac: compile_program(&model.ac_program),
             tran: compile_program(&model.tran_program),
-            init: compile_init_program(&model.init_program),
-            table_fold: compile_table_fold(model),
         }
     }
 
@@ -333,252 +317,6 @@ impl Compiler {
             }
         }
     }
-}
-
-/// Compiles the `init` program when every statement is expressible on
-/// the plain-`f64` init VM: assignments, conditionals, assertions,
-/// and reports over constant-foldable expressions (constants,
-/// generics, earlier objects). Programs reaching for run-time
-/// quantities return `None` and keep the tree interpreter, so its
-/// "unsupported statement"/"not a constant expression" diagnostics
-/// are preserved verbatim.
-pub fn compile_init_program(program: &[CStmt]) -> Option<Tape> {
-    fn stmt_ok(s: &CStmt) -> bool {
-        match s {
-            CStmt::Assign { value, .. } => expr_ok(value),
-            CStmt::If { arms, otherwise } => {
-                arms.iter()
-                    .all(|(c, body)| expr_ok(c) && body.iter().all(stmt_ok))
-                    && otherwise.iter().all(stmt_ok)
-            }
-            CStmt::Assert { cond, .. } => expr_ok(cond),
-            CStmt::Report { .. } => true,
-            CStmt::Contribute { .. } | CStmt::Residual { .. } => false,
-        }
-    }
-    if program.iter().all(stmt_ok) {
-        Some(compile_program(program))
-    } else {
-        None
-    }
-}
-
-/// `true` when the expression is expressible on the plain-`f64` VM:
-/// constants, generics, object reads, and pure operators over them.
-fn expr_ok(e: &CExpr) -> bool {
-    match e {
-        CExpr::Const(_) | CExpr::Generic(_) | CExpr::Object(_) => true,
-        CExpr::Unary(_, inner) => expr_ok(inner),
-        CExpr::Binary(_, a, b) => expr_ok(a) && expr_ok(b),
-        CExpr::Call(_, args) => args.iter().all(expr_ok),
-        CExpr::Across(_)
-        | CExpr::Time
-        | CExpr::Ddt { .. }
-        | CExpr::Integ { .. }
-        | CExpr::Table { .. } => false,
-    }
-}
-
-/// The compiled `table1d` breakpoint folder: every breakpoint
-/// expression of every table, in declaration order (`x` then `y` per
-/// breakpoint), on one expression-only tape. Executing the tape
-/// leaves all folded values on the stack in emission order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableFoldTape {
-    tape: Tape,
-    /// Breakpoint count per table, in table-slot order.
-    counts: Vec<usize>,
-}
-
-/// Compiles the model's table breakpoints onto the plain-`f64` VM.
-/// `None` when the model has no tables or any breakpoint is not a
-/// constant-foldable expression (the tree folder keeps its
-/// diagnostics in that case).
-pub fn compile_table_fold(model: &CompiledModel) -> Option<TableFoldTape> {
-    if model.tables.is_empty() {
-        return None;
-    }
-    let all_ok = model
-        .tables
-        .iter()
-        .all(|t| t.breakpoints.iter().all(|(x, y)| expr_ok(x) && expr_ok(y)));
-    if !all_ok {
-        return None;
-    }
-    let mut c = Compiler {
-        tape: Tape::default(),
-        depth: 0,
-    };
-    let mut counts = Vec::with_capacity(model.tables.len());
-    for spec in &model.tables {
-        counts.push(spec.breakpoints.len());
-        for (bx, by) in &spec.breakpoints {
-            c.expr(bx);
-            c.expr(by);
-        }
-    }
-    Some(TableFoldTape {
-        tape: c.tape,
-        counts,
-    })
-}
-
-/// Folds all table breakpoints through the compiled tape, returning
-/// `(xs, ys)` per table in slot order — the bytecode twin of the
-/// per-breakpoint `fold_with_objects` walk in [`crate::model`].
-///
-/// # Errors
-///
-/// [`HdlError::Elab`] on reads of unassigned objects, with the same
-/// message as the tree folder.
-pub fn run_table_fold(
-    fold: &TableFoldTape,
-    generics: &[f64],
-    values: &[Option<f64>],
-) -> Result<Vec<(Vec<f64>, Vec<f64>)>> {
-    // Expression-only tape: executes linearly (no stores, no jumps),
-    // leaving one value per compiled expression on the stack. Typical
-    // tables fit the inline buffer, keeping the hot path alloc-free.
-    let mut inline = [0.0f64; 64];
-    let mut heap: Vec<f64>;
-    let stack: &mut [f64] = if fold.tape.max_stack <= inline.len() {
-        &mut inline
-    } else {
-        heap = vec![0.0f64; fold.tape.max_stack];
-        &mut heap
-    };
-    let mut sp = 0usize;
-    for op in &fold.tape.ops {
-        match op {
-            Op::Const(v) => {
-                stack[sp] = *v;
-                sp += 1;
-            }
-            Op::Generic(i) => {
-                stack[sp] = generics[*i as usize];
-                sp += 1;
-            }
-            Op::Object(i) => {
-                stack[sp] = values[*i as usize].ok_or_else(|| {
-                    HdlError::Elab("initializer references an object with no value yet".into())
-                })?;
-                sp += 1;
-            }
-            Op::Neg => stack[sp - 1] = -stack[sp - 1],
-            Op::Not => stack[sp - 1] = f64::from(stack[sp - 1] == 0.0),
-            Op::Bin(op) => {
-                stack[sp - 2] = fold_binop(*op, stack[sp - 2], stack[sp - 1]);
-                sp -= 1;
-            }
-            Op::Call1(b) => stack[sp - 1] = fold_builtin(*b, &stack[sp - 1..sp]),
-            Op::Call2(b) => {
-                stack[sp - 2] = fold_builtin(*b, &stack[sp - 2..sp]);
-                sp -= 1;
-            }
-            Op::Call3(b) => {
-                stack[sp - 3] = fold_builtin(*b, &stack[sp - 3..sp]);
-                sp -= 2;
-            }
-            other => unreachable!("{other:?} cannot appear in a table-fold tape"),
-        }
-    }
-    let mut out = Vec::with_capacity(fold.counts.len());
-    let mut at = 0usize;
-    for &count in &fold.counts {
-        let mut xs = Vec::with_capacity(count);
-        let mut ys = Vec::with_capacity(count);
-        for k in 0..count {
-            xs.push(stack[at + 2 * k]);
-            ys.push(stack[at + 2 * k + 1]);
-        }
-        at += 2 * count;
-        out.push((xs, ys));
-    }
-    Ok(out)
-}
-
-/// Executes an `init` tape with plain-`f64` semantics over the
-/// per-instance object value vector (`None` = not yet assigned),
-/// mirroring the tree interpreter (`run_init_program` in
-/// [`crate::model`]) error for error: same unassigned-read message,
-/// same assertion message, reports ignored.
-///
-/// # Errors
-///
-/// [`HdlError::Elab`] on reads of unassigned objects and failed
-/// assertions — bit-compatible with the tree interpreter, which the
-/// differential tests in `tests/bytecode_equivalence.rs` enforce.
-pub fn run_init_tape(
-    model: &CompiledModel,
-    tape: &Tape,
-    generics: &[f64],
-    values: &mut [Option<f64>],
-) -> Result<()> {
-    let mut stack = vec![0.0f64; tape.max_stack];
-    let ops = &tape.ops;
-    let mut pc = 0usize;
-    let mut sp = 0usize;
-    while pc < ops.len() {
-        match &ops[pc] {
-            Op::Const(v) => {
-                stack[sp] = *v;
-                sp += 1;
-            }
-            Op::Generic(i) => {
-                stack[sp] = generics[*i as usize];
-                sp += 1;
-            }
-            Op::Object(i) => {
-                stack[sp] = values[*i as usize].ok_or_else(|| {
-                    HdlError::Elab("initializer references an object with no value yet".into())
-                })?;
-                sp += 1;
-            }
-            Op::Neg => stack[sp - 1] = -stack[sp - 1],
-            Op::Not => stack[sp - 1] = f64::from(stack[sp - 1] == 0.0),
-            Op::Bin(op) => {
-                stack[sp - 2] = fold_binop(*op, stack[sp - 2], stack[sp - 1]);
-                sp -= 1;
-            }
-            Op::Call1(b) => stack[sp - 1] = fold_builtin(*b, &stack[sp - 1..sp]),
-            Op::Call2(b) => {
-                stack[sp - 2] = fold_builtin(*b, &stack[sp - 2..sp]);
-                sp -= 1;
-            }
-            Op::Call3(b) => {
-                stack[sp - 3] = fold_builtin(*b, &stack[sp - 3..sp]);
-                sp -= 2;
-            }
-            Op::Store(i) => {
-                sp -= 1;
-                values[*i as usize] = Some(stack[sp]);
-            }
-            Op::Assert(m) => {
-                sp -= 1;
-                if stack[sp] == 0.0 {
-                    return Err(HdlError::Elab(format!(
-                        "init assertion failed in `{}`: {}",
-                        model.name, tape.messages[*m as usize]
-                    )));
-                }
-            }
-            Op::Report(_) => {}
-            Op::JumpIfZero(target) => {
-                sp -= 1;
-                if stack[sp] == 0.0 {
-                    pc = *target as usize;
-                    continue;
-                }
-            }
-            Op::Jump(target) => {
-                pc = *target as usize;
-                continue;
-            }
-            other => unreachable!("{other:?} cannot appear in an init tape"),
-        }
-        pc += 1;
-    }
-    Ok(())
 }
 
 /// Folds a literal-constant expression to its runtime value, or

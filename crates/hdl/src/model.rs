@@ -25,7 +25,7 @@
 //! ```
 
 use crate::ast::ObjectKind;
-use crate::bytecode::{run_init_tape, run_pass_bytecode, run_table_fold, BytecodeModel, RegBank};
+use crate::bytecode::{run_pass_bytecode, BytecodeModel, RegBank};
 use crate::compile::{fold_binop, fold_builtin, CExpr, CStmt, CompiledModel};
 use crate::error::{HdlError, Result};
 use crate::eval::{run_pass, Analysis, DualComplex, DualReal, EvalEnv, InstanceState};
@@ -67,11 +67,9 @@ impl HdlModel {
     pub fn compile(src: &str, entity: &str, arch: Option<&str>) -> Result<Self> {
         let module = parse(src)?;
         let compiled = sema::compile(&module, entity, arch)?;
-        let bytecode = BytecodeModel::compile(&compiled);
         Ok(HdlModel {
-            compiled: Arc::new(compiled),
-            bytecode: Arc::new(bytecode),
             source: Arc::from(src),
+            ..HdlModel::from(compiled)
         })
     }
 
@@ -101,8 +99,8 @@ impl HdlModel {
     /// failures in the `init` program.
     pub fn instantiate(&self, name: &str, generics: &[(&str, f64)]) -> Result<Instance> {
         let bound = self.bind_generics(generics)?;
-        let init_values = self.init_values_with(&bound, true)?;
-        let tables = self.fold_tables_with(&bound, &init_values, true)?;
+        let init_values = self.init_values(&bound)?;
+        let tables = self.fold_tables(&bound, &init_values)?;
 
         // Seed committed state values from their initializers.
         let mut state = InstanceState::for_model(&self.compiled);
@@ -159,17 +157,13 @@ impl HdlModel {
 
     /// Computes the per-object init-value vector for bound generics:
     /// declaration initializers folded in order, then the `init`
-    /// program — through the compiled init tape when `use_bytecode`
-    /// (and the program compiled; the default in
-    /// [`HdlModel::instantiate`]), otherwise through the reference
-    /// tree interpreter. Public so the differential test harness can
-    /// compare both paths value for value and error for error.
+    /// program.
     ///
     /// # Errors
     ///
-    /// Initializer folding failures, unassigned-object reads, and
-    /// failed `init` assertions — identical between both evaluators.
-    pub fn init_values_with(&self, bound: &[f64], use_bytecode: bool) -> Result<Vec<Option<f64>>> {
+    /// Initializer folding failures, unassigned-object reads,
+    /// unsupported `init` statements, and failed `init` assertions.
+    fn init_values(&self, bound: &[f64]) -> Result<Vec<Option<f64>>> {
         let mut init_values: Vec<Option<f64>> = vec![None; self.compiled.objects.len()];
         for (i, obj) in self.compiled.objects.iter().enumerate() {
             if let Some(init) = &obj.init {
@@ -182,56 +176,31 @@ impl HdlModel {
                 init_values[i] = Some(v);
             }
         }
-        match &self.bytecode.init {
-            Some(tape) if use_bytecode => {
-                run_init_tape(&self.compiled, tape, bound, &mut init_values)?;
-            }
-            _ => run_init_program(
-                &self.compiled.init_program,
-                bound,
-                &mut init_values,
-                &self.compiled,
-            )?,
-        }
+        run_init_program(
+            &self.compiled.init_program,
+            bound,
+            &mut init_values,
+            &self.compiled,
+        )?;
         Ok(init_values)
     }
 
-    /// Elaborates the model's `table1d` breakpoint tables for bound
-    /// generics — through the compiled fold tape when `use_bytecode`
-    /// (and every breakpoint compiled; the default in
-    /// [`HdlModel::instantiate`]), otherwise through the reference
-    /// tree folder. Public so the differential harness can compare
-    /// both paths breakpoint for breakpoint and error for error.
+    /// Folds the model's `table1d` breakpoint tables for bound
+    /// generics and init values.
     ///
     /// # Errors
     ///
-    /// Unassigned-object reads, non-constant breakpoint expressions
-    /// (tree path only — such models never compile a fold tape), and
-    /// non-increasing axes — identical messages on both paths.
-    pub fn fold_tables_with(
-        &self,
-        bound: &[f64],
-        init_values: &[Option<f64>],
-        use_bytecode: bool,
-    ) -> Result<Vec<Pwl1>> {
-        let pairs: Vec<(Vec<f64>, Vec<f64>)> = match &self.bytecode.table_fold {
-            Some(fold) if use_bytecode => run_table_fold(fold, bound, init_values)?,
-            _ => {
-                let mut out = Vec::with_capacity(self.compiled.tables.len());
-                for spec in &self.compiled.tables {
-                    let mut xs = Vec::with_capacity(spec.breakpoints.len());
-                    let mut ys = Vec::with_capacity(spec.breakpoints.len());
-                    for (bx, by) in &spec.breakpoints {
-                        xs.push(fold_with_objects(bx, bound, init_values)?);
-                        ys.push(fold_with_objects(by, bound, init_values)?);
-                    }
-                    out.push((xs, ys));
-                }
-                out
+    /// Unassigned-object reads, non-constant breakpoint expressions,
+    /// and axes that are not strictly increasing.
+    fn fold_tables(&self, bound: &[f64], init_values: &[Option<f64>]) -> Result<Vec<Pwl1>> {
+        let mut tables = Vec::with_capacity(self.compiled.tables.len());
+        for spec in &self.compiled.tables {
+            let mut xs = Vec::with_capacity(spec.breakpoints.len());
+            let mut ys = Vec::with_capacity(spec.breakpoints.len());
+            for (bx, by) in &spec.breakpoints {
+                xs.push(fold_with_objects(bx, bound, init_values)?);
+                ys.push(fold_with_objects(by, bound, init_values)?);
             }
-        };
-        let mut tables = Vec::with_capacity(pairs.len());
-        for (xs, ys) in pairs {
             tables.push(Pwl1::new(xs, ys).map_err(|e| {
                 HdlError::Elab(format!(
                     "invalid table1d breakpoints in `{}`: {e}",
@@ -240,6 +209,18 @@ impl HdlModel {
             })?);
         }
         Ok(tables)
+    }
+}
+
+/// Wraps an already compiled model, for example one built by hand,
+/// with its bytecode. Its source text is empty.
+impl From<CompiledModel> for HdlModel {
+    fn from(compiled: CompiledModel) -> Self {
+        HdlModel {
+            bytecode: Arc::new(BytecodeModel::compile(&compiled)),
+            compiled: Arc::new(compiled),
+            source: Arc::from(""),
+        }
     }
 }
 

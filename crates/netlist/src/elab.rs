@@ -22,6 +22,7 @@ use crate::expr::{eval_scopes, join_path, NumExpr, ScopeBinding, ScopeInfo, Scop
 use mems_hdl::model::HdlModel;
 use mems_hdl::span::Span;
 use mems_hdl::Nature;
+use mems_numerics::cache::Fingerprint;
 use mems_numerics::Complex64;
 use mems_spice::analysis::ac::{run_with_op_in as run_ac_with_op_in, FreqSweep};
 use mems_spice::analysis::dcop;
@@ -963,14 +964,11 @@ fn factor_kind(value: &NumExpr) -> Result<FactorKind> {
 /// circuits, workspaces, and symbolic factorizations built from one
 /// are valid for the other — this is the key of `mems serve`'s
 /// artifact cache and of [`RunCtx`]'s own circuit-cache guard.
-pub fn deck_fingerprint(deck: &Deck) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    deck.source.hash(&mut h);
-    for block in &deck.hdl_blocks {
-        block.text.hash(&mut h);
-    }
-    h.finish()
+pub fn deck_fingerprint(deck: &Deck) -> Fingerprint {
+    deck.hdl_blocks.iter().fold(
+        Fingerprint::new().bytes(deck.source.as_bytes()),
+        |f, block| f.bytes(block.text.as_bytes()),
+    )
 }
 
 /// Reuse counters a [`RunCtx`] accumulates across
@@ -1021,7 +1019,7 @@ pub struct RunCtx {
     /// by analysis-slot index only) must not patch another deck's
     /// circuits — name/kind checks could pass on boilerplate device
     /// names while the node wiring differs.
-    deck_fp: Option<u64>,
+    deck_fp: Option<Fingerprint>,
     /// When `true` (default), circuits are cached across points and
     /// parameter-patched; when `false`, every analysis re-elaborates
     /// the deck (the pre-elaborate-once behavior, kept for
@@ -1071,9 +1069,9 @@ impl RunCtx {
     }
 
     /// Drops cached circuits that belong to a different deck. Called
-    /// at the top of every [`run_elaborated_ctx`] with a hash of the
-    /// deck's source text.
-    fn bind_deck(&mut self, fp: u64) {
+    /// at the top of every [`run_elaborated_ctx`] with the deck's
+    /// [`deck_fingerprint`].
+    fn bind_deck(&mut self, fp: Fingerprint) {
         if self.deck_fp != Some(fp) {
             self.ckts.clear();
             self.deck_fp = Some(fp);

@@ -18,6 +18,8 @@
 //! - [`rootfind`] — bisection and Brent's method;
 //! - [`ode`] — integrator coefficients (BE/TR/BDF2) and an RK4
 //!   reference integrator used by the test suites;
+//! - [`cache`] — the stable 128-bit [`cache::Fingerprint`] and the one
+//!   LRU cache ([`cache::Lru`]) behind every memo table;
 //! - [`ordering`] — AMD-style fill-reducing elimination orderings for
 //!   the sparse LU;
 //! - [`etree`] — elimination-tree symbolic analysis (maximum
@@ -47,6 +49,7 @@
 // and `!(x > y)` comparisons are deliberate NaN-rejecting guards.
 #![allow(clippy::needless_range_loop, clippy::neg_cmp_op_on_partial_ord)]
 
+pub mod cache;
 pub mod cg;
 pub mod complex;
 pub mod dense;

@@ -4,26 +4,28 @@
 //! and real workloads (a daemon re-serving decks, `.STEP`/`.MC`
 //! batches, AC after OP) present the same MNA pattern over and over.
 //! [`order_cached`] memoizes [`amd_order`](super::amd_order) /
-//! [`nd_order`](super::nd_order) results in a process-wide LRU map
-//! keyed on a 128-bit pattern fingerprint (ordering kind, n, nnz,
-//! hashed `col_ptr`/`row_idx`), so any pattern seen before skips
+//! [`nd_order`](super::nd_order) results in a process-wide
+//! [`Lru`] keyed on the pattern's [`Fingerprint`] (ordering kind, n,
+//! nnz, `col_ptr`, `row_idx`), so any pattern seen before skips
 //! ordering entirely — cold factors of a known pattern land near
 //! refactor cost.
 //!
 //! Permutations are shared as `Arc<Vec<usize>>` (a hit copies a
-//! pointer, not O(n) memory). Hit/miss totals are exposed for the
+//! pointer, not O(n) memory). The cache's counters are exposed for the
 //! `mems serve` metrics endpoint.
 
 use super::FillOrdering;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, OnceLock};
+use crate::cache::{Fingerprint, Lru, LruStats};
+use std::convert::Infallible;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Patterns retained; least-recently-used beyond this are dropped.
 /// Each entry holds one `Vec<usize>` of length n — at the 10⁶ tier
 /// that is 8 MB, so the cap keeps worst-case residency modest.
 const CACHE_CAP: usize = 48;
+
+static CACHE: Lru<Arc<Vec<usize>>> = Lru::new(CACHE_CAP, |_| 1);
 
 /// Result of an ordering lookup.
 pub struct OrderLookup {
@@ -37,52 +39,22 @@ pub struct OrderLookup {
     pub order_us: u64,
 }
 
-struct Entry {
-    perm: Arc<Vec<usize>>,
-    last_used: u64,
-}
-
-struct Cache {
-    map: HashMap<(u64, u64), Entry>,
-    tick: u64,
-}
-
-fn cache() -> &'static Mutex<Cache> {
-    static CACHE: OnceLock<Mutex<Cache>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        Mutex::new(Cache {
-            map: HashMap::new(),
-            tick: 0,
-        })
-    })
-}
-
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// FNV-1a over the words of the pattern, run with two different
-/// offset bases to form a 128-bit key — collisions across distinct
-/// patterns are vanishingly unlikely, and a false hit could only cost
-/// fill (any permutation factors correctly), never accuracy.
-fn fingerprint(kind: FillOrdering, n: usize, col_ptr: &[usize], row_idx: &[usize]) -> (u64, u64) {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut a: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut b: u64 = 0x6c62_272e_07bb_0142;
-    let mut eat = |x: u64| {
-        a = (a ^ x).wrapping_mul(PRIME);
-        b = (b ^ x.rotate_left(32)).wrapping_mul(PRIME);
-    };
-    eat(kind as u64);
-    eat(n as u64);
-    eat(col_ptr.len() as u64);
-    eat(row_idx.len() as u64);
-    for &w in col_ptr {
-        eat(w as u64);
-    }
-    for &w in row_idx {
-        eat(w as u64);
-    }
-    (a, b)
+/// Fingerprint of a pattern under a resolved ordering kind. A
+/// collision could only cost fill (any permutation factors
+/// correctly), never accuracy.
+pub(crate) fn pattern_fingerprint(
+    kind: FillOrdering,
+    n: usize,
+    col_ptr: &[usize],
+    row_idx: &[usize],
+) -> Fingerprint {
+    Fingerprint::new()
+        .word(kind as u64)
+        .word(n as u64)
+        .word(col_ptr.len() as u64)
+        .word(row_idx.len() as u64)
+        .words(col_ptr)
+        .words(row_idx)
 }
 
 /// Returns the fill-reducing order for the pattern under the given
@@ -103,66 +75,33 @@ pub fn order_cached(
             order_us: 0,
         };
     }
-    let key = fingerprint(kind, n, col_ptr, row_idx);
-    {
-        let mut c = cache().lock().expect("ordering cache lock");
-        c.tick += 1;
-        let tick = c.tick;
-        if let Some(entry) = c.map.get_mut(&key) {
-            entry.last_used = tick;
-            HITS.fetch_add(1, AtomicOrdering::Relaxed);
-            return OrderLookup {
-                perm: Arc::clone(&entry.perm),
-                hit: true,
-                order_us: 0,
+    let mut order_us = 0;
+    let Ok((perm, hit)) =
+        CACHE.get_or_insert_with(pattern_fingerprint(kind, n, col_ptr, row_idx), || {
+            let start = Instant::now();
+            let perm = match kind {
+                FillOrdering::Nd => super::nd_order(n, col_ptr, row_idx),
+                _ => super::amd_order(n, col_ptr, row_idx),
             };
-        }
-    }
-    // Compute outside the lock: concurrent misses on distinct
-    // patterns must not serialize behind one large ordering.
-    let start = Instant::now();
-    let perm = Arc::new(match kind {
-        FillOrdering::Nd => super::nd_order(n, col_ptr, row_idx),
-        _ => super::amd_order(n, col_ptr, row_idx),
-    });
-    let order_us = (start.elapsed().as_micros() as u64).max(1);
-    MISSES.fetch_add(1, AtomicOrdering::Relaxed);
-    let mut c = cache().lock().expect("ordering cache lock");
-    c.tick += 1;
-    let tick = c.tick;
-    c.map.entry(key).or_insert(Entry {
-        perm: Arc::clone(&perm),
-        last_used: tick,
-    });
-    if c.map.len() > CACHE_CAP {
-        if let Some(&victim) = c
-            .map
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| k)
-        {
-            c.map.remove(&victim);
-        }
-    }
+            order_us = (start.elapsed().as_micros() as u64).max(1);
+            Ok::<_, Infallible>(Arc::new(perm))
+        });
     OrderLookup {
         perm,
-        hit: false,
-        order_us,
+        hit,
+        order_us: if hit { 0 } else { order_us },
     }
 }
 
-/// Lifetime (hits, misses) of the process-wide cache.
-pub fn cache_stats() -> (u64, u64) {
-    (
-        HITS.load(AtomicOrdering::Relaxed),
-        MISSES.load(AtomicOrdering::Relaxed),
-    )
+/// Lifetime counters of the process-wide cache.
+pub fn cache_stats() -> LruStats {
+    CACHE.stats()
 }
 
 /// Empties the cache (counters keep running) — for tests that need a
 /// cold start.
 pub fn clear_cache() {
-    cache().lock().expect("ordering cache lock").map.clear();
+    CACHE.clear();
 }
 
 #[cfg(test)]

@@ -46,7 +46,9 @@
 //! [`SupernodalLu::refactor`] replays the numeric phase on new values
 //! with the same pivots, exactly like the scalar split.
 
+use crate::cache::{Lru, LruStats};
 use crate::etree::{self, NONE};
+use crate::ordering::cache::pattern_fingerprint;
 use crate::ordering::{order_cached, FillOrdering};
 use crate::par::resolve_factor_threads;
 use crate::scalar::Scalar;
@@ -215,133 +217,26 @@ impl<S: Scalar> Scratch<S> {
 /// two of those would evict everything else for little gain).
 const SYM_CACHE_BYTES: usize = 192 << 20;
 
-struct SymEntry {
-    sym: std::sync::Arc<Symbolic>,
-    bytes: usize,
-    last_used: u64,
-}
-
-struct SymCache {
-    map: std::collections::HashMap<(u64, u64), SymEntry>,
-    bytes: usize,
-    tick: u64,
-}
-
-fn sym_cache() -> &'static Mutex<SymCache> {
-    static CACHE: std::sync::OnceLock<Mutex<SymCache>> = std::sync::OnceLock::new();
-    CACHE.get_or_init(|| {
-        Mutex::new(SymCache {
-            map: std::collections::HashMap::new(),
-            bytes: 0,
-            tick: 0,
-        })
-    })
-}
-
-static SYM_HITS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static SYM_MISSES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Dual-FNV-1a fingerprint of everything [`analyze`] depends on: the
-/// resolved ordering, the pattern, and the (value-aware) row matching.
-/// A collision could only replay a valid analysis of a different
-/// pattern, which the assembly plan's length check and the numeric
-/// drift guard would reject — but at 128 bits it simply doesn't
-/// happen.
-fn sym_fingerprint(
-    kind: FillOrdering,
-    n: usize,
-    col_ptr: &[usize],
-    row_idx: &[usize],
-    imatch: &[usize],
-) -> (u64, u64) {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut a: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut b: u64 = 0x6c62_272e_07bb_0142;
-    let mut eat = |x: u64| {
-        a = (a ^ x).wrapping_mul(PRIME);
-        b = (b ^ x.rotate_left(32)).wrapping_mul(PRIME);
-    };
-    eat(kind as u64);
-    eat(n as u64);
-    eat(col_ptr.len() as u64);
-    eat(row_idx.len() as u64);
-    for &w in col_ptr {
-        eat(w as u64);
-    }
-    for &w in row_idx {
-        eat(w as u64);
-    }
-    for &w in imatch {
-        eat(w as u64);
-    }
-    (a, b)
-}
-
-fn sym_cache_get(key: (u64, u64)) -> Option<std::sync::Arc<Symbolic>> {
-    let mut c = sym_cache().lock().expect("symbolic cache lock");
-    c.tick += 1;
-    let tick = c.tick;
-    if let Some(e) = c.map.get_mut(&key) {
-        e.last_used = tick;
-        SYM_HITS.fetch_add(1, AtomicOrdering::Relaxed);
-        Some(std::sync::Arc::clone(&e.sym))
-    } else {
-        SYM_MISSES.fetch_add(1, AtomicOrdering::Relaxed);
-        None
+/// An analysis larger than half the budget weighs more than the whole
+/// budget, so the cache hands it back without keeping it.
+fn sym_weight(sym: &std::sync::Arc<Symbolic>) -> usize {
+    match sym.approx_bytes() {
+        bytes if bytes > SYM_CACHE_BYTES / 2 => usize::MAX,
+        bytes => bytes,
     }
 }
 
-fn sym_cache_put(key: (u64, u64), sym: &std::sync::Arc<Symbolic>) {
-    let bytes = sym.approx_bytes();
-    if bytes > SYM_CACHE_BYTES / 2 {
-        return;
-    }
-    let mut c = sym_cache().lock().expect("symbolic cache lock");
-    c.tick += 1;
-    let tick = c.tick;
-    if c.map.contains_key(&key) {
-        return;
-    }
-    c.map.insert(
-        key,
-        SymEntry {
-            sym: std::sync::Arc::clone(sym),
-            bytes,
-            last_used: tick,
-        },
-    );
-    c.bytes += bytes;
-    while c.bytes > SYM_CACHE_BYTES {
-        let victim = c
-            .map
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(&k, _)| k);
-        match victim {
-            Some(k) => {
-                if let Some(e) = c.map.remove(&k) {
-                    c.bytes -= e.bytes;
-                }
-            }
-            None => break,
-        }
-    }
-}
+static SYM_CACHE: Lru<std::sync::Arc<Symbolic>> = Lru::new(SYM_CACHE_BYTES, sym_weight);
 
-/// Lifetime (hits, misses) of the machine-wide symbolic cache.
-pub fn symbolic_cache_stats() -> (u64, u64) {
-    (
-        SYM_HITS.load(AtomicOrdering::Relaxed),
-        SYM_MISSES.load(AtomicOrdering::Relaxed),
-    )
+/// Lifetime counters of the machine-wide symbolic cache.
+pub fn symbolic_cache_stats() -> LruStats {
+    SYM_CACHE.stats()
 }
 
 /// Empties the symbolic cache (counters keep running) — for tests
 /// that need a cold start.
 pub fn clear_symbolic_cache() {
-    let mut c = sym_cache().lock().expect("symbolic cache lock");
-    c.map.clear();
-    c.bytes = 0;
+    SYM_CACHE.clear();
 }
 
 fn validate<S: Scalar>(a: &CscView<'_, S>) -> Result<()> {
@@ -986,17 +881,14 @@ impl<S: Scalar + Send + Sync> SupernodalLu<S> {
         // and the assembly plan — cold factors of a seen pattern run
         // at allocate + numeric, i.e. near refactor cost.
         let resolved = ordering.resolve(a.n);
-        let key = sym_fingerprint(resolved, a.n, a.col_ptr, a.row_idx, &imatch);
-        let (sym, order_us, from_cache) = match sym_cache_get(key) {
-            Some(sym) => (sym, 0, true),
-            None => {
-                let (sym, order_us, order_hit) =
-                    analyze(a.n, a.col_ptr, a.row_idx, imatch, ordering)?;
-                let sym = std::sync::Arc::new(sym);
-                sym_cache_put(key, &sym);
-                (sym, order_us, order_hit)
-            }
-        };
+        let key = pattern_fingerprint(resolved, a.n, a.col_ptr, a.row_idx).words(&imatch);
+        let mut analyzed = (0, true);
+        let (sym, hit) = SYM_CACHE.get_or_insert_with(key, || {
+            let (sym, order_us, order_hit) = analyze(a.n, a.col_ptr, a.row_idx, imatch, ordering)?;
+            analyzed = (order_us, order_hit);
+            Ok(std::sync::Arc::new(sym))
+        })?;
+        let (order_us, from_cache) = if hit { (0, true) } else { analyzed };
         let mut lu = SupernodalLu {
             lstore: vec![S::zero(); sym.l_size],
             ustore: vec![S::zero(); sym.u_size],

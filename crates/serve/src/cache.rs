@@ -24,9 +24,8 @@
 //! from scratch on first touch.
 
 use mems_netlist::{deck_fingerprint, BatchPoint, Deck, IncludeResolver, NetlistError, RunCtx};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use mems_numerics::cache::{Fingerprint, Lru};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -38,7 +37,7 @@ pub struct DeckEntry {
     pub deck: Deck,
     /// Definition fingerprint (`deck_fingerprint`), reported to
     /// clients as cache metadata.
-    pub fingerprint: u64,
+    pub fingerprint: Fingerprint,
     /// The deck's expanded `.STEP`/`.MC` point list (`None` when the
     /// deck has neither card). Point expansion is deterministic —
     /// `.MC` sampling is keyed on `(seed, point, variable)` — so it is
@@ -104,66 +103,31 @@ pub enum Lookup {
     Miss,
 }
 
-/// The fingerprint-keyed deck cache (LRU over submitted sources).
-pub struct ArtifactCache {
-    inner: Mutex<CacheState>,
-    /// Lifetime hit/miss counters, exported on `/v1/health` and
-    /// `/v1/metrics`.
-    pub hits: AtomicU64,
-    /// Lifetime miss counter.
-    pub misses: AtomicU64,
-    /// Lifetime LRU evictions.
-    pub evictions: AtomicU64,
-    /// Max resident entries.
-    cap: usize,
-}
+/// The fingerprint-keyed deck cache: an [`Lru`] over submitted
+/// sources, holding at most `--cache-cap` decks. It derefs to that
+/// [`Lru`] for its counters (exported on `/v1/health` and
+/// `/v1/metrics`), size, and stats.
+pub struct ArtifactCache(Lru<Arc<DeckEntry>>);
 
-struct CacheState {
-    /// Source-hash → entries with that hash (collisions resolved by
-    /// source equality).
-    by_hash: HashMap<u64, Vec<Arc<DeckEntry>>>,
-    /// LRU order of source hashes + the exact source, oldest first.
-    order: Vec<(u64, usize)>,
-    /// Monotonic use counter backing the LRU order.
-    clock: usize,
+impl Deref for ArtifactCache {
+    type Target = Lru<Arc<DeckEntry>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
 }
 
 impl ArtifactCache {
     /// An empty cache holding at most `cap` decks.
     pub fn new(cap: usize) -> Self {
-        ArtifactCache {
-            inner: Mutex::new(CacheState {
-                by_hash: HashMap::new(),
-                order: Vec::new(),
-                clock: 0,
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Resident entry count.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("no poisoned cache lock")
-            .by_hash
-            .values()
-            .map(Vec::len)
-            .sum()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        ArtifactCache(Lru::new(cap.max(1), |_| 1))
     }
 
     /// Resolves submitted source text to a cached entry, parsing and
     /// caching on miss. The parse on the miss path also performs the
     /// elaborate fail-fast (`Elaborator::new`), so a returned entry is
-    /// always simulatable-or-diagnosed up front.
+    /// always simulatable-or-diagnosed up front. The parse runs
+    /// outside the cache lock: a slow deck must not stall lookups.
     ///
     /// # Errors
     ///
@@ -173,103 +137,44 @@ impl ArtifactCache {
         source: &str,
         includes: &mut dyn IncludeResolver,
     ) -> Result<(Arc<DeckEntry>, Lookup), NetlistError> {
-        let key = source_hash(source);
-        {
-            let mut state = self.inner.lock().expect("no poisoned cache lock");
-            if let Some(candidates) = state.by_hash.get(&key) {
-                if let Some(entry) = candidates.iter().find(|e| e.source == source) {
-                    let entry = Arc::clone(entry);
-                    state.touch(key);
-                    drop(state);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    entry.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((entry, Lookup::Hit));
-                }
-            }
+        let key = Fingerprint::new().bytes(source.as_bytes());
+        let (entry, hit) = self.get_or_insert_with(key, || parse_entry(source, includes))?;
+        if entry.source != source {
+            // A fingerprint collision: never hand out another deck's
+            // artifacts. The colliding deck runs uncached.
+            return Ok((parse_entry(source, includes)?, Lookup::Miss));
         }
-
-        // Parse outside the lock: a slow deck must not stall lookups.
-        let deck = Deck::parse_with_includes(source, includes)?;
-        let elab = mems_netlist::Elaborator::new(&deck)?;
-        let batch_points = match mems_netlist::batch_points_with(&elab) {
-            Ok(points) => Some(points),
-            // The span-less elab error is "no .STEP/.MC card" — a
-            // plain single-run deck, not a diagnostic.
-            Err(NetlistError::Elab { span: None, .. }) => None,
-            Err(e) => return Err(e),
-        };
-        drop(elab);
-        let entry = Arc::new(DeckEntry {
-            source: source.to_string(),
-            fingerprint: deck_fingerprint(&deck),
-            batch_points,
-            deck,
-            pool: Mutex::new(Vec::new()),
-            hits: AtomicU64::new(0),
-        });
-
-        let mut state = self.inner.lock().expect("no poisoned cache lock");
-        // A racing submitter may have cached the same source while we
-        // parsed; prefer theirs so the warm pool stays shared.
-        if let Some(candidates) = state.by_hash.get(&key) {
-            if let Some(existing) = candidates.iter().find(|e| e.source == source) {
-                let existing = Arc::clone(existing);
-                state.touch(key);
-                drop(state);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                existing.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((existing, Lookup::Hit));
-            }
+        if !hit {
+            return Ok((entry, Lookup::Miss));
         }
-        state
-            .by_hash
-            .entry(key)
-            .or_default()
-            .push(Arc::clone(&entry));
-        state.touch(key);
-        if state.by_hash.values().map(Vec::len).sum::<usize>() > self.cap {
-            state.evict_oldest();
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        drop(state);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        Ok((entry, Lookup::Miss))
+        entry.hits.fetch_add(1, Ordering::Relaxed);
+        Ok((entry, Lookup::Hit))
     }
 }
 
-impl CacheState {
-    /// Stamps `key` as most recently used.
-    fn touch(&mut self, key: u64) {
-        self.clock += 1;
-        let clock = self.clock;
-        match self.order.iter_mut().find(|(k, _)| *k == key) {
-            Some(slot) => slot.1 = clock,
-            None => self.order.push((key, clock)),
-        }
-    }
-
-    /// Drops the least recently used hash bucket.
-    fn evict_oldest(&mut self) {
-        if let Some(pos) = self
-            .order
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, (_, stamp))| *stamp)
-            .map(|(pos, _)| pos)
-        {
-            let (key, _) = self.order.swap_remove(pos);
-            self.by_hash.remove(&key);
-        }
-    }
-}
-
-/// Hash of the raw submitted source (pre-parse, pre-include-splice):
-/// the cache must answer before doing any work, so it keys on exactly
-/// the bytes the client sent.
-fn source_hash(source: &str) -> u64 {
-    let mut h = DefaultHasher::new();
-    source.hash(&mut h);
-    h.finish()
+/// Parses and elaboration-checks a submitted deck into a fresh entry.
+fn parse_entry(
+    source: &str,
+    includes: &mut dyn IncludeResolver,
+) -> Result<Arc<DeckEntry>, NetlistError> {
+    let deck = Deck::parse_with_includes(source, includes)?;
+    let elab = mems_netlist::Elaborator::new(&deck)?;
+    let batch_points = match mems_netlist::batch_points_with(&elab) {
+        Ok(points) => Some(points),
+        // The span-less elab error is "no .STEP/.MC card" — a plain
+        // single-run deck, not a diagnostic.
+        Err(NetlistError::Elab { span: None, .. }) => None,
+        Err(e) => return Err(e),
+    };
+    drop(elab);
+    Ok(Arc::new(DeckEntry {
+        source: source.to_string(),
+        fingerprint: deck_fingerprint(&deck),
+        batch_points,
+        deck,
+        pool: Mutex::new(Vec::new()),
+        hits: AtomicU64::new(0),
+    }))
 }
 
 #[cfg(test)]

@@ -305,7 +305,7 @@ impl Job {
             concat!(
                 "{{\"id\":{},\"client\":\"{}\",\"state\":\"{}\",",
                 "\"points\":{},\"completed\":{},\"skipped\":{},",
-                "\"cache\":{{\"hit\":{},\"fingerprint\":\"{:016x}\",",
+                "\"cache\":{{\"hit\":{},\"fingerprint\":\"{:032x}\",",
                 "\"circuits_built\":{},\"circuits_patched\":{},\"warm_checkout\":{}}},",
                 "\"solver\":{},",
                 "\"timing\":{{\"parse_us\":{},\"first_result_us\":{},\"finished_us\":{}}},",
@@ -318,7 +318,7 @@ impl Job {
             self.completed(),
             self.skipped.load(Ordering::SeqCst),
             self.cache_hit,
-            self.entry.fingerprint,
+            self.entry.fingerprint.value(),
             meta.stats.circuits_built,
             meta.stats.circuits_patched,
             meta.warm_checkout,

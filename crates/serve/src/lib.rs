@@ -10,7 +10,8 @@
 //!
 //! ## The artifact cache
 //!
-//! Every submission is keyed on its source text. On a hit, the server
+//! Every submission is keyed on the stable fingerprint of its source
+//! text and checked against the text itself. On a hit, the server
 //! reuses the parsed deck, the expanded `.STEP`/`.MC` point list, and
 //! a pool of warm run contexts whose elaborated circuits are
 //! re-bound in place (`Elaborator::patch`) and whose assembly
@@ -39,9 +40,11 @@
 //! job's body never buffers whole (`?wait=0` restores the
 //! non-blocking poll with a `next` cursor; HTTP/1.0 clients get a raw
 //! close-delimited body). `GET /v1/metrics` exposes Prometheus text
-//! format: jobs by terminal state, rejections by reason, cache
-//! hit/miss/eviction counters, scheduler queue depth, a per-chunk
-//! latency histogram, and linear-solver rollups (supernodal vs scalar
+//! format: jobs by terminal state, rejections by reason, artifact,
+//! ordering and symbolic cache hit/miss/eviction counters (all three
+//! one [`Lru`](mems_numerics::cache::Lru) type), scheduler queue
+//! depth, a per-chunk latency histogram, and linear-solver rollups
+//! (supernodal vs scalar
 //! factors, fallbacks). Connections are bounded: a `--max-conns` cap
 //! answers `503` at the accept loop, per-connection read timeouts
 //! drop stalled peers, and the request reader bounds every

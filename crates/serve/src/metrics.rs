@@ -8,6 +8,7 @@
 //! server derives live (queue depth, cache residency, uptime) are
 //! passed in at render time as a [`Gauges`] snapshot.
 
+use mems_numerics::cache::LruStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Chunk-latency histogram bucket upper bounds, seconds. Chunks are
@@ -161,24 +162,14 @@ pub struct Gauges {
     pub queue_depth_chunks: usize,
     /// Jobs admitted and not yet terminal.
     pub jobs_active: usize,
-    /// Decks resident in the artifact cache.
-    pub cache_entries: usize,
-    /// Lifetime cache hits.
-    pub cache_hits: u64,
-    /// Lifetime cache misses.
-    pub cache_misses: u64,
-    /// Lifetime cache evictions.
-    pub cache_evictions: u64,
-    /// Process-wide fill-ordering cache hits
+    /// Artifact-cache snapshot.
+    pub artifact_cache: LruStats,
+    /// Process-wide fill-ordering cache snapshot
     /// ([`mems_numerics::ordering::cache_stats`]).
-    pub ordering_cache_hits: u64,
-    /// Process-wide fill-ordering cache misses.
-    pub ordering_cache_misses: u64,
-    /// Process-wide supernodal symbolic-analysis cache hits
+    pub ordering_cache: LruStats,
+    /// Process-wide supernodal symbolic-analysis cache snapshot
     /// ([`mems_numerics::supernodal::symbolic_cache_stats`]).
-    pub symbolic_cache_hits: u64,
-    /// Process-wide supernodal symbolic-analysis cache misses.
-    pub symbolic_cache_misses: u64,
+    pub symbolic_cache: LruStats,
     /// Durable-store snapshot; `None` when running memory-only
     /// (no `--data-dir`).
     pub store: Option<crate::store::StoreStats>,
@@ -336,41 +327,42 @@ impl Metrics {
             "gauge",
             "Decks resident in the artifact cache.",
         );
-        out.push_str(&format!("mems_serve_cache_entries {}\n", g.cache_entries));
-        family(
-            &mut out,
-            "mems_serve_cache_events_total",
-            "counter",
-            "Artifact-cache lookups and evictions, by event.",
-        );
         out.push_str(&format!(
-            "mems_serve_cache_events_total{{event=\"hit\"}} {}\n",
-            g.cache_hits
+            "mems_serve_cache_entries {}\n",
+            g.artifact_cache.entries
         ));
-        out.push_str(&format!(
-            "mems_serve_cache_events_total{{event=\"miss\"}} {}\n",
-            g.cache_misses
-        ));
-        out.push_str(&format!(
-            "mems_serve_cache_events_total{{event=\"eviction\"}} {}\n",
-            g.cache_evictions
-        ));
-        family(
-            &mut out,
-            "mems_serve_ordering_cache_events_total",
-            "counter",
-            "Process-wide fill-ordering and symbolic-analysis cache lookups.",
-        );
-        for (cache, hits, misses) in [
-            ("ordering", g.ordering_cache_hits, g.ordering_cache_misses),
-            ("symbolic", g.symbolic_cache_hits, g.symbolic_cache_misses),
+        // The symbolic cache shares the ordering cache's family, so it
+        // announces none of its own.
+        for (name, labels, help, stats) in [
+            (
+                "mems_serve_cache_events_total",
+                "",
+                "Artifact-cache lookups and evictions, by event.",
+                &g.artifact_cache,
+            ),
+            (
+                "mems_serve_ordering_cache_events_total",
+                "cache=\"ordering\",",
+                "Process-wide fill-ordering and symbolic-analysis cache lookups and evictions.",
+                &g.ordering_cache,
+            ),
+            (
+                "mems_serve_ordering_cache_events_total",
+                "cache=\"symbolic\",",
+                "",
+                &g.symbolic_cache,
+            ),
         ] {
-            out.push_str(&format!(
-                "mems_serve_ordering_cache_events_total{{cache=\"{cache}\",event=\"hit\"}} {hits}\n"
-            ));
-            out.push_str(&format!(
-                "mems_serve_ordering_cache_events_total{{cache=\"{cache}\",event=\"miss\"}} {misses}\n"
-            ));
+            if !help.is_empty() {
+                family(&mut out, name, "counter", help);
+            }
+            for (event, n) in [
+                ("hit", stats.hits),
+                ("miss", stats.misses),
+                ("eviction", stats.evictions),
+            ] {
+                out.push_str(&format!("{name}{{{labels}event=\"{event}\"}} {n}\n"));
+            }
         }
 
         self.chunk_seconds.render_into(
@@ -545,7 +537,14 @@ mod tests {
         let g = Gauges {
             uptime_seconds: 1.5,
             queue_depth_chunks: 7,
-            cache_hits: 3,
+            artifact_cache: LruStats {
+                hits: 3,
+                ..LruStats::default()
+            },
+            symbolic_cache: LruStats {
+                evictions: 4,
+                ..LruStats::default()
+            },
             ..Gauges::default()
         };
         let body = m.render(&g);
@@ -591,6 +590,17 @@ mod tests {
             Some(5.0)
         );
         assert_eq!(sample(&body, "mems_serve_chunk_seconds_count"), Some(1.0));
+        assert_eq!(
+            sample(&body, "mems_serve_cache_events_total{event=\"hit\"}"),
+            Some(3.0)
+        );
+        assert_eq!(
+            sample(
+                &body,
+                "mems_serve_ordering_cache_events_total{cache=\"symbolic\",event=\"eviction\"}"
+            ),
+            Some(4.0)
+        );
     }
 
     #[test]

@@ -719,6 +719,7 @@ fn health(shared: &Shared, stream: &mut TcpStream) -> std::io::Result<()> {
         (active, jobs.len())
     };
     let store = shared.store.as_ref().map(|s| s.stats());
+    let cache = shared.cache.stats();
     let body = format!(
         concat!(
             "{{\"ok\":true,\"check_only\":{},\"draining\":{},\"uptime_us\":{},",
@@ -731,9 +732,9 @@ fn health(shared: &Shared, stream: &mut TcpStream) -> std::io::Result<()> {
         shared.started.elapsed().as_micros(),
         active,
         total,
-        shared.cache.len(),
-        shared.cache.hits.load(Ordering::Relaxed),
-        shared.cache.misses.load(Ordering::Relaxed),
+        cache.entries,
+        cache.hits,
+        cache.misses,
         store.is_some(),
         store.as_ref().map_or(0, |s| s.jobs),
         store.as_ref().is_some_and(|s| s.degraded),
@@ -743,23 +744,15 @@ fn health(shared: &Shared, stream: &mut TcpStream) -> std::io::Result<()> {
 
 /// `GET /v1/metrics`: the Prometheus text-format scrape.
 fn metrics(shared: &Shared, stream: &mut TcpStream) -> std::io::Result<()> {
-    let (ordering_cache_hits, ordering_cache_misses) = mems_numerics::ordering::cache_stats();
-    let (symbolic_cache_hits, symbolic_cache_misses) =
-        mems_numerics::supernodal::symbolic_cache_stats();
     let gauges = Gauges {
         uptime_seconds: shared.started.elapsed().as_secs_f64(),
         draining: shared.sched.is_draining(),
         connections_active: shared.conns.load(Ordering::SeqCst),
         queue_depth_chunks: shared.sched.queue_depth(),
         jobs_active: shared.sched.active_jobs(),
-        cache_entries: shared.cache.len(),
-        cache_hits: shared.cache.hits.load(Ordering::Relaxed),
-        cache_misses: shared.cache.misses.load(Ordering::Relaxed),
-        cache_evictions: shared.cache.evictions.load(Ordering::Relaxed),
-        ordering_cache_hits,
-        ordering_cache_misses,
-        symbolic_cache_hits,
-        symbolic_cache_misses,
+        artifact_cache: shared.cache.stats(),
+        ordering_cache: mems_numerics::ordering::cache_stats(),
+        symbolic_cache: mems_numerics::supernodal::symbolic_cache_stats(),
         store: shared.store.as_ref().map(|s| s.stats()),
     };
     let body = shared.metrics.render(&gauges);
@@ -830,22 +823,28 @@ fn submit(shared: &Shared, stream: &mut TcpStream, req: &Request) -> std::io::Re
     // first chunk the instant `submit` returns, and its records must
     // find the writer already registered.
     if let Some(store) = &shared.store {
-        store.begin(job.id, &job.client, job.points.len(), job.entry.fingerprint);
+        store.begin(
+            job.id,
+            &job.client,
+            job.points.len(),
+            job.entry.fingerprint.value(),
+        );
     }
+    // Register before admission too: a worker may finish the job
+    // before `submit` returns, and its retirement pass must count it
+    // against `--job-cap`.
+    let registry = || shared.jobs.lock().expect("no poisoned registry lock");
+    registry().insert(id, Arc::clone(&job));
     match shared.sched.submit(&job) {
         Ok(()) => {
             shared
                 .metrics
                 .jobs_submitted
                 .fetch_add(1, Ordering::Relaxed);
-            shared
-                .jobs
-                .lock()
-                .expect("no poisoned registry lock")
-                .insert(id, Arc::clone(&job));
             respond(stream, 201, &[], &job.status_json())
         }
         Err(refusal) => {
+            registry().remove(&id);
             if let Some(store) = &shared.store {
                 store.discard(job.id);
             }

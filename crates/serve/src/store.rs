@@ -321,8 +321,9 @@ pub struct StoredMeta {
     pub completed: usize,
     /// Cancellation-skipped point count.
     pub skipped: usize,
-    /// Deck fingerprint.
-    pub fingerprint: u64,
+    /// Deck fingerprint (32 hex digits on disk; metas written before
+    /// the fingerprint grew to 128 bits carry 16 and still parse).
+    pub fingerprint: u128,
     /// Valid (checksum-verified) prefix length of the result spill —
     /// serving never reads past this.
     pub result_bytes: u64,
@@ -338,7 +339,7 @@ impl StoredMeta {
             concat!(
                 "{{\"id\":{},\"client\":\"{}\",\"state\":\"{}\",\"reason\":{},",
                 "\"points\":{},\"completed\":{},\"skipped\":{},",
-                "\"fingerprint\":\"{:016x}\",\"stored\":true}}"
+                "\"fingerprint\":\"{:032x}\",\"stored\":true}}"
             ),
             self.id,
             json_escape(&self.client),
@@ -358,7 +359,7 @@ fn meta_json(m: &StoredMeta) -> String {
     format!(
         concat!(
             "{{\"v\":1,\"id\":{},\"client\":\"{}\",\"state\":\"{}\",\"reason\":{},",
-            "\"points\":{},\"completed\":{},\"skipped\":{},\"fingerprint\":\"{:016x}\"}}"
+            "\"points\":{},\"completed\":{},\"skipped\":{},\"fingerprint\":\"{:032x}\"}}"
         ),
         m.id,
         json_escape(&m.client),
@@ -386,7 +387,7 @@ fn parse_meta(src: &str) -> Option<StoredMeta> {
         points: doc.get("points")?.as_u64()? as usize,
         completed: doc.get("completed")?.as_u64()? as usize,
         skipped: doc.get("skipped")?.as_u64()? as usize,
-        fingerprint: u64::from_str_radix(doc.get("fingerprint")?.as_str()?, 16).ok()?,
+        fingerprint: u128::from_str_radix(doc.get("fingerprint")?.as_str()?, 16).ok()?,
         result_bytes: 0,
     })
 }
@@ -641,7 +642,7 @@ impl JobStore {
     /// Registers a freshly admitted job: durably writes its `running`
     /// meta and opens the result spill. Must run before the job's
     /// first point can finish.
-    pub fn begin(&self, id: u64, client: &str, points: usize, fingerprint: u64) {
+    pub fn begin(&self, id: u64, client: &str, points: usize, fingerprint: u128) {
         if self.is_degraded() {
             return;
         }
@@ -903,6 +904,57 @@ mod tests {
         assert_eq!(store.stats().replayed_jobs, 1);
         assert_eq!(store.stats().corrupt_records, 0);
         assert_eq!(store.max_id(), 7);
+    }
+
+    #[test]
+    fn full_width_fingerprints_survive_reopen() {
+        let tmp = TempDir::new("fp128");
+        let fp = 0xfedc_ba98_7654_3210_0123_4567_89ab_cdef_u128;
+        let hex = "\"fingerprint\":\"fedcba98765432100123456789abcdef\"";
+        let store = open(&tmp.0);
+        store.begin(2, "c", 1, fp);
+        store.append(2, 0, b"r0");
+        store.finalize(2, "done", 1, 0);
+        drop(store);
+        let on_disk = std::fs::read_to_string(tmp.0.join("2.meta.json")).expect("meta");
+        assert!(on_disk.contains(hex), "{on_disk}");
+
+        let store = open(&tmp.0);
+        let meta = store.lookup(2).expect("stored job");
+        assert_eq!(meta.fingerprint, fp);
+        assert!(meta.status_json().contains(hex));
+        assert_eq!(store.stats().corrupt_records, 0);
+    }
+
+    #[test]
+    fn legacy_16_digit_fingerprint_metas_still_replay() {
+        let tmp = TempDir::new("fp64");
+        // A job spilled while fingerprints were 64-bit.
+        std::fs::write(
+            tmp.0.join("5.meta.json"),
+            concat!(
+                "{\"v\":1,\"id\":5,\"client\":\"old\",\"state\":\"done\",\"reason\":null,",
+                "\"points\":1,\"completed\":1,\"skipped\":0,\"fingerprint\":\"00000000deadbeef\"}"
+            ),
+        )
+        .expect("meta");
+        let mut spill = Vec::new();
+        spill.extend_from_slice(&2u32.to_le_bytes());
+        spill.extend_from_slice(&0u32.to_le_bytes());
+        spill.extend_from_slice(&record_check(0, b"r0").to_le_bytes());
+        spill.extend_from_slice(b"r0");
+        std::fs::write(tmp.0.join("5.results"), &spill).expect("spill");
+
+        let store = open(&tmp.0);
+        let meta = store.lookup(5).expect("legacy job replays");
+        assert_eq!(meta.state, "done");
+        assert_eq!(meta.fingerprint, 0xdead_beef);
+        assert_eq!(
+            store.read_results(5).expect("spill"),
+            vec![(0, "r0".to_string())]
+        );
+        assert_eq!(store.stats().replayed_jobs, 1);
+        assert_eq!(store.stats().corrupt_records, 0);
     }
 
     #[test]

@@ -941,48 +941,26 @@ fn runtime_errors_match() {
 }
 
 // ---------------------------------------------------------------
-// `init` program: compiled tape vs tree interpreter
+// `init` programs and table1d breakpoints run once per instance, on
+// the tree folder: checked through `HdlModel::instantiate`
 // ---------------------------------------------------------------
 
-/// Asserts both init evaluators produce bit-identical value vectors —
-/// or identical error messages — for every generic binding given.
-fn assert_init_paths_agree(src: &str, entity: &str, bindings: &[Vec<f64>]) {
-    let model = HdlModel::compile(src, entity, None).unwrap();
-    assert!(
-        model.bytecode().init.is_some(),
-        "{entity}: init program should compile to a tape"
-    );
-    for bound in bindings {
-        let tree = model.init_values_with(bound, false);
-        let tape = model.init_values_with(bound, true);
-        match (tree, tape) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.len(), b.len());
-                for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-                    match (x, y) {
-                        (Some(p), Some(q)) => assert_eq!(
-                            p.to_bits(),
-                            q.to_bits(),
-                            "{entity} object {i} under {bound:?}: {p:e} vs {q:e}"
-                        ),
-                        (None, None) => {}
-                        other => panic!("{entity} object {i} under {bound:?}: {other:?}"),
-                    }
-                }
-            }
-            (Err(a), Err(b)) => {
-                assert_eq!(a.to_string(), b.to_string(), "{entity} under {bound:?}");
-            }
-            (a, b) => panic!("{entity} under {bound:?}: one path failed: {a:?} vs {b:?}"),
-        }
+/// The DC current a one-branch model contributes at `volts`.
+fn dc_current(inst: &mut mems::hdl::Instance, volts: f64) -> f64 {
+    let mut env = CaptureEnv::<DualReal>::new(1, &[volts], &[]);
+    inst.eval_dc(&mut env).unwrap();
+    match env.events.as_slice() {
+        [Event::Contribute(0, i)] => i.v,
+        _ => panic!("expected one contribution on branch 0"),
     }
 }
 
-#[test]
-fn init_tape_matches_tree_walk_on_branchy_programs() {
-    // Branches on generics, shadowed assignments, selection builtins,
-    // derived constants — the shapes `init` blocks actually take.
-    let src = r#"
+/// The elaboration error of instantiating `model` under `generics`.
+fn elab_error(model: &HdlModel, generics: &[(&str, f64)]) -> String {
+    model.instantiate("x1", generics).unwrap_err().to_string()
+}
+
+const GAPCELL: &str = r#"
 ENTITY gapcell IS
   GENERIC (g0, mode : analog);
   PIN (p, q : electrical);
@@ -1008,61 +986,37 @@ BEGIN
   END RELATION;
 END ARCHITECTURE a;
 "#;
-    let mut bindings = vec![
-        vec![0.15e-3, 0.0],
-        vec![0.15e-3, 1.0],
-        vec![0.15e-3, 2.0],
-        vec![1.0e-9, 1.0],
-        vec![-1.0, 0.0],          // max() keeps it positive
-        vec![-1.0, 2.0],          // assertion fails on both paths
-        vec![f64::NAN, 0.0],      // NaN flows identically
-        vec![f64::INFINITY, 1.0], // limit() clamps
-    ];
-    // A deterministic spray of additional points.
-    let mut x = 0x9e3779b97f4a7c15u64;
-    for _ in 0..64 {
-        x = x.wrapping_mul(0xd1342543de82ef95).wrapping_add(1);
-        let g0 = ((x >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 1e-3;
-        let mode = ((x >> 3) % 3) as f64;
-        bindings.push(vec![g0, mode]);
-    }
-    assert_init_paths_agree(src, "gapcell", &bindings);
-}
 
 #[test]
-fn init_tape_matches_tree_walk_on_listing1() {
-    let src = r#"
-ENTITY eletran IS
- GENERIC (A, d, er : analog);
- PIN (a, b : electrical; c, d : mechanical1);
-END ENTITY eletran;
-ARCHITECTURE a OF eletran IS
-VARIABLE e0, x : analog;
-STATE V, S : analog;
-BEGIN
-  RELATION
-    PROCEDURAL FOR init =>
-      e0 := 8.8542e-12;
-    PROCEDURAL FOR ac, transient =>
-      V := [a, b].v;
-      S := [c, d].tv;
-      x := integ(S);
-      [a, b].i %= e0*er*A/(d + x)*ddt(V);
-      [c, d].f %= -e0*er*A*V*V/(2.0*(d+x)*(d+x));
-  END RELATION;
-END ARCHITECTURE a;
-"#;
-    assert_init_paths_agree(
-        src,
-        "eletran",
-        &[vec![1.0e-4, 0.15e-3, 1.0], vec![2.0e-4, 1.0e-4, 3.9]],
+fn init_folds_branchy_programs() {
+    // Branches on generics, shadowed assignments, selection builtins,
+    // derived constants — the shapes `init` blocks actually take. The
+    // current at 1 V is c0 = e0 / gap.
+    let model = HdlModel::compile(GAPCELL, "gapcell", None).unwrap();
+    for (g0, mode, gap) in [
+        (0.15e-3, 0.0, 0.15e-3),
+        (0.15e-3, 1.0, 0.15e-3),
+        (0.15e-3, 2.0, 0.15e-3 * 2.0),
+        (1.0e-9, 1.0, 1.0e-6),        // limit() clamps up
+        (f64::INFINITY, 1.0, 1.0e-3), // limit() clamps down
+        (-1.0, 0.0, 1.0e-6),          // max() keeps the gap positive
+        (f64::NAN, 0.0, 1.0e-6),      // max(NaN, x) selects x
+    ] {
+        let mut inst = model
+            .instantiate("g1", &[("g0", g0), ("mode", mode)])
+            .unwrap();
+        let c0 = dc_current(&mut inst, 1.0);
+        assert_eq!(c0, 8.8542e-12 / gap, "g0 = {g0}, mode = {mode}");
+    }
+    assert_eq!(
+        elab_error(&model, &[("g0", -1.0), ("mode", 2.0)]),
+        "elaboration error: init assertion failed in `gapcell`: gap must be positive"
     );
 }
 
 #[test]
-fn init_unassigned_read_errors_identically() {
-    // `gap` is read before any assignment: both evaluators must
-    // refuse with the same message.
+fn init_unassigned_read_has_no_value_yet() {
+    // `gap` is read before any assignment.
     let src = r#"
 ENTITY broken IS
   GENERIC (g0 : analog := 1.0);
@@ -1080,87 +1034,43 @@ BEGIN
 END ARCHITECTURE a;
 "#;
     let model = HdlModel::compile(src, "broken", None).unwrap();
-    let tree = model.init_values_with(&[1.0], false).unwrap_err();
-    let tape = model.init_values_with(&[1.0], true).unwrap_err();
-    assert_eq!(tree.to_string(), tape.to_string());
-    assert!(tree.to_string().contains("no value yet"), "{tree}");
+    assert_eq!(
+        elab_error(&model, &[]),
+        "elaboration error: initializer references an object with no value yet"
+    );
 }
 
 #[test]
-fn unsupported_init_programs_fall_back_to_tree_walk() {
-    // A hand-built init program with a contribution: inexpressible on
-    // the init VM, so compile_init_program declines and the model
-    // keeps the tree interpreter (whose "unsupported statement"
-    // diagnostic fires at elaboration).
-    use mems::hdl::bytecode::compile_init_program;
-    let contribute = vec![CStmt::Contribute {
+fn unsupported_init_statements_are_refused() {
+    // Sema never lowers these into an `init` program; a hand-edited
+    // compiled model that holds one gets a diagnostic, not a panic.
+    let model = HdlModel::compile(GAPCELL, "gapcell", None).unwrap();
+    let generics = [("g0", 1.0e-4), ("mode", 0.0)];
+    let mut contribute = model.compiled().clone();
+    contribute.init_program = vec![CStmt::Contribute {
         branch: 0,
         value: CExpr::Const(1.0),
     }];
-    assert!(compile_init_program(&contribute).is_none());
-    let across = vec![CStmt::Assign {
+    let err = elab_error(&HdlModel::from(contribute), &generics);
+    assert!(
+        err.starts_with("elaboration error: unsupported statement in init program"),
+        "{err}"
+    );
+    let mut across = model.compiled().clone();
+    across.init_program = vec![CStmt::Assign {
         object: 0,
         value: CExpr::Across(0),
     }];
-    assert!(compile_init_program(&across).is_none());
-    let fine = vec![CStmt::Assign {
-        object: 0,
-        value: CExpr::Call(Builtin::Sqrt, vec![CExpr::Generic(0)]),
-    }];
-    assert!(compile_init_program(&fine).is_some());
-}
-
-// ---------------------------------------------------------------
-// table1d breakpoint folding: fold tape vs tree folder
-// ---------------------------------------------------------------
-
-/// Compares both table-fold paths for every binding: bit-identical
-/// breakpoints on success, identical messages on failure.
-fn assert_table_folds_agree(src: &str, entity: &str, bindings: &[Vec<f64>]) {
-    let model = HdlModel::compile(src, entity, None).unwrap();
-    assert!(
-        model.bytecode().table_fold.is_some(),
-        "{entity}: breakpoints should compile to a fold tape"
+    assert_eq!(
+        elab_error(&HdlModel::from(across), &generics),
+        "elaboration error: not a constant expression: Across(0)"
     );
-    for bound in bindings {
-        let init = model
-            .init_values_with(bound, true)
-            .unwrap_or_else(|e| panic!("{entity}: init failed under {bound:?}: {e}"));
-        let tree = model.fold_tables_with(bound, &init, false);
-        let tape = model.fold_tables_with(bound, &init, true);
-        match (tree, tape) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.len(), b.len());
-                for (t, (ta, tb)) in a.iter().zip(&b).enumerate() {
-                    assert_eq!(ta.xs().len(), tb.xs().len());
-                    for i in 0..ta.xs().len() {
-                        assert_eq!(
-                            ta.xs()[i].to_bits(),
-                            tb.xs()[i].to_bits(),
-                            "{entity} table {t} x[{i}] under {bound:?}"
-                        );
-                        assert_eq!(
-                            ta.ys()[i].to_bits(),
-                            tb.ys()[i].to_bits(),
-                            "{entity} table {t} y[{i}] under {bound:?}"
-                        );
-                    }
-                }
-            }
-            (Err(a), Err(b)) => {
-                assert_eq!(a.to_string(), b.to_string(), "{entity} under {bound:?}");
-            }
-            (a, b) => panic!("{entity} under {bound:?}: one path failed: {a:?} vs {b:?}"),
-        }
-    }
 }
 
 #[test]
-fn table_fold_tape_matches_tree_folder() {
-    // Breakpoints over generics and init-derived objects, including a
-    // shape that inverts the axis for some bindings (both paths must
-    // then report the identical invalid-breakpoints error through
-    // `Pwl1::new`).
+fn table_breakpoints_fold_and_bad_axes_are_refused() {
+    // Breakpoints over generics and init-derived objects: the table is
+    // the line y = gain / span · x on [−span, span].
     let src = r#"
 ENTITY tcell IS
   GENERIC (scale, span : analog);
@@ -1183,28 +1093,38 @@ BEGIN
   END RELATION;
 END ARCHITECTURE a;
 "#;
-    let mut bindings = vec![
-        vec![1.0, 1.0],
-        vec![2.5, 0.3],
-        vec![0.0, 2.0],  // gain clamps at 0.1
-        vec![1.0, -1.0], // inverted axis: identical error both paths
-        vec![1.0, 0.0],  // duplicate breakpoints: identical error
-        vec![f64::NAN, 1.0],
-    ];
-    let mut x = 0xc0ffee_u64;
-    for _ in 0..48 {
-        x = x.wrapping_mul(0xd1342543de82ef95).wrapping_add(7);
-        let scale = ((x >> 11) as f64 / (1u64 << 53) as f64) * 4.0;
-        let span = ((x >> 7) as f64 / (1u64 << 57) as f64) * 2.0 - 0.25;
-        bindings.push(vec![scale, span]);
+    let model = HdlModel::compile(src, "tcell", None).unwrap();
+    for (scale, span, v, expect) in [
+        (1.0, 1.0, 0.25, 0.25),
+        (2.5, 0.5, -0.375, -1.875),
+        (0.0, 2.0, 0.5, 0.025),       // gain clamps at 0.1
+        (f64::NAN, 1.0, 0.75, 0.075), // max(NaN, 0.1) selects 0.1
+    ] {
+        let mut inst = model
+            .instantiate("t1", &[("scale", scale), ("span", span)])
+            .unwrap();
+        let i = dc_current(&mut inst, v);
+        assert!(
+            (i - expect).abs() <= 1e-14 * expect.abs(),
+            "scale = {scale}, span = {span}: {i} vs {expect}"
+        );
     }
-    assert_table_folds_agree(src, "tcell", &bindings);
+    let axis = "elaboration error: invalid table1d breakpoints in `tcell`: \
+                invalid input: PWL breakpoints must be strictly increasing";
+    // An inverted axis, then duplicate breakpoints.
+    assert_eq!(
+        elab_error(&model, &[("scale", 1.0), ("span", -1.0)]),
+        format!("{axis}: 1 then 0.5")
+    );
+    assert_eq!(
+        elab_error(&model, &[("scale", 1.0), ("span", 0.0)]),
+        format!("{axis}: 0 then 0")
+    );
 }
 
 #[test]
-fn table_fold_unassigned_object_errors_identically() {
-    // A breakpoint reads a variable the init program never assigns:
-    // both folders must refuse with the tree folder's message.
+fn breakpoint_unassigned_read_has_no_value_yet() {
+    // A breakpoint reads a variable only the analysis programs assign.
     let src = r#"
 ENTITY tlate IS
   GENERIC (g : analog := 1.0);
@@ -1221,23 +1141,16 @@ BEGIN
 END ARCHITECTURE a;
 "#;
     let model = HdlModel::compile(src, "tlate", None).unwrap();
-    assert!(model.bytecode().table_fold.is_some());
-    let init = model.init_values_with(&[1.0], true).unwrap();
-    let tree = model.fold_tables_with(&[1.0], &init, false).unwrap_err();
-    let tape = model.fold_tables_with(&[1.0], &init, true).unwrap_err();
-    assert_eq!(tree.to_string(), tape.to_string());
-    assert!(tree.to_string().contains("no value yet"), "{tree}");
-    // And the full instantiate path surfaces the same error.
-    let err = model.instantiate("t1", &[]).unwrap_err();
-    assert_eq!(err.to_string(), tree.to_string());
+    assert_eq!(
+        elab_error(&model, &[]),
+        "elaboration error: initializer references an object with no value yet"
+    );
 }
 
 #[test]
-fn runtime_breakpoints_decline_the_fold_tape() {
-    // Inject a runtime-dependent breakpoint into a compiled model:
-    // `compile_table_fold` must decline so the tree folder keeps its
-    // "not a constant expression" diagnostic.
-    use mems::hdl::bytecode::compile_table_fold;
+fn runtime_breakpoint_is_not_a_constant_expression() {
+    // Sema only lowers constant breakpoints; a hand-edited compiled
+    // model with a branch read in one gets a diagnostic.
     let src = r#"
 ENTITY tok IS
   PIN (p, q : electrical);
@@ -1251,12 +1164,12 @@ BEGIN
 END ARCHITECTURE a;
 "#;
     let model = HdlModel::compile(src, "tok", None).unwrap();
-    assert!(compile_table_fold(model.compiled()).is_some());
+    let mut inst = model.instantiate("t1", &[]).unwrap();
+    assert_eq!(dc_current(&mut inst, 0.5), 1.0);
     let mut broken = model.compiled().clone();
     broken.tables[0].breakpoints[0].0 = CExpr::Across(0);
-    assert!(compile_table_fold(&broken).is_none());
-    // No tables at all → no tape either.
-    let mut empty = model.compiled().clone();
-    empty.tables.clear();
-    assert!(compile_table_fold(&empty).is_none());
+    assert_eq!(
+        elab_error(&HdlModel::from(broken), &[]),
+        "elaboration error: not a constant expression: Across(0)"
+    );
 }

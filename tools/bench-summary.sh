@@ -3,7 +3,7 @@
 # writes a JSON object of named medians (seconds/iteration) so future
 # PRs can diff perf numbers instead of quoting them in prose.
 #
-#   tools/bench-summary.sh [OUT.json]      # default: BENCH_9.json
+#   tools/bench-summary.sh OUT.json
 #
 # Relies on the criterion shim's MEMS_BENCH_QUICK / MEMS_BENCH_JSONL
 # hooks (crates/criterion). Quick mode uses 3 samples per benchmark —
@@ -11,7 +11,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_9.json}"
+if [ $# -ne 1 ]; then
+  echo "usage: $0 OUT.json" >&2
+  exit 2
+fi
+out="$1"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
