@@ -1,7 +1,7 @@
-//! Fill-reducing ordering and the supernodal engine on the meshed
-//! scale tiers: natural-order vs AMD-permuted scalar LU at n ≈ 100 /
-//! 400 / 1600, then scalar-AMD vs supernodal at n ≈ 6.4k (3-D grid),
-//! 8.2k (FEM quad mesh), 12.8k and 50.6k (2-D grids).
+//! Fill-reducing ordering on the meshed scale tiers: natural-order vs
+//! AMD-permuted scalar LU at n ≈ 100 / 400 / 1600, then AMD vs nested
+//! dissection at n ≈ 6.4k (3-D grid), 8.2k (FEM quad mesh), 12.8k and
+//! 50.6k (2-D grids).
 //!
 //! Kernel groups factor the MNA matrix of a grid of electromechanical
 //! cells (the same structure `mems_netlist::gen::grid_deck` /
@@ -15,22 +15,19 @@
 //! (`.OP` through the netlist frontend) with `order=natural` vs
 //! `order=amd` vs `order=nd` on the forced-sparse backend.
 //!
-//! The supernodal tiers carry three cold-factor series per mesh: the
-//! true-cold AMD and ND paths (ordering + symbolic caches cleared
-//! every iteration — what a never-seen pattern costs end to end) and
-//! the cached path (both caches warm — what a resubmitted pattern
-//! costs, which should land near the numeric-only refactor). The
-//! scale group adds the n ≈ 2·10⁵ 3-D tier; the ~10⁶ tier runs its
-//! ordering series always and its (multi-minute) factor only outside
-//! `MEMS_BENCH_QUICK`.
+//! The scale tiers carry two cold-factor series per ordering: the
+//! true-cold path (ordering cache cleared every iteration — what a
+//! never-seen pattern costs end to end) and the cached path (ordering
+//! cache warm — what a resubmitted pattern costs). The scale group
+//! adds the n ≈ 2·10⁵ 3-D tier with its ND series and times the
+//! ordering alone at n ≈ 10⁶.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mems_fem::mesh::StructuredQuadMesh;
 use mems_netlist::gen::{grid_deck_with, GridDeckOptions};
 use mems_netlist::{run_deck, Deck};
-use mems_numerics::ordering::{amd_order, clear_cache, nd_order, FillOrdering};
-use mems_numerics::sparse_lu::{CscMatrix, SparseLu};
-use mems_numerics::supernodal::{clear_symbolic_cache, SupernodalLu};
+use mems_numerics::ordering::{amd_order, clear_cache, nd_order, order_cached, FillOrdering};
+use mems_numerics::sparse_lu::{CscMatrix, CscView, SparseLu};
 
 /// Assembles the DC/transient-style MNA matrix of an
 /// electromechanical cell graph over `nn` electrical nodes and the
@@ -177,16 +174,58 @@ fn bench_kernels(c: &mut Criterion) {
     }
 }
 
-/// The scale tiers the supernodal engine was built for: scalar-AMD vs
-/// supernodal factor/refactor on meshed MNA systems at n ≈ 6.4k–50k.
-/// `threads = 0` lets [`mems_numerics::par`] resolve the budget
-/// (hardware cores, `MEMS_FACTOR_THREADS` override) — on a single-core
-/// host every level runs inline, so the numbers isolate the
-/// algorithmic win (symbolic-once + dense panels over per-column DFS).
-fn bench_supernodal(c: &mut Criterion) {
+/// Scalar LU under the `kind` order served by the machine-wide
+/// ordering cache — what `SparseSystem` does on a fresh pattern.
+fn cached_factor(view: &CscView<'_, f64>, kind: FillOrdering) -> SparseLu<f64> {
+    let order = order_cached(kind, view.n, view.col_ptr, view.row_idx);
+    SparseLu::factor_ordered(view, &order.perm).expect("factors")
+}
+
+/// Times one ordering on one mesh: the ordering alone, the factor
+/// under it, the numeric-only refactor, and the true-cold and cached
+/// factors.
+fn bench_ordered_lu(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    tag: &str,
+    csc: &CscMatrix<f64>,
+    kind: FillOrdering,
+) {
+    let (n, view, name) = (csc.n, csc.view(), kind.name());
+    let order_fn = match kind {
+        FillOrdering::Amd => amd_order,
+        _ => nd_order,
+    };
+    let order = order_fn(n, &csc.col_ptr, &csc.row_idx);
+    let mut warm = SparseLu::factor_ordered(&view, &order).expect("factors");
+    let (l, u) = warm.nnz();
+    eprintln!("  n={n} ({tag}): scalar-{name} fill L+U = {}", l + u);
+    group.bench_function(&format!("{name}_order_symbolic"), |b| {
+        b.iter(|| order_fn(n, &csc.col_ptr, &csc.row_idx))
+    });
+    group.bench_function(&format!("scalar_{name}_factor"), |b| {
+        b.iter(|| SparseLu::factor_ordered(&view, &order).expect("factors"))
+    });
+    group.bench_function(&format!("scalar_{name}_refactor"), |b| {
+        b.iter(|| warm.refactor(&view).expect("refactors"))
+    });
+    group.bench_function(&format!("scalar_{name}_cold_factor"), |b| {
+        b.iter(|| {
+            clear_cache();
+            cached_factor(&view, kind)
+        })
+    });
+    // The cold series left this pattern's order in the cache.
+    group.bench_function(&format!("scalar_{name}_cached_factor"), |b| {
+        b.iter(|| cached_factor(&view, kind))
+    });
+}
+
+/// The scale tiers: AMD vs ND scalar LU on meshed MNA systems at
+/// n ≈ 6.4k–50k.
+fn bench_scale(c: &mut Criterion) {
     mems_bench::print_banner(
-        "supernodal tiers",
-        "scalar-AMD vs supernodal level-scheduled LU on large meshed MNA",
+        "scale tiers",
+        "AMD vs nested-dissection scalar LU on large meshed MNA",
     );
     let tiers = vec![
         ("grid3d_10", grid3d_edges(10, 10, 10)),
@@ -196,123 +235,32 @@ fn bench_supernodal(c: &mut Criterion) {
     ];
     for (tag, (nn, edges)) in &tiers {
         let (n, csc) = edges_mna(*nn, edges);
-        let view = csc.view();
-        let snl = SupernodalLu::<f64>::factor(&view, FillOrdering::Amd, 0).expect("snl factors");
-        let (lnz, unz) = snl.nnz();
-        eprintln!(
-            "  n={n} ({tag}): supernodal fill L+U = {} | {} supernodes, {} levels, {} thread(s)",
-            lnz + unz,
-            snl.supernodes(),
-            snl.levels(),
-            snl.threads_used(),
-        );
         let mut group = c.benchmark_group(&format!("ordering_lu_n{n}_{tag}"));
         group.sample_size(10);
-        // The scalar engine is the PR-6 baseline; past ~20k unknowns a
-        // single factor takes whole seconds, so the largest tier is
-        // supernodal-only (the baseline datum exists at n≈13k).
-        if n < 60_000 {
-            let order = amd_order(n, &csc.col_ptr, &csc.row_idx);
-            let mut scalar = SparseLu::factor_ordered(&view, &order).expect("factors");
-            let (sl, su) = scalar.nnz();
-            eprintln!("    scalar-AMD fill L+U = {}", sl + su);
-            group.bench_function("scalar_amd_factor", |b| {
-                b.iter(|| SparseLu::factor_ordered(&view, &order).expect("factors"))
-            });
-            group.bench_function("scalar_amd_refactor", |b| {
-                b.iter(|| scalar.refactor(&view).expect("refactors"))
-            });
+        for kind in [FillOrdering::Amd, FillOrdering::Nd] {
+            bench_ordered_lu(&mut group, tag, &csc, kind);
         }
-        group.bench_function("amd_order_symbolic", |b| {
-            b.iter(|| amd_order(n, &csc.col_ptr, &csc.row_idx))
-        });
-        group.bench_function("snl_factor", |b| {
-            b.iter(|| SupernodalLu::<f64>::factor(&view, FillOrdering::Amd, 0).expect("factors"))
-        });
-        let mut warm = SupernodalLu::<f64>::factor(&view, FillOrdering::Amd, 0).expect("factors");
-        group.bench_function("snl_refactor", |b| {
-            b.iter(|| warm.refactor(&view).expect("refactors"))
-        });
-        group.bench_function("nd_order_symbolic", |b| {
-            b.iter(|| nd_order(n, &csc.col_ptr, &csc.row_idx))
-        });
-        // True-cold paths: both machine-wide caches dropped every
-        // iteration, so the series is ordering + analysis + numeric —
-        // what a never-seen pattern costs on first contact.
-        group.bench_function("snl_amd_cold_factor", |b| {
-            b.iter(|| {
-                clear_cache();
-                clear_symbolic_cache();
-                SupernodalLu::<f64>::factor(&view, FillOrdering::Amd, 0).expect("factors")
-            })
-        });
-        group.bench_function("snl_nd_cold_factor", |b| {
-            b.iter(|| {
-                clear_cache();
-                clear_symbolic_cache();
-                SupernodalLu::<f64>::factor(&view, FillOrdering::Nd, 0).expect("factors")
-            })
-        });
-        // Cached path: a cold factor of a *seen* pattern — the
-        // symbolic cache replays the whole analysis, so this should
-        // land near the numeric-only refactor.
-        let mut nd_warm = SupernodalLu::<f64>::factor(&view, FillOrdering::Nd, 0).expect("factors");
-        let (nl, nu) = nd_warm.nnz();
-        eprintln!("    supernodal-ND fill L+U = {}", nl + nu);
-        group.bench_function("snl_nd_cached_factor", |b| {
-            b.iter(|| SupernodalLu::<f64>::factor(&view, FillOrdering::Nd, 0).expect("factors"))
-        });
-        group.bench_function("snl_nd_refactor", |b| {
-            b.iter(|| nd_warm.refactor(&view).expect("refactors"))
-        });
         group.finish();
     }
 }
 
 /// The tiers the ND ordering exists for: 3-D meshes at n ≈ 2·10⁵ and
 /// ~10⁶, where minimum degree's ordering time and separator-tree fill
-/// both fall behind nested dissection. Scalar LU and the AMD ordering
-/// are out of reach here (AMD alone takes ~24 s at n ≈ 2·10⁵ on one
-/// core), so the series are ND + cached + refactor only; the ~10⁶
-/// tier times its ordering always and its multi-minute factor only
-/// outside `MEMS_BENCH_QUICK` (`examples/nd_scale.rs` in
-/// `mems-numerics` exercises the full 10⁶ factor standalone).
+/// both fall behind nested dissection. The AMD ordering is out of
+/// reach here (it alone takes ~24 s at n ≈ 2·10⁵ on one core), so the
+/// n ≈ 2·10⁵ tier runs the ND series only and the ~10⁶ tier times its
+/// ordering alone.
 fn bench_scale_tiers(c: &mut Criterion) {
     mems_bench::print_banner(
         "ND scale tiers",
-        "nested-dissection cold/cached supernodal LU on 3-D meshes at n = 2e5 and 1e6",
+        "nested-dissection scalar LU on a 3-D mesh at n = 2e5, ordering alone at n = 1e6",
     );
-    let quick = std::env::var_os("MEMS_BENCH_QUICK").is_some();
     {
         let (nn, edges) = grid3d_edges(31, 31, 31);
         let (n, csc) = edges_mna(nn, &edges);
-        let view = csc.view();
         let mut group = c.benchmark_group(&format!("ordering_lu_n{n}_grid3d_31"));
         group.sample_size(10);
-        group.bench_function("nd_order_symbolic", |b| {
-            b.iter(|| nd_order(n, &csc.col_ptr, &csc.row_idx))
-        });
-        group.bench_function("snl_nd_cold_factor", |b| {
-            b.iter(|| {
-                clear_cache();
-                clear_symbolic_cache();
-                SupernodalLu::<f64>::factor(&view, FillOrdering::Nd, 0).expect("factors")
-            })
-        });
-        let mut warm = SupernodalLu::<f64>::factor(&view, FillOrdering::Nd, 0).expect("factors");
-        let (lnz, unz) = warm.nnz();
-        eprintln!(
-            "  n={n} (grid3d_31): supernodal-ND fill L+U = {} | {} supernodes, {} levels",
-            lnz + unz,
-            warm.supernodes(),
-            warm.levels(),
-        );
-        group.bench_function("snl_nd_cached_factor", |b| {
-            b.iter(|| SupernodalLu::<f64>::factor(&view, FillOrdering::Nd, 0).expect("factors"))
-        });
-        group.bench_function("snl_nd_refactor", |b| {
-            b.iter(|| warm.refactor(&view).expect("refactors"))
-        });
+        bench_ordered_lu(&mut group, "grid3d_31", &csc, FillOrdering::Nd);
         group.finish();
     }
     {
@@ -323,22 +271,6 @@ fn bench_scale_tiers(c: &mut Criterion) {
         group.bench_function("nd_order_symbolic", |b| {
             b.iter(|| nd_order(n, &csc.col_ptr, &csc.row_idx))
         });
-        if quick {
-            eprintln!(
-                "  n={n} (grid3d_52): factor series skipped under MEMS_BENCH_QUICK \
-                 (single cold factor runs ~7 min serial; see mems-numerics \
-                 examples/nd_scale.rs with ND_SCALE_ALL=1)"
-            );
-        } else {
-            let view = csc.view();
-            group.bench_function("snl_nd_cold_factor", |b| {
-                b.iter(|| {
-                    clear_cache();
-                    clear_symbolic_cache();
-                    SupernodalLu::<f64>::factor(&view, FillOrdering::Nd, 0).expect("factors")
-                })
-            });
-        }
         group.finish();
     }
 }
@@ -373,7 +305,7 @@ fn bench_grid_deck(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_kernels,
-    bench_supernodal,
+    bench_scale,
     bench_scale_tiers,
     bench_grid_deck
 );

@@ -364,13 +364,6 @@ pub fn run_batch(deck: &Deck, opts: &BatchOptions) -> Result<BatchResult> {
         Mutex::new(v)
     };
 
-    // Shared thread budget: the sweep workers own the machine, so each
-    // worker's supernodal factorizations are capped to its share of
-    // the cores (see `mems_numerics::par`). Restored afterwards so
-    // nested or subsequent runs see the caller's budget.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let prev_cap = mems_numerics::par::set_factor_thread_cap((cores / threads).max(1));
-
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| {
@@ -408,7 +401,6 @@ pub fn run_batch(deck: &Deck, opts: &BatchOptions) -> Result<BatchResult> {
             });
         }
     });
-    mems_numerics::par::set_factor_thread_cap(prev_cap);
 
     // Cancellation leaves gaps: record them as failed points so the
     // partial batch still reports its yield with stable indices.
@@ -477,9 +469,7 @@ pub fn warm_start_chain(
         let guess = ckt.and_then(|mut ckt| {
             let env = crate::elab::param_env(deck, &overrides).ok()?;
             let sim = sim_options(deck, &env).ok()?;
-            let ws = ws.get_or_insert_with(|| {
-                Workspace::with_solver(0, sim.matrix, sim.ordering, sim.factor, sim.factor_threads)
-            });
+            let ws = ws.get_or_insert_with(|| Workspace::new(0));
             let op = dcop::solve_in(&mut ckt, &sim, prev.as_deref(), ws).ok();
             if !reelaborate {
                 cached = Some(ckt);

@@ -36,7 +36,7 @@ use mems_spice::devices::{
 use mems_spice::output::{AcResult, OpSolution, TranResult};
 use mems_spice::solver::SimOptions;
 use mems_spice::solver::Workspace;
-use mems_spice::system::{new_system_solver, FactorKind, FillOrdering, SolverStats, SystemMatrix};
+use mems_spice::system::{new_system, FillOrdering, SolverStats, SystemMatrix};
 use mems_spice::wave::Waveform;
 use mems_spice::MatrixBackend;
 use std::collections::HashMap;
@@ -888,27 +888,22 @@ pub fn sim_options(deck: &Deck, env: &ParamEnv) -> Result<SimOptions> {
             sim.ordering = fill_ordering(value)?;
             continue;
         }
-        // `factor=auto|scalar|super` picks the sparse numeric
-        // factorization path; also a keyword option.
-        if name == "factor" {
-            sim.factor = factor_kind(value)?;
-            continue;
-        }
-        let v = value.eval(env)?;
+        // The name is matched before the value is evaluated, so an
+        // unknown option is reported as such, whatever its value.
+        let v = || value.eval(env);
         match name.as_str() {
-            "reltol" => sim.reltol = v,
-            "abstol" | "vntol" => sim.abstol_voltage = v,
-            "abstol_across" => sim.abstol_across = v,
-            "abstol_internal" => sim.abstol_internal = v,
-            "maxiter" | "itl1" => sim.max_iter = v as usize,
-            "factor_threads" => sim.factor_threads = v.max(0.0) as usize,
-            "gmin" => sim.gmin = v,
-            "maxstep" => sim.max_step = v,
+            "reltol" => sim.reltol = v()?,
+            "abstol" | "vntol" => sim.abstol_voltage = v()?,
+            "abstol_across" => sim.abstol_across = v()?,
+            "abstol_internal" => sim.abstol_internal = v()?,
+            "maxiter" | "itl1" => sim.max_iter = v()? as usize,
+            "gmin" => sim.gmin = v()?,
+            "maxstep" => sim.max_step = v()?,
             // `sparse=1` forces the sparse LU backend, `sparse=0` the
             // dense one; without the option the backend is picked by
             // unknown count.
             "sparse" => {
-                sim.matrix = if v != 0.0 {
+                sim.matrix = if v()? != 0.0 {
                     MatrixBackend::Sparse
                 } else {
                     MatrixBackend::Dense
@@ -937,22 +932,6 @@ fn fill_ordering(value: &NumExpr) -> Result<FillOrdering> {
         crate::expr::ExprNode::Ident(w) if w == "auto" => Ok(FillOrdering::Auto),
         _ => Err(NetlistError::elab_at(
             "option `order` takes `nd`, `amd`, `natural`, or `auto`",
-            value.span,
-        )),
-    }
-}
-
-/// Parses the `factor=` option value (`auto`, `scalar`, or
-/// `super`/`supernodal`).
-fn factor_kind(value: &NumExpr) -> Result<FactorKind> {
-    match &value.node {
-        crate::expr::ExprNode::Ident(w) if w == "auto" => Ok(FactorKind::Auto),
-        crate::expr::ExprNode::Ident(w) if w == "scalar" => Ok(FactorKind::Scalar),
-        crate::expr::ExprNode::Ident(w) if w == "super" || w == "supernodal" => {
-            Ok(FactorKind::Supernodal)
-        }
-        _ => Err(NetlistError::elab_at(
-            "option `factor` takes `auto`, `scalar`, or `super`",
             value.span,
         )),
     }
@@ -997,16 +976,12 @@ pub struct RunStats {
 pub struct RunCtx {
     /// Shared assembly workspace (lazily sized to the circuit).
     pub ws: Option<Workspace>,
-    /// Shared complex system for `.AC` analyses, with the backend,
-    /// ordering, factorization kind, and thread budget it was built
-    /// for (rebuilt when any of them change).
-    #[allow(clippy::type_complexity)]
+    /// Shared complex system for `.AC` analyses, with the backend and
+    /// ordering it was built for (rebuilt when either changes).
     ac_sys: Option<(
         Box<dyn SystemMatrix<Complex64>>,
         MatrixBackend,
         FillOrdering,
-        FactorKind,
-        usize,
     )>,
     /// Newton guess for DC operating points (e.g. the previous batch
     /// point's solved operating point).
@@ -1053,10 +1028,8 @@ impl RunCtx {
         }
     }
 
-    fn workspace(&mut self, sim: &SimOptions) -> &mut Workspace {
-        self.ws.get_or_insert_with(|| {
-            Workspace::with_solver(0, sim.matrix, sim.ordering, sim.factor, sim.factor_threads)
-        })
+    fn workspace(&mut self) -> &mut Workspace {
+        self.ws.get_or_insert_with(|| Workspace::new(0))
     }
 
     /// Whether the context carries reusable artifacts from earlier
@@ -1118,22 +1091,12 @@ impl RunCtx {
     /// mirror of [`Workspace::ensure`].
     fn ac_system(&mut self, n: usize, sim: &SimOptions) -> &mut dyn SystemMatrix<Complex64> {
         let (backend, ordering) = (sim.matrix, sim.ordering);
-        let (factor, threads) = (sim.factor, sim.factor_threads);
-        let stale = self.ac_sys.as_ref().is_none_or(|(sys, b, o, f, t)| {
+        let stale = self.ac_sys.as_ref().is_none_or(|(sys, b, o)| {
             let sparse = backend.resolve(n) == MatrixBackend::Sparse;
-            sys.n() != n
-                || b.resolve(n) != backend.resolve(n)
-                || (sparse && *o != ordering)
-                || (sparse && (f.resolve(n) != factor.resolve(n) || *t != threads))
+            sys.n() != n || b.resolve(n) != backend.resolve(n) || (sparse && *o != ordering)
         });
         if stale {
-            self.ac_sys = Some((
-                new_system_solver(n, backend, ordering, factor, threads),
-                backend,
-                ordering,
-                factor,
-                threads,
-            ));
+            self.ac_sys = Some((new_system(n, backend, ordering), backend, ordering));
         }
         self.ac_sys.as_mut().expect("just ensured").0.as_mut()
     }
@@ -1250,7 +1213,7 @@ pub fn run_elaborated_ctx(
             AnalysisCard::Op { .. } => {
                 let mut ckt = obtain_circuit(elab, ctx, slot, overrides, None)?;
                 let guess = ctx.op_guess.clone();
-                let ws = ctx.workspace(&sim);
+                let ws = ctx.workspace();
                 let op = dcop::solve_in(&mut ckt, &sim, guess.as_deref(), ws)?;
                 ctx.stash_circuit(slot, ckt);
                 AnalysisOutcome::Op(op)
@@ -1291,7 +1254,7 @@ pub fn run_elaborated_ctx(
                             },
                             &values,
                             &sim,
-                            ctx.workspace(&sim),
+                            ctx.workspace(),
                         )?;
                         (format!("v({src})"), result, last)
                     }
@@ -1315,7 +1278,7 @@ pub fn run_elaborated_ctx(
                             },
                             &values,
                             &sim,
-                            ctx.workspace(&sim),
+                            ctx.workspace(),
                         )?;
                         (format!("param({p})"), result, last)
                     }
@@ -1358,7 +1321,7 @@ pub fn run_elaborated_ctx(
                 // shared complex system.
                 let freqs = fs.frequencies().map_err(NetlistError::from)?;
                 let guess = ctx.op_guess.clone();
-                let op = dcop::solve_in(&mut ckt, &sim, guess.as_deref(), ctx.workspace(&sim))?;
+                let op = dcop::solve_in(&mut ckt, &sim, guess.as_deref(), ctx.workspace())?;
                 let sys = ctx.ac_system(op.layout.n_unknowns, &sim);
                 let ac = run_ac_with_op_in(&mut ckt, &freqs, &op, sys)?;
                 ctx.stash_circuit(slot, ckt);
@@ -1390,7 +1353,7 @@ pub fn run_elaborated_ctx(
                 };
                 let mut ckt = obtain_circuit(elab, ctx, slot, overrides, None)?;
                 let guess = ctx.op_guess.clone();
-                let ws = ctx.workspace(&sim);
+                let ws = ctx.workspace();
                 let tr = run_tran_in(&mut ckt, &opts, &sim, guess.as_deref(), ws)?;
                 ctx.stash_circuit(slot, ckt);
                 AnalysisOutcome::Tran(tr)
@@ -1576,6 +1539,28 @@ mod tests {
         let r = err.render(&deck.source);
         assert!(r.contains("no `.HDL` block"), "{r}");
         assert!(r.contains("ghost"), "{r}");
+    }
+
+    /// Solver options that do not exist (among them the removed
+    /// `factor` and `factor_threads`) and bad `order=` keywords are
+    /// spanned diagnostics, never silently ignored.
+    #[test]
+    fn bad_solver_options_are_spanned() {
+        for (option, message) in [
+            ("factor=super", "unknown option `factor`"),
+            ("factor_threads=2", "unknown option `factor_threads`"),
+            (
+                "order=fastest",
+                "option `order` takes `nd`, `amd`, `natural`, or `auto`",
+            ),
+        ] {
+            let src = format!("t\n.options {option}\nR1 a 0 1k\n.op\n");
+            let deck = Deck::parse(&src).unwrap();
+            let err = sim_options(&deck, &ParamEnv::new()).unwrap_err();
+            let r = err.render(&src);
+            assert!(r.contains(message), "{r}");
+            assert!(r.contains("line 2"), "{r}");
+        }
     }
 
     #[test]

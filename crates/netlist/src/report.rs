@@ -645,7 +645,6 @@ pub fn solver_stats_json(st: &mems_spice::system::SolverStats) -> String {
         "{{\"backend\":\"{}\",\"factor_path\":\"{}\",\"ordering\":\"{}\",\
          \"order_source\":\"{}\",\"order_us\":{},\
          \"n\":{},\"pattern_nnz\":{},\"factor_nnz\":{},\"fill_ratio\":{},\
-         \"supernodes\":{},\"levels\":{},\"threads\":{},\
          \"factors\":{},\"refactors\":{},\"fallbacks\":{},\
          \"last_factor_us\":{},\"last_refactor_us\":{}}}",
         json_escape(st.backend),
@@ -657,9 +656,6 @@ pub fn solver_stats_json(st: &mems_spice::system::SolverStats) -> String {
         st.pattern_nnz,
         st.factor_nnz,
         json_num(st.fill_ratio()),
-        st.supernodes,
-        st.levels,
-        st.threads,
         st.factors,
         st.refactors,
         st.fallbacks,

@@ -1,17 +1,15 @@
 //! One stable fingerprint and one LRU cache for every memo table in
 //! the workspace.
 //!
-//! [`Fingerprint`] keys the fill-ordering cache, the supernodal
-//! symbolic cache, `mems serve`'s artifact cache, and the deck guard of
-//! a reused run context. It is a 128-bit dual FNV-1a digest fed
-//! explicit `u64` words, so its value depends only on those words —
-//! not on the Rust release, the platform, or a `Hash` impl — and it may
-//! be written to disk.
+//! [`Fingerprint`] keys the fill-ordering cache, `mems serve`'s
+//! artifact cache, and the deck guard of a reused run context. It is a
+//! 128-bit dual FNV-1a digest fed explicit `u64` words, so its value
+//! depends only on those words — not on the Rust release, the
+//! platform, or a `Hash` impl — and it may be written to disk.
 //!
 //! [`Lru`] is the one cache behind those keys: a mutex-guarded map with
-//! a weight budget (an entry count or bytes), least-recently-used
-//! eviction, and hit/miss/eviction counters that `/v1/metrics` renders
-//! without per-cache glue.
+//! an entry cap, least-recently-used eviction, and hit/miss/eviction
+//! counters that `/v1/metrics` renders without per-cache glue.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,17 +86,14 @@ pub struct LruStats {
     pub hits: u64,
     /// Lookups that computed their value.
     pub misses: u64,
-    /// Entries dropped to stay within the budget.
+    /// Entries dropped to stay within the cap.
     pub evictions: u64,
     /// Resident entries.
     pub entries: usize,
-    /// Resident weight, in the cache's unit (entries or bytes).
-    pub weight: usize,
 }
 
 struct Entry<V> {
     value: V,
-    weight: usize,
     /// Key of this entry in the recency order.
     stamp: u64,
 }
@@ -108,7 +103,6 @@ struct State<V> {
     /// Recency order, least recently used first.
     order: BTreeMap<u64, Fingerprint>,
     next_stamp: u64,
-    weight: usize,
 }
 
 impl<V: Clone> State<V> {
@@ -123,29 +117,19 @@ impl<V: Clone> State<V> {
     }
 
     /// Inserts an absent key as the most recently used entry, then
-    /// drops the least recently used entries until the weight fits
-    /// `budget`. Returns how many entries were dropped.
-    fn insert(&mut self, key: Fingerprint, value: V, weight: usize, budget: usize) -> u64 {
+    /// drops the least recently used entries until at most `cap`
+    /// remain. Returns how many entries were dropped.
+    fn insert(&mut self, key: Fingerprint, value: V, cap: usize) -> u64 {
         let stamp = self.next_stamp;
         self.next_stamp += 1;
         self.order.insert(stamp, key);
-        self.entries.insert(
-            key,
-            Entry {
-                value,
-                weight,
-                stamp,
-            },
-        );
-        self.weight += weight;
+        self.entries.insert(key, Entry { value, stamp });
         let mut evicted = 0;
-        while self.weight > budget {
+        while self.entries.len() > cap {
             let Some((_, oldest)) = self.order.pop_first() else {
                 break;
             };
-            if let Some(e) = self.entries.remove(&oldest) {
-                self.weight -= e.weight;
-            }
+            self.entries.remove(&oldest);
             evicted += 1;
         }
         evicted
@@ -153,36 +137,30 @@ impl<V: Clone> State<V> {
 }
 
 /// A least-recently-used cache keyed by [`Fingerprint`] and bounded by
-/// a weight budget.
+/// an entry count.
 ///
-/// Each value weighs `weigh(&value)`: a weigher returning 1 makes the
-/// budget an entry count, a byte estimate makes it a byte budget.
 /// Values are handed out by clone, so they are usually `Arc`s. The
 /// constructor is `const`, so a process-wide cache is a plain `static`.
 pub struct Lru<V> {
-    budget: usize,
-    weigh: fn(&V) -> usize,
+    cap: usize,
     state: Mutex<State<V>>,
     /// Lookups answered from the cache.
     pub hits: AtomicU64,
     /// Lookups that computed their value.
     pub misses: AtomicU64,
-    /// Entries dropped to stay within the budget.
+    /// Entries dropped to stay within the cap.
     pub evictions: AtomicU64,
 }
 
 impl<V: Clone> Lru<V> {
-    /// An empty cache whose resident values weigh at most `budget` in
-    /// total.
-    pub const fn new(budget: usize, weigh: fn(&V) -> usize) -> Self {
+    /// An empty cache holding at most `cap` entries.
+    pub const fn new(cap: usize) -> Self {
         Lru {
-            budget,
-            weigh,
+            cap,
             state: Mutex::new(State {
                 entries: BTreeMap::new(),
                 order: BTreeMap::new(),
                 next_stamp: 0,
-                weight: 0,
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -200,8 +178,7 @@ impl<V: Clone> Lru<V> {
     /// `make` runs outside the lock, so misses on distinct keys never
     /// wait for each other. When two callers race on one key, the
     /// first value inserted is kept and the later caller gets it back
-    /// as a hit. A value heavier than the whole budget is returned but
-    /// not kept.
+    /// as a hit.
     ///
     /// # Errors
     ///
@@ -218,17 +195,14 @@ impl<V: Clone> Lru<V> {
             return Ok((value, true));
         }
         let value = make()?;
-        let weight = (self.weigh)(&value);
         let mut state = self.lock();
         if let Some(first) = state.get(key) {
             drop(state);
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((first, true));
         }
-        if weight <= self.budget {
-            let evicted = state.insert(key, value.clone(), weight, self.budget);
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
+        let evicted = state.insert(key, value.clone(), self.cap);
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
         drop(state);
         self.misses.fetch_add(1, Ordering::Relaxed);
         Ok((value, false))
@@ -252,7 +226,6 @@ impl<V: Clone> Lru<V> {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             entries: state.entries.len(),
-            weight: state.weight,
         }
     }
 
@@ -261,7 +234,6 @@ impl<V: Clone> Lru<V> {
         let mut state = self.lock();
         state.entries.clear();
         state.order.clear();
-        state.weight = 0;
     }
 }
 
@@ -334,7 +306,7 @@ mod tests {
 
     #[test]
     fn a_read_entry_outlives_an_older_unread_one() {
-        let lru = Lru::new(2, |_: &u32| 1);
+        let lru = Lru::new(2);
         lookup(&lru, 1, 10);
         lookup(&lru, 2, 20);
         assert_eq!(lookup(&lru, 1, 0), (10, true));
@@ -347,35 +319,8 @@ mod tests {
     }
 
     #[test]
-    fn a_byte_budget_evicts_until_the_total_fits() {
-        let lru: Lru<Vec<u8>> = Lru::new(10, Vec::len);
-        for (k, n) in [(1, 4), (2, 4), (3, 5)] {
-            let Ok(_) = lru.get_or_insert_with(key(k), || Ok::<_, Infallible>(vec![0; n]));
-        }
-        let s = lru.stats();
-        assert_eq!((s.entries, s.weight, s.evictions), (2, 9, 1));
-        // A 9-byte value needs both residents gone.
-        let Ok(_) = lru.get_or_insert_with(key(4), || Ok::<_, Infallible>(vec![0; 9]));
-        let s = lru.stats();
-        assert_eq!((s.entries, s.weight, s.evictions), (1, 9, 3));
-    }
-
-    #[test]
-    fn a_value_heavier_than_the_budget_is_returned_but_not_kept() {
-        let lru: Lru<Vec<u8>> = Lru::new(10, Vec::len);
-        let Ok(small) = lru.get_or_insert_with(key(1), || Ok::<_, Infallible>(vec![1; 3]));
-        assert!(!small.1);
-        let Ok((big, hit)) = lru.get_or_insert_with(key(2), || Ok::<_, Infallible>(vec![2; 11]));
-        assert_eq!((big.len(), hit), (11, false));
-        let s = lru.stats();
-        assert_eq!((s.entries, s.weight, s.misses, s.evictions), (1, 3, 2, 0));
-        let Ok((_, hit)) = lru.get_or_insert_with(key(2), || Ok::<_, Infallible>(vec![2; 11]));
-        assert!(!hit, "an unkept value is computed again");
-    }
-
-    #[test]
     fn the_first_insert_wins_a_race_and_the_loser_hits() {
-        let lru = Lru::new(4, |_: &u32| 1);
+        let lru = Lru::new(4);
         // The outer computation runs outside the lock; a second caller
         // inserts the same key while it runs.
         let Ok(outer) = lru.get_or_insert_with(key(7), || {
@@ -390,7 +335,7 @@ mod tests {
 
     #[test]
     fn a_failed_computation_inserts_and_counts_nothing() {
-        let lru = Lru::new(4, |_: &u32| 1);
+        let lru: Lru<u32> = Lru::new(4);
         assert_eq!(lru.get_or_insert_with(key(1), || Err("bad")), Err("bad"));
         assert!(lru.is_empty());
         assert_eq!(lru.stats(), LruStats::default());
@@ -398,13 +343,13 @@ mod tests {
 
     #[test]
     fn clear_empties_the_cache_but_keeps_the_counters() {
-        let lru = Lru::new(4, |_: &u32| 1);
+        let lru = Lru::new(4);
         lookup(&lru, 1, 10);
         lookup(&lru, 2, 20);
         lookup(&lru, 1, 0);
         lru.clear();
         let s = lru.stats();
-        assert_eq!((s.hits, s.misses, s.entries, s.weight), (1, 2, 0, 0));
+        assert_eq!((s.hits, s.misses, s.entries), (1, 2, 0));
         assert_eq!(lookup(&lru, 1, 11), (11, false));
     }
 }

@@ -7,8 +7,7 @@
 //! [`nd_order`](super::nd_order) results in a process-wide
 //! [`Lru`] keyed on the pattern's [`Fingerprint`] (ordering kind, n,
 //! nnz, `col_ptr`, `row_idx`), so any pattern seen before skips
-//! ordering entirely — cold factors of a known pattern land near
-//! refactor cost.
+//! ordering entirely and pays only the symbolic + numeric factor.
 //!
 //! Permutations are shared as `Arc<Vec<usize>>` (a hit copies a
 //! pointer, not O(n) memory). The cache's counters are exposed for the
@@ -25,7 +24,7 @@ use std::time::Instant;
 /// that is 8 MB, so the cap keeps worst-case residency modest.
 const CACHE_CAP: usize = 48;
 
-static CACHE: Lru<Arc<Vec<usize>>> = Lru::new(CACHE_CAP, |_| 1);
+static CACHE: Lru<Arc<Vec<usize>>> = Lru::new(CACHE_CAP);
 
 /// Result of an ordering lookup.
 pub struct OrderLookup {
@@ -42,7 +41,7 @@ pub struct OrderLookup {
 /// Fingerprint of a pattern under a resolved ordering kind. A
 /// collision could only cost fill (any permutation factors
 /// correctly), never accuracy.
-pub(crate) fn pattern_fingerprint(
+fn pattern_fingerprint(
     kind: FillOrdering,
     n: usize,
     col_ptr: &[usize],

@@ -120,7 +120,7 @@ impl Deref for ArtifactCache {
 impl ArtifactCache {
     /// An empty cache holding at most `cap` decks.
     pub fn new(cap: usize) -> Self {
-        ArtifactCache(Lru::new(cap.max(1), |_| 1))
+        ArtifactCache(Lru::new(cap.max(1)))
     }
 
     /// Resolves submitted source text to a cached entry, parsing and

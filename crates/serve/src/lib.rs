@@ -40,14 +40,13 @@
 //! job's body never buffers whole (`?wait=0` restores the
 //! non-blocking poll with a `next` cursor; HTTP/1.0 clients get a raw
 //! close-delimited body). `GET /v1/metrics` exposes Prometheus text
-//! format: jobs by terminal state, rejections by reason, artifact,
-//! ordering and symbolic cache hit/miss/eviction counters (all three
-//! one [`Lru`](mems_numerics::cache::Lru) type), scheduler queue
-//! depth, a per-chunk latency histogram, and linear-solver rollups
-//! (supernodal vs scalar
-//! factors, fallbacks). Connections are bounded: a `--max-conns` cap
-//! answers `503` at the accept loop, per-connection read timeouts
-//! drop stalled peers, and the request reader bounds every
+//! format: jobs by terminal state, rejections by reason, artifact
+//! and ordering cache hit/miss/eviction counters (both one
+//! [`Lru`](mems_numerics::cache::Lru) type), scheduler queue depth, a
+//! per-chunk latency histogram, and linear-solver rollups (dense vs
+//! scalar sparse factors, fallbacks). Connections are bounded: a
+//! `--max-conns` cap answers `503` at the accept loop, per-connection
+//! read timeouts drop stalled peers, and the request reader bounds every
 //! client-controlled length (request line, header size/count, body —
 //! including `Transfer-Encoding: chunked` request bodies, which are
 //! decoded under the same body cap).

@@ -69,7 +69,6 @@ impl Histogram {
 pub struct PathCounters {
     dense: AtomicU64,
     scalar: AtomicU64,
-    supernodal: AtomicU64,
     other: AtomicU64,
 }
 
@@ -82,7 +81,6 @@ impl PathCounters {
         let slot = match path {
             "dense" => &self.dense,
             "scalar" => &self.scalar,
-            "supernodal" => &self.supernodal,
             _ => &self.other,
         };
         slot.fetch_add(n, Ordering::Relaxed);
@@ -90,17 +88,16 @@ impl PathCounters {
 
     /// Sum over every path.
     pub fn total(&self) -> u64 {
-        [&self.dense, &self.scalar, &self.supernodal, &self.other]
+        [&self.dense, &self.scalar, &self.other]
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .sum()
     }
 
-    fn series(&self) -> [(&'static str, u64); 4] {
+    fn series(&self) -> [(&'static str, u64); 3] {
         [
             ("dense", self.dense.load(Ordering::Relaxed)),
             ("scalar", self.scalar.load(Ordering::Relaxed)),
-            ("supernodal", self.supernodal.load(Ordering::Relaxed)),
             ("other", self.other.load(Ordering::Relaxed)),
         ]
     }
@@ -141,11 +138,11 @@ pub struct Metrics {
     pub solver_factors: PathCounters,
     /// Numeric-only refactorizations by factor path.
     pub solver_refactors: PathCounters,
-    /// Fast-path give-ups (supernodal → scalar, refactor → factor).
+    /// Refactors that gave up for a fresh re-pivoting factor.
     pub solver_fallbacks: AtomicU64,
     /// Microseconds spent computing fill-reducing orders (0-cost on
-    /// ordering/symbolic cache hits — a warm machine stops moving
-    /// this counter).
+    /// ordering-cache hits — a warm machine stops moving this
+    /// counter).
     pub solver_order_us: AtomicU64,
 }
 
@@ -167,9 +164,6 @@ pub struct Gauges {
     /// Process-wide fill-ordering cache snapshot
     /// ([`mems_numerics::ordering::cache_stats`]).
     pub ordering_cache: LruStats,
-    /// Process-wide supernodal symbolic-analysis cache snapshot
-    /// ([`mems_numerics::supernodal::symbolic_cache_stats`]).
-    pub symbolic_cache: LruStats,
     /// Durable-store snapshot; `None` when running memory-only
     /// (no `--data-dir`).
     pub store: Option<crate::store::StoreStats>,
@@ -331,8 +325,6 @@ impl Metrics {
             "mems_serve_cache_entries {}\n",
             g.artifact_cache.entries
         ));
-        // The symbolic cache shares the ordering cache's family, so it
-        // announces none of its own.
         for (name, labels, help, stats) in [
             (
                 "mems_serve_cache_events_total",
@@ -343,19 +335,11 @@ impl Metrics {
             (
                 "mems_serve_ordering_cache_events_total",
                 "cache=\"ordering\",",
-                "Process-wide fill-ordering and symbolic-analysis cache lookups and evictions.",
+                "Process-wide fill-ordering cache lookups and evictions.",
                 &g.ordering_cache,
             ),
-            (
-                "mems_serve_ordering_cache_events_total",
-                "cache=\"symbolic\",",
-                "",
-                &g.symbolic_cache,
-            ),
         ] {
-            if !help.is_empty() {
-                family(&mut out, name, "counter", help);
-            }
+            family(&mut out, name, "counter", help);
             for (event, n) in [
                 ("hit", stats.hits),
                 ("miss", stats.misses),
@@ -516,15 +500,13 @@ mod tests {
     #[test]
     fn path_counters_route_and_total() {
         let p = PathCounters::default();
-        p.add("supernodal", 3);
         p.add("scalar", 2);
         p.add("dense", 0); // no-op
         p.add("mystery", 1);
-        assert_eq!(p.total(), 6);
+        assert_eq!(p.total(), 3);
         let series = p.series();
         assert_eq!(series[1], ("scalar", 2));
-        assert_eq!(series[2], ("supernodal", 3));
-        assert_eq!(series[3], ("other", 1));
+        assert_eq!(series[2], ("other", 1));
     }
 
     #[test]
@@ -533,7 +515,7 @@ mod tests {
         m.jobs_done.fetch_add(2, Ordering::Relaxed);
         m.rejected_busy.fetch_add(1, Ordering::Relaxed);
         m.chunk_seconds.observe_us(1_234);
-        m.solver_factors.add("supernodal", 5);
+        m.solver_factors.add("scalar", 5);
         let g = Gauges {
             uptime_seconds: 1.5,
             queue_depth_chunks: 7,
@@ -541,7 +523,7 @@ mod tests {
                 hits: 3,
                 ..LruStats::default()
             },
-            symbolic_cache: LruStats {
+            ordering_cache: LruStats {
                 evictions: 4,
                 ..LruStats::default()
             },
@@ -583,10 +565,7 @@ mod tests {
         );
         assert_eq!(sample(&body, "mems_serve_queue_depth_chunks"), Some(7.0));
         assert_eq!(
-            sample(
-                &body,
-                "mems_serve_solver_factors_total{path=\"supernodal\"}"
-            ),
+            sample(&body, "mems_serve_solver_factors_total{path=\"scalar\"}"),
             Some(5.0)
         );
         assert_eq!(sample(&body, "mems_serve_chunk_seconds_count"), Some(1.0));
@@ -597,7 +576,7 @@ mod tests {
         assert_eq!(
             sample(
                 &body,
-                "mems_serve_ordering_cache_events_total{cache=\"symbolic\",event=\"eviction\"}"
+                "mems_serve_ordering_cache_events_total{cache=\"ordering\",event=\"eviction\"}"
             ),
             Some(4.0)
         );

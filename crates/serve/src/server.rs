@@ -347,7 +347,7 @@ fn record_solver_deltas(
             .fetch_add(now.fallbacks.saturating_sub(past.2), Ordering::Relaxed);
         // A fresh factorization is the only event that can have paid
         // for an ordering; `order_us` is already 0 when it came from
-        // the machine-wide ordering or symbolic cache.
+        // the machine-wide ordering cache.
         if now.factors > past.0 {
             metrics
                 .solver_order_us
@@ -752,7 +752,6 @@ fn metrics(shared: &Shared, stream: &mut TcpStream) -> std::io::Result<()> {
         jobs_active: shared.sched.active_jobs(),
         artifact_cache: shared.cache.stats(),
         ordering_cache: mems_numerics::ordering::cache_stats(),
-        symbolic_cache: mems_numerics::supernodal::symbolic_cache_stats(),
         store: shared.store.as_ref().map(|s| s.stats()),
     };
     let body = shared.metrics.render(&gauges);

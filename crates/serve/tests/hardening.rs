@@ -489,7 +489,7 @@ fn metrics_counters_move_with_the_workload() {
     // Solver rollups saw real factorizations (the divider sweep is
     // dense-path, the resonator transient scalar-path — either way
     // the totals move).
-    let factor_total: f64 = ["dense", "scalar", "supernodal", "other"]
+    let factor_total: f64 = ["dense", "scalar", "other"]
         .iter()
         .map(|p| {
             metric(

@@ -6,7 +6,7 @@ use crate::device::AcLoadCtx;
 use crate::error::{Result, SpiceError};
 use crate::output::{AcResult, OpSolution};
 use crate::solver::SimOptions;
-use crate::system::{new_system_solver, FactorKind, FillOrdering, MatrixBackend, SystemMatrix};
+use crate::system::{new_system, FillOrdering, MatrixBackend, SystemMatrix};
 use mems_numerics::Complex64;
 
 /// Frequency sweep specification.
@@ -94,7 +94,8 @@ impl FreqSweep {
 }
 
 /// Runs an AC sweep. Solves the DC operating point first (committing
-/// it into the devices), then one complex solve per frequency.
+/// it into the devices), then one complex solve per frequency, on the
+/// backend and fill ordering `sim` selects.
 ///
 /// # Errors
 ///
@@ -102,91 +103,24 @@ impl FreqSweep {
 pub fn run(circuit: &mut Circuit, sweep: &FreqSweep, sim: &SimOptions) -> Result<AcResult> {
     let freqs = sweep.frequencies()?;
     let op = super::dcop::solve(circuit, sim)?;
-    run_with_op_solver(
-        circuit,
-        &freqs,
-        &op,
-        sim.matrix,
-        sim.ordering,
-        sim.factor,
-        sim.factor_threads,
-    )
+    let mut sys = new_system::<Complex64>(op.layout.n_unknowns, sim.matrix, sim.ordering);
+    run_with_op_in(circuit, &freqs, &op, sys.as_mut())
 }
 
 /// Runs the sweep against an already-solved operating point (automatic
-/// backend selection).
+/// backend selection). The complex system is assembled through
+/// [`SystemMatrix`], so all frequency points share one sparsity
+/// pattern — on the sparse backend the symbolic factorization from the
+/// first point is replayed numeric-only for every further point.
 ///
 /// # Errors
 ///
 /// Returns singular-system and device errors.
 pub fn run_with_op(circuit: &mut Circuit, freqs: &[f64], op: &OpSolution) -> Result<AcResult> {
-    run_with_op_backend(circuit, freqs, op, MatrixBackend::Auto)
-}
-
-/// [`run_with_op`] with an explicit matrix backend. The complex
-/// system is assembled through [`SystemMatrix`], so all frequency
-/// points share one sparsity pattern — on the sparse backend the
-/// symbolic factorization from the first point is replayed
-/// numeric-only for every further point.
-///
-/// # Errors
-///
-/// As [`run_with_op`].
-pub fn run_with_op_backend(
-    circuit: &mut Circuit,
-    freqs: &[f64],
-    op: &OpSolution,
-    backend: MatrixBackend,
-) -> Result<AcResult> {
-    run_with_op_ordered(circuit, freqs, op, backend, FillOrdering::default())
-}
-
-/// [`run_with_op_backend`] with an explicit sparse fill-reducing
-/// ordering (ignored on the dense path).
-///
-/// # Errors
-///
-/// As [`run_with_op`].
-pub fn run_with_op_ordered(
-    circuit: &mut Circuit,
-    freqs: &[f64],
-    op: &OpSolution,
-    backend: MatrixBackend,
-    ordering: FillOrdering,
-) -> Result<AcResult> {
-    run_with_op_solver(
-        circuit,
-        freqs,
-        op,
-        backend,
-        ordering,
-        FactorKind::default(),
-        0,
-    )
-}
-
-/// [`run_with_op_ordered`] with the full solver policy: the complex
-/// systems ride the same numeric factorization path (scalar or
-/// supernodal) as the real analyses.
-///
-/// # Errors
-///
-/// As [`run_with_op`].
-pub fn run_with_op_solver(
-    circuit: &mut Circuit,
-    freqs: &[f64],
-    op: &OpSolution,
-    backend: MatrixBackend,
-    ordering: FillOrdering,
-    factor: FactorKind,
-    factor_threads: usize,
-) -> Result<AcResult> {
-    let mut sys: Box<dyn SystemMatrix<Complex64>> = new_system_solver(
+    let mut sys = new_system::<Complex64>(
         op.layout.n_unknowns,
-        backend,
-        ordering,
-        factor,
-        factor_threads,
+        MatrixBackend::Auto,
+        FillOrdering::default(),
     );
     run_with_op_in(circuit, freqs, op, sys.as_mut())
 }

@@ -32,13 +32,7 @@ pub fn solve_from(
     opts: &SimOptions,
     guess: Option<&[f64]>,
 ) -> Result<OpSolution> {
-    let mut ws = Workspace::with_solver(
-        0,
-        opts.matrix,
-        opts.ordering,
-        opts.factor,
-        opts.factor_threads,
-    );
+    let mut ws = Workspace::new(0);
     solve_in(circuit, opts, guess, &mut ws)
 }
 
@@ -59,13 +53,7 @@ pub fn solve_in(
     ws: &mut Workspace,
 ) -> Result<OpSolution> {
     let layout = circuit.layout();
-    ws.ensure_solver(
-        layout.n_unknowns,
-        opts.matrix,
-        opts.ordering,
-        opts.factor,
-        opts.factor_threads,
-    );
+    ws.ensure(layout.n_unknowns, opts.matrix, opts.ordering);
     let x0 = match guess {
         Some(g) if g.len() == layout.n_unknowns => g.to_vec(),
         _ => vec![0.0; layout.n_unknowns],

@@ -42,8 +42,7 @@ pub fn dc_sweep(
     values: &[f64],
     sim: &SimOptions,
 ) -> Result<SweepResult> {
-    let mut ws =
-        Workspace::with_solver(0, sim.matrix, sim.ordering, sim.factor, sim.factor_threads);
+    let mut ws = Workspace::new(0);
     dc_sweep_in(build, values, sim, &mut ws)
 }
 

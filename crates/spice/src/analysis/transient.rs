@@ -85,8 +85,7 @@ pub fn run_from(
     sim: &SimOptions,
     op_guess: Option<&[f64]>,
 ) -> Result<TranResult> {
-    let mut ws =
-        Workspace::with_solver(0, sim.matrix, sim.ordering, sim.factor, sim.factor_threads);
+    let mut ws = Workspace::new(0);
     run_in(circuit, opts, sim, op_guess, &mut ws)
 }
 

@@ -9,7 +9,7 @@
 use crate::circuit::{Circuit, UnknownKind, UnknownLayout};
 use crate::device::{LoadCtx, LoadKind};
 use crate::error::{Result, SpiceError};
-use crate::system::{new_system_solver, FactorKind, FillOrdering, MatrixBackend, SystemMatrix};
+use crate::system::{new_system, FactorKind, FillOrdering, MatrixBackend, SystemMatrix};
 use mems_hdl::Nature;
 
 /// Global simulator options (tolerances, iteration budgets).
@@ -37,18 +37,12 @@ pub struct SimOptions {
     /// unknowns).
     pub matrix: MatrixBackend,
     /// Fill-reducing column ordering for the sparse backend (deck
-    /// option `order=amd|natural`; `Amd` by default). Ignored by the
-    /// dense backend.
+    /// option `order=nd|amd|natural|auto`; `Auto` by default). Ignored
+    /// by the dense backend.
     pub ordering: FillOrdering,
-    /// Numeric factorization path for the sparse backend (deck option
-    /// `factor=auto|scalar|super`; `Auto` switches to the supernodal
-    /// engine at
-    /// [`SUPERNODAL_AUTO_THRESHOLD`](crate::system::SUPERNODAL_AUTO_THRESHOLD)
-    /// unknowns). Ignored by the dense backend.
+    /// Has no effect; kept only because the `perfbench` benchmark reads it.
     pub factor: FactorKind,
-    /// Worker threads for the supernodal factorization (deck option
-    /// `factor_threads=<n>`; `0` = auto, see
-    /// [`mems_numerics::par::resolve_factor_threads`]).
+    /// Has no effect; kept only because the `perfbench` benchmark reads it.
     pub factor_threads: usize,
 }
 
@@ -94,49 +88,36 @@ pub struct Workspace {
     pub row_scale: Vec<f64>,
     backend: MatrixBackend,
     ordering: FillOrdering,
-    factor: FactorKind,
-    factor_threads: usize,
 }
 
 impl Workspace {
     /// Allocates a workspace for `n` unknowns with automatic backend
-    /// selection.
+    /// selection and the default fill-reducing ordering. Analyses
+    /// re-target it with [`ensure`](Self::ensure).
     pub fn new(n: usize) -> Self {
-        Self::with_backend(n, MatrixBackend::Auto)
+        Self::build(n, MatrixBackend::Auto, FillOrdering::default())
     }
 
-    /// Allocates a workspace with an explicit backend policy and the
-    /// default fill-reducing ordering.
-    pub fn with_backend(n: usize, backend: MatrixBackend) -> Self {
-        Self::with_policy(n, backend, FillOrdering::default())
-    }
-
-    /// Allocates a workspace with explicit backend and sparse-ordering
-    /// policies (the [`SimOptions::matrix`]/[`SimOptions::ordering`]
-    /// pair).
-    pub fn with_policy(n: usize, backend: MatrixBackend, ordering: FillOrdering) -> Self {
-        Self::with_solver(n, backend, ordering, FactorKind::default(), 0)
-    }
-
-    /// Allocates a workspace with the full solver policy: backend,
-    /// sparse ordering, numeric factorization path, and thread budget
-    /// (the [`SimOptions::matrix`]/[`SimOptions::ordering`]/
-    /// [`SimOptions::factor`]/[`SimOptions::factor_threads`] tuple).
+    /// [`new`](Self::new) with explicit backend and ordering policies,
+    /// for the `perfbench` benchmark, which is the only reason it
+    /// exists; `_factor` and `_factor_threads` are ignored.
     pub fn with_solver(
         n: usize,
         backend: MatrixBackend,
         ordering: FillOrdering,
-        factor: FactorKind,
-        factor_threads: usize,
+        _factor: FactorKind,
+        _factor_threads: usize,
     ) -> Self {
+        Self::build(n, backend, ordering)
+    }
+
+    fn build(n: usize, backend: MatrixBackend, ordering: FillOrdering) -> Self {
         Workspace {
-            sys: new_system_solver(n, backend, ordering, factor, factor_threads),
+            sys: new_system(n, backend, ordering),
             resid: vec![0.0; n],
             row_scale: vec![0.0; n],
             backend,
             ordering,
-            factor,
-            factor_threads,
         }
     }
 
@@ -152,32 +133,13 @@ impl Workspace {
     /// `.STEP`/`.MC` batches: same topology → same layout → the
     /// expensive analysis happens once.
     pub fn ensure(&mut self, n: usize, backend: MatrixBackend, ordering: FillOrdering) {
-        self.ensure_solver(n, backend, ordering, self.factor, self.factor_threads);
-    }
-
-    /// [`Workspace::ensure`] with the full solver policy — rebuilds only
-    /// when the resolved backend, ordering, or factorization policy
-    /// actually changes.
-    pub fn ensure_solver(
-        &mut self,
-        n: usize,
-        backend: MatrixBackend,
-        ordering: FillOrdering,
-        factor: FactorKind,
-        factor_threads: usize,
-    ) {
         let same_backend = self.sys.n() == n && self.backend.resolve(n) == backend.resolve(n);
-        // Ordering and factorization policy only matter on the sparse
-        // path.
-        let dense = backend.resolve(n) == MatrixBackend::Dense;
-        let same_ordering = self.ordering == ordering || dense;
-        let same_factor = dense
-            || (self.factor.resolve(n) == factor.resolve(n)
-                && self.factor_threads == factor_threads);
-        if same_backend && same_ordering && same_factor {
+        // The ordering only matters on the sparse path.
+        let same_ordering = self.ordering == ordering || backend.resolve(n) == MatrixBackend::Dense;
+        if same_backend && same_ordering {
             return;
         }
-        *self = Workspace::with_solver(n, backend, ordering, factor, factor_threads);
+        *self = Workspace::build(n, backend, ordering);
     }
 }
 

@@ -26,35 +26,24 @@
 //! `sparse=0/1`) overrides it either way.
 //!
 //! The sparse backend additionally applies a fill-reducing
-//! [`FillOrdering`] at symbolic time: when the (re)discovered pattern
-//! stabilizes, a column order is computed once — AMD
+//! [`FillOrdering`] at symbolic time: whenever the pattern is rebuilt,
+//! a column order is computed once — AMD
 //! ([`mems_numerics::ordering::amd_order`]) for moderate systems,
 //! multilevel nested dissection ([`mems_numerics::ordering::nd_order`])
 //! at scale — through the machine-wide ordering cache
 //! ([`mems_numerics::ordering::order_cached`]), and every
 //! factorization — first and replayed — eliminates in that order.
 //! Deck option `order=nd|amd|natural|auto` (default `auto`) selects
-//! the policy.
-//!
-//! Above the scalar sparse LU sits a second policy axis,
-//! [`FactorKind`]: at [`SUPERNODAL_AUTO_THRESHOLD`] unknowns (deck
-//! option `factor=auto|scalar|super`) the sparse backend switches its
-//! numeric engine to the supernodal, level-scheduled parallel
-//! factorization ([`mems_numerics::supernodal::SupernodalLu`]). The
-//! supernodal engine uses static (matched-diagonal) pivots guarded by
-//! the same drift threshold as the scalar refactor; any rejected
-//! pivot makes the system fall back — stickily, until the pattern
-//! changes — to the scalar re-pivoting path, so enabling it can only
-//! cost speed, never correctness. [`SolverStats`] snapshots what the
-//! backend actually did (engine, counts, fill, timings) for
-//! `mems run --json` and the serve job metadata.
+//! the policy. A replayed pivot that dies makes the refactor fall back
+//! to a fresh, re-pivoting factorization under the same order.
+//! [`SolverStats`] snapshots what the backend actually did (counts,
+//! fill, timings) for `mems run --json` and the serve job metadata.
 
 use mems_numerics::dense::DenseMatrix;
 use mems_numerics::lu::LuFactors;
 use mems_numerics::ordering::order_cached;
 use mems_numerics::scalar::Scalar;
 use mems_numerics::sparse_lu::{CscView, SparseLu};
-use mems_numerics::supernodal::SupernodalLu;
 use mems_numerics::{NumericsError, Result};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -97,40 +86,22 @@ impl MatrixBackend {
     }
 }
 
-/// Unknown count at which [`FactorKind::Auto`] engages the supernodal
-/// parallel factorization on the sparse path.
-///
-/// Below this the scalar Gilbert–Peierls refactor is already a few
-/// tens of microseconds and the supernodal machinery (panel assembly,
-/// level scheduling) would only add overhead; above it the DFS
-/// symbolic analysis and scattered CSC updates start to dominate.
-pub const SUPERNODAL_AUTO_THRESHOLD: usize = 2000;
-
-/// Which numeric engine the sparse backend factors with.
+/// Has no effect; kept only because the `perfbench` benchmark names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FactorKind {
-    /// Pick by unknown count ([`SUPERNODAL_AUTO_THRESHOLD`]).
+    /// Resolves to [`FactorKind::Scalar`].
     #[default]
     Auto,
-    /// Force the scalar column-by-column LU (always available).
+    /// The scalar sparse LU, the only engine.
     Scalar,
-    /// Force the supernodal, level-scheduled parallel LU.
+    /// Resolves to [`FactorKind::Scalar`].
     Supernodal,
 }
 
 impl FactorKind {
-    /// Resolves `Auto` against an unknown count.
-    pub fn resolve(self, n: usize) -> FactorKind {
-        match self {
-            FactorKind::Auto => {
-                if n >= SUPERNODAL_AUTO_THRESHOLD {
-                    FactorKind::Supernodal
-                } else {
-                    FactorKind::Scalar
-                }
-            }
-            other => other,
-        }
+    /// Always [`FactorKind::Scalar`], the only engine.
+    pub fn resolve(self, _n: usize) -> FactorKind {
+        FactorKind::Scalar
     }
 }
 
@@ -140,13 +111,13 @@ impl FactorKind {
 pub struct SolverStats {
     /// `"dense"` or `"sparse"`.
     pub backend: &'static str,
-    /// `"dense"`, `"scalar"`, `"supernodal"`, or `"none"` before the
-    /// first successful factor.
+    /// `"dense"`, `"scalar"`, or `"none"` before the first successful
+    /// factor.
     pub factor_path: &'static str,
     /// Ordering *policy* name: `"amd"`, `"nd"`, `"natural"`, or
     /// `"auto"` (sparse only).
     pub ordering: &'static str,
-    /// Where the active engine's fill order actually came from:
+    /// Where the fill order actually came from:
     /// `"amd"` / `"nd"` / `"natural"` when computed, `"cached"` on a
     /// machine-wide ordering-cache hit, `"none"` before the first
     /// factor.
@@ -161,18 +132,16 @@ pub struct SolverStats {
     pub pattern_nnz: usize,
     /// Stored factor entries (L + U) of the last factorization.
     pub factor_nnz: usize,
-    /// Supernode count (supernodal path only).
+    /// Always 0; kept only because the `perfbench` benchmark reads it.
     pub supernodes: usize,
-    /// Level-schedule depth (supernodal path only).
-    pub levels: usize,
-    /// Worker threads the last factorization used.
+    /// Always 1; kept only because the `perfbench` benchmark reads it.
     pub threads: usize,
     /// Fresh (symbolic + numeric) factorizations performed.
     pub factors: u64,
     /// Numeric-only refactorizations performed.
     pub refactors: u64,
-    /// Times a fast path gave up (supernodal → scalar, or scalar
-    /// refactor → fresh re-pivoting factor).
+    /// Times a numeric refactor gave up for a fresh re-pivoting
+    /// factor.
     pub fallbacks: u64,
     /// Wall time of the last fresh factorization, microseconds.
     pub last_factor_us: u64,
@@ -192,8 +161,7 @@ impl Default for SolverStats {
             pattern_nnz: 0,
             factor_nnz: 0,
             supernodes: 0,
-            levels: 0,
-            threads: 0,
+            threads: 1,
             factors: 0,
             refactors: 0,
             fallbacks: 0,
@@ -263,44 +231,29 @@ pub trait SystemMatrix<S: Scalar>: Send {
 }
 
 /// Builds a system matrix of order `n` for the (resolved) backend,
-/// with the default [`FillOrdering`] on the sparse path.
+/// with the sparse fill-reducing `ordering` (ignored by the dense
+/// backend).
 pub fn new_system<S: Scalar + Send + Sync + 'static>(
-    n: usize,
-    backend: MatrixBackend,
-) -> Box<dyn SystemMatrix<S>> {
-    new_system_with(n, backend, FillOrdering::default())
-}
-
-/// [`new_system`] with an explicit sparse fill-reducing ordering
-/// (ignored by the dense backend).
-pub fn new_system_with<S: Scalar + Send + Sync + 'static>(
     n: usize,
     backend: MatrixBackend,
     ordering: FillOrdering,
 ) -> Box<dyn SystemMatrix<S>> {
-    new_system_solver(n, backend, ordering, FactorKind::default(), 0)
+    match backend.resolve(n) {
+        MatrixBackend::Sparse => Box::new(SparseSystem::with_ordering(n, ordering)),
+        _ => Box::new(DenseSystem::new(n)),
+    }
 }
 
-/// [`new_system`] with the full sparse solver policy: fill ordering,
-/// numeric engine ([`FactorKind`]), and a worker-thread request for
-/// the supernodal path (0 = auto, see `mems_numerics::par`). The
-/// dense backend ignores all three.
+/// [`new_system`] for the `perfbench` benchmark, which is the only
+/// reason it exists; `_factor` and `_factor_threads` are ignored.
 pub fn new_system_solver<S: Scalar + Send + Sync + 'static>(
     n: usize,
     backend: MatrixBackend,
     ordering: FillOrdering,
-    factor: FactorKind,
-    factor_threads: usize,
+    _factor: FactorKind,
+    _factor_threads: usize,
 ) -> Box<dyn SystemMatrix<S>> {
-    match backend.resolve(n) {
-        MatrixBackend::Sparse => Box::new(SparseSystem::with_solver(
-            n,
-            ordering,
-            factor,
-            factor_threads,
-        )),
-        _ => Box::new(DenseSystem::new(n)),
-    }
+    new_system(n, backend, ordering)
 }
 
 /// Dense backend: [`DenseMatrix`] + full pivoted LU per factor.
@@ -374,7 +327,6 @@ impl<S: Scalar + Send + 'static> SystemMatrix<S> for DenseSystem<S> {
             n,
             pattern_nnz: n * n,
             factor_nnz: if self.lu.is_some() { n * n } else { 0 },
-            threads: 1,
             factors: self.factors,
             last_factor_us: self.last_factor_us,
             ..SolverStats::default()
@@ -402,36 +354,16 @@ pub struct SparseSystem<S: Scalar> {
     factored: bool,
     /// Fill-reducing ordering policy for this system.
     ordering: FillOrdering,
-    /// Column elimination order for the *scalar* engine, computed
-    /// lazily from the current pattern the first time the scalar path
-    /// actually factors (`None` under a natural resolution, or while
-    /// the supernodal engine — which orders its own symmetrized
-    /// pattern — is carrying the load). Shared with the machine-wide
-    /// ordering cache.
+    /// Column elimination order of the current pattern, computed when
+    /// the pattern is rebuilt (`None` under a natural resolution).
+    /// Shared with the machine-wide ordering cache.
     col_order: Option<Arc<Vec<usize>>>,
-    /// `col_order` reflects the current pattern (distinguishes "not
-    /// computed yet" from "natural → none").
-    col_order_ready: bool,
-    /// Numeric-engine policy ([`FactorKind::Auto`] switches on size).
-    factor_kind: FactorKind,
-    /// Requested supernodal worker threads (0 = auto).
-    factor_threads: usize,
-    /// Supernodal engine for the current pattern, when engaged.
-    snl: Option<SupernodalLu<S>>,
-    /// Sticky per-pattern opt-out: set when the supernodal engine
-    /// rejected a pivot, cleared when the pattern changes. Keeps a
-    /// drifting Newton/transient run from paying a failed supernodal
-    /// attempt on every factor.
-    snl_dead: bool,
-    /// `true` when the last successful factor was supernodal.
-    active_supernodal: bool,
     stat_factors: u64,
     stat_refactors: u64,
     stat_fallbacks: u64,
     stat_last_factor_us: u64,
     stat_last_refactor_us: u64,
-    /// Ordering cost/source of the scalar path's last analysis (the
-    /// supernodal engine reports its own).
+    /// Ordering cost/source of the last analysis.
     stat_order_us: u64,
     stat_order_source: &'static str,
 }
@@ -445,17 +377,6 @@ impl<S: Scalar> SparseSystem<S> {
 
     /// [`new`](Self::new) with an explicit ordering policy.
     pub fn with_ordering(n: usize, ordering: FillOrdering) -> Self {
-        Self::with_solver(n, ordering, FactorKind::default(), 0)
-    }
-
-    /// [`new`](Self::new) with the full solver policy: ordering,
-    /// numeric engine, and supernodal thread request (0 = auto).
-    pub fn with_solver(
-        n: usize,
-        ordering: FillOrdering,
-        factor: FactorKind,
-        factor_threads: usize,
-    ) -> Self {
         SparseSystem {
             n,
             slots: HashMap::new(),
@@ -470,12 +391,6 @@ impl<S: Scalar> SparseSystem<S> {
             factored: false,
             ordering,
             col_order: None,
-            col_order_ready: false,
-            factor_kind: factor,
-            factor_threads,
-            snl: None,
-            snl_dead: false,
-            active_supernodal: false,
             stat_factors: 0,
             stat_refactors: 0,
             stat_fallbacks: 0,
@@ -496,27 +411,17 @@ impl<S: Scalar> SparseSystem<S> {
         self.ordering
     }
 
-    /// The numeric-engine policy this system factors with.
-    pub fn factor_kind(&self) -> FactorKind {
-        self.factor_kind
-    }
-
     /// Nonzeros `(nnz(L), nnz(U))` of the last factorization, `None`
     /// before the first successful factor — the fill diagnostic the
-    /// ordering benches report. For the supernodal engine this is the
-    /// dense panel storage (including amalgamation padding).
+    /// ordering benches report.
     pub fn factor_nnz(&self) -> Option<(usize, usize)> {
-        if self.active_supernodal {
-            self.snl.as_ref().map(SupernodalLu::nnz)
-        } else {
-            self.lu.as_ref().map(SparseLu::nnz)
-        }
+        self.lu.as_ref().map(SparseLu::nnz)
     }
 
     /// `true` when the next factor can replay the recorded symbolic
     /// factorization (pattern stable and analyzed).
     pub fn has_symbolic(&self) -> bool {
-        !self.pattern_dirty && (self.lu.is_some() || self.snl.is_some())
+        !self.pattern_dirty && self.lu.is_some()
     }
 
     fn rebuild_csc(&mut self) {
@@ -537,27 +442,15 @@ impl<S: Scalar> SparseSystem<S> {
         for c in 0..self.n {
             self.col_ptr[c + 1] += self.col_ptr[c];
         }
-        // The scalar engine's fill order is computed lazily (see
-        // `ensure_col_order`): when the supernodal engine carries this
-        // pattern it orders its own symmetrized image through the
-        // ordering cache, and paying a second ordering of the raw
-        // pattern up front would double the cold-start cost.
-        self.col_order = None;
-        self.col_order_ready = false;
         self.pattern_dirty = false;
         self.lu = None;
-        self.snl = None;
-        self.snl_dead = false;
-        self.active_supernodal = false;
+        self.order_columns();
     }
 
-    /// Symbolic-time ordering for the scalar path: computed once per
-    /// (stable) pattern through the machine-wide ordering cache and
-    /// reused by every subsequent factor/refactor.
-    fn ensure_col_order(&mut self) {
-        if self.col_order_ready {
-            return;
-        }
+    /// Symbolic-time ordering: computed once per (stable) pattern
+    /// through the machine-wide ordering cache and reused by every
+    /// subsequent factor/refactor.
+    fn order_columns(&mut self) {
         let resolved = self.ordering.resolve(self.n);
         self.col_order = match resolved {
             FillOrdering::Amd | FillOrdering::Nd if self.n > 1 => {
@@ -576,7 +469,6 @@ impl<S: Scalar> SparseSystem<S> {
                 None
             }
         };
-        self.col_order_ready = true;
     }
 }
 
@@ -622,71 +514,12 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
         for (slot, &pos) in self.slot_to_pos.iter().enumerate() {
             self.csc_vals[pos] = self.vals[slot];
         }
-        // Scalar-path ordering is resolved lazily here rather than in
-        // `rebuild_csc`: when the supernodal engine is active it orders
-        // its own (symmetrized, matched) pattern and the scalar order
-        // would be dead weight on the cold path.
-        if self.snl_dead || self.factor_kind.resolve(self.n) != FactorKind::Supernodal {
-            self.ensure_col_order();
-        }
-        let mut view = CscView {
+        let view = CscView {
             n: self.n,
             col_ptr: &self.col_ptr,
             row_idx: &self.row_idx,
             values: &self.csc_vals,
         };
-        // Supernodal engine first when the policy selects it: a
-        // numeric-only replay when the symbolic analysis exists, a
-        // fresh analysis + factor otherwise. Any failure (a static
-        // pivot past the drift guard, or a structurally unmatched
-        // pattern) drops to the scalar re-pivoting path below and
-        // stays there until the pattern changes.
-        if !self.snl_dead && self.factor_kind.resolve(self.n) == FactorKind::Supernodal {
-            let t0 = Instant::now();
-            let replay = self.snl.is_some();
-            let res = match &mut self.snl {
-                Some(snl) => snl.refactor(&view),
-                None => SupernodalLu::factor(&view, self.ordering, self.factor_threads)
-                    .map(|snl| self.snl = Some(snl)),
-            };
-            match res {
-                Ok(()) => {
-                    let us = t0.elapsed().as_micros() as u64;
-                    if replay {
-                        self.stat_refactors += 1;
-                        self.stat_last_refactor_us = us;
-                    } else {
-                        self.stat_factors += 1;
-                        self.stat_last_factor_us = us;
-                    }
-                    self.active_supernodal = true;
-                    self.factored = true;
-                    return Ok(());
-                }
-                Err(e) => {
-                    if std::env::var_os("MEMS_SNL_DEBUG").is_some() {
-                        eprintln!("supernodal fallback: {e:?}");
-                    }
-                    self.snl = None;
-                    self.snl_dead = true;
-                    self.stat_fallbacks += 1;
-                }
-            }
-        }
-        self.active_supernodal = false;
-        if !self.col_order_ready {
-            // First scalar factor after a supernodal fallback: the
-            // ordering was skipped above while the supernodal engine
-            // looked viable, so pattern and values are re-borrowed
-            // here (cheaply — `view` is rebuilt from the same slices).
-            self.ensure_col_order();
-            view = CscView {
-                n: self.n,
-                col_ptr: &self.col_ptr,
-                row_idx: &self.row_idx,
-                values: &self.csc_vals,
-            };
-        }
         let t0 = Instant::now();
         let order = self.col_order.as_deref().map(Vec::as_slice);
         let fresh = |view: &CscView<'_, S>| match order {
@@ -729,11 +562,6 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
                 "solve called before factor".into(),
             ));
         }
-        if self.active_supernodal {
-            if let Some(snl) = &self.snl {
-                return snl.solve(b);
-            }
-        }
         match &self.lu {
             Some(lu) => lu.solve(b),
             None => Err(NumericsError::InvalidInput(
@@ -754,32 +582,13 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
     }
 
     fn solver_stats(&self) -> SolverStats {
-        let (factor_path, factor_nnz, supernodes, levels, threads, order_source, order_us) =
-            if let (true, Some(snl)) = (self.active_supernodal, self.snl.as_ref()) {
-                let (l, u) = snl.nnz();
-                (
-                    "supernodal",
-                    l + u,
-                    snl.supernodes(),
-                    snl.levels(),
-                    snl.threads_used(),
-                    snl.order_source(),
-                    snl.order_us(),
-                )
-            } else if let Some(lu) = &self.lu {
+        let (factor_path, factor_nnz, order_source, order_us) = match &self.lu {
+            Some(lu) => {
                 let (l, u) = lu.nnz();
-                (
-                    "scalar",
-                    l + u,
-                    0,
-                    0,
-                    1,
-                    self.stat_order_source,
-                    self.stat_order_us,
-                )
-            } else {
-                ("none", 0, 0, 0, 0, "none", 0)
-            };
+                ("scalar", l + u, self.stat_order_source, self.stat_order_us)
+            }
+            None => ("none", 0, "none", 0),
+        };
         SolverStats {
             backend: "sparse",
             factor_path,
@@ -789,14 +598,12 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
             n: self.n,
             pattern_nnz: self.vals.len(),
             factor_nnz,
-            supernodes,
-            levels,
-            threads,
             factors: self.stat_factors,
             refactors: self.stat_refactors,
             fallbacks: self.stat_fallbacks,
             last_factor_us: self.stat_last_factor_us,
             last_refactor_us: self.stat_last_refactor_us,
+            ..SolverStats::default()
         }
     }
 }
@@ -975,114 +782,6 @@ mod tests {
     }
 
     #[test]
-    fn forced_supernodal_agrees_with_scalar_and_reports_stats() {
-        // 10×10 grid MNA-ish pattern: small enough that Auto would
-        // stay scalar, so force the supernodal engine on one copy.
-        let (r, c) = (10usize, 10usize);
-        let n = r * c;
-        let idx = |i: usize, j: usize| i * c + j;
-        let mut entries = Vec::new();
-        for i in 0..r {
-            for j in 0..c {
-                entries.push((idx(i, j), idx(i, j), 4.0 + (i * c + j) as f64 * 0.01));
-                if i + 1 < r {
-                    entries.push((idx(i, j), idx(i + 1, j), -1.0));
-                    entries.push((idx(i + 1, j), idx(i, j), -0.8));
-                }
-                if j + 1 < c {
-                    entries.push((idx(i, j), idx(i, j + 1), -1.1));
-                    entries.push((idx(i, j + 1), idx(i, j), -0.9));
-                }
-            }
-        }
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
-        let mut snl =
-            SparseSystem::<f64>::with_solver(n, FillOrdering::Amd, FactorKind::Supernodal, 2);
-        let mut sca = SparseSystem::<f64>::with_solver(n, FillOrdering::Amd, FactorKind::Scalar, 0);
-        stamp_all(&mut snl, &entries);
-        stamp_all(&mut sca, &entries);
-        snl.factor().unwrap();
-        sca.factor().unwrap();
-        let xs = snl.solve(&b).unwrap();
-        let xc = sca.solve(&b).unwrap();
-        for (a, bb) in xs.iter().zip(&xc) {
-            assert!((a - bb).abs() < 1e-10, "{xs:?} vs {xc:?}");
-        }
-        let st = snl.solver_stats();
-        assert_eq!(st.backend, "sparse");
-        assert_eq!(st.factor_path, "supernodal");
-        assert_eq!(st.ordering, "amd");
-        assert_eq!(st.factors, 1);
-        assert!(st.supernodes >= 1 && st.levels >= 1);
-        assert!(st.factor_nnz >= st.pattern_nnz / 2);
-        assert_eq!(sca.solver_stats().factor_path, "scalar");
-        // Value-only change: the supernodal symbolic is replayed.
-        snl.clear();
-        stamp_all(&mut snl, &entries);
-        snl.factor().unwrap();
-        let st = snl.solver_stats();
-        assert_eq!(st.refactors, 1);
-        let xs2 = snl.solve(&b).unwrap();
-        assert_eq!(xs, xs2);
-    }
-
-    #[test]
-    fn supernodal_pivot_failure_falls_back_to_scalar() {
-        // The value-aware matching dodges pivots that are bad *in A*,
-        // but nothing static can dodge a pivot that cancels to zero
-        // *during* elimination. First factor: strongly diagonal values
-        // (off-diagonals below the match filter pin the transversal to
-        // the identity). Then refactor the same pattern with values
-        // whose second diagonal pivot cancels exactly — the drift
-        // guard must reject and the system must fall back to the
-        // scalar re-pivoting engine and still produce the right
-        // answer.
-        let pattern: &[(usize, usize)] = &[(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2)];
-        let mut sys =
-            SparseSystem::<f64>::with_solver(3, FillOrdering::Natural, FactorKind::Supernodal, 1);
-        for &(r, c) in pattern {
-            sys.add(r, c, if r == c { 4.0 } else { 1e-6 });
-        }
-        sys.factor().unwrap();
-        assert_eq!(sys.solver_stats().factor_path, "supernodal");
-        // Cancellation values: eliminating column 0 sends the (1,1)
-        // pivot to 1 − 1·1 = 0 while |(2,1)| stays 1. Partial pivoting
-        // swaps rows and survives; the static replay cannot.
-        let refill = |sys: &mut SparseSystem<f64>| {
-            sys.clear();
-            for &(r, c) in pattern {
-                sys.add(r, c, 1.0);
-            }
-        };
-        refill(&mut sys);
-        sys.factor().unwrap();
-        let st = sys.solver_stats();
-        assert_eq!(st.factor_path, "scalar", "fell back");
-        assert!(st.fallbacks >= 1);
-        let x = sys.solve(&[2.0, 3.0, 2.0]).unwrap();
-        for (i, xi) in x.iter().enumerate() {
-            assert!((xi - 1.0).abs() < 1e-12, "x[{i}] = {xi}");
-        }
-        // The opt-out is sticky for this pattern: the next factor goes
-        // straight to the scalar path without a second failed attempt.
-        let fallbacks = st.fallbacks;
-        refill(&mut sys);
-        sys.factor().unwrap();
-        assert_eq!(sys.solver_stats().fallbacks, fallbacks);
-    }
-
-    #[test]
-    fn factor_kind_resolves_by_size() {
-        assert_eq!(FactorKind::Auto.resolve(100), FactorKind::Scalar);
-        assert_eq!(
-            FactorKind::Auto.resolve(SUPERNODAL_AUTO_THRESHOLD),
-            FactorKind::Supernodal
-        );
-        assert_eq!(FactorKind::Scalar.resolve(1 << 20), FactorKind::Scalar);
-        assert_eq!(FactorKind::Supernodal.resolve(2), FactorKind::Supernodal);
-    }
-
-    #[test]
     fn auto_backend_resolves_by_size() {
         assert_eq!(MatrixBackend::Auto.resolve(10), MatrixBackend::Dense);
         assert_eq!(
@@ -1091,9 +790,9 @@ mod tests {
         );
         assert_eq!(MatrixBackend::Dense.resolve(1000), MatrixBackend::Dense);
         assert_eq!(MatrixBackend::Sparse.resolve(2), MatrixBackend::Sparse);
-        let sys = new_system::<f64>(100, MatrixBackend::Auto);
+        let sys = new_system::<f64>(100, MatrixBackend::Auto, FillOrdering::default());
         assert_eq!(sys.backend(), MatrixBackend::Sparse);
-        let sys = new_system::<f64>(10, MatrixBackend::Auto);
+        let sys = new_system::<f64>(10, MatrixBackend::Auto, FillOrdering::default());
         assert_eq!(sys.backend(), MatrixBackend::Dense);
     }
 }

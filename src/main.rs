@@ -46,11 +46,6 @@ OPTIONS:
                      nested dissection at scale, AMD below), `nd`,
                      `amd`, or `natural`; overrides the deck's
                      `.options order=`
-    --factor KIND    Sparse numeric factorization: `auto` (default;
-                     supernodal at scale), `scalar`, or `super`;
-                     overrides the deck's `.options factor=`
-    --factor-threads N  Worker threads for the supernodal factorization
-                     (default 0 = auto; `MEMS_FACTOR_THREADS` wins)
     --log-x          Plot `.AC` magnitude over log10(frequency)
     --db             Plot `.AC` magnitude in dB (20·log10)
     --reelaborate    Rebuild the circuit per batch point instead of the
@@ -93,8 +88,6 @@ struct Args {
     threads: usize,
     reelaborate: bool,
     order: Option<String>,
-    factor: Option<String>,
-    factor_threads: Option<usize>,
     log_x: bool,
     db: bool,
     serve: mems_serve::ServeConfig,
@@ -123,8 +116,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut threads = 0usize;
     let mut reelaborate = false;
     let mut order = None;
-    let mut factor = None;
-    let mut factor_threads = None;
     let mut log_x = false;
     let mut db = false;
     let mut serve = mems_serve::ServeConfig {
@@ -162,25 +153,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     ));
                 }
                 order = Some(v);
-            }
-            "--factor" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--factor needs `auto`, `scalar`, or `super`".to_string())?
-                    .to_ascii_lowercase();
-                if !matches!(v.as_str(), "auto" | "scalar" | "super" | "supernodal") {
-                    return Err(format!("bad --factor value `{v}` (auto, scalar, or super)"));
-                }
-                factor = Some(v);
-            }
-            "--factor-threads" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--factor-threads needs a value".to_string())?;
-                factor_threads = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --factor-threads value `{v}`"))?,
-                );
             }
             "--probe" => {
                 let v = it
@@ -284,8 +256,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         threads,
         reelaborate,
         order,
-        factor,
-        factor_threads,
         log_x,
         db,
         serve,
@@ -588,31 +558,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // CLI solver flags are appended after the deck's own `.OPTIONS`,
+    // The CLI `--order` is appended after the deck's own `.OPTIONS`,
     // so the CLI wins (options apply in order).
     if let Some(order) = &args.order {
         deck.options.push((
             "order".to_string(),
             mems_netlist::expr::NumExpr {
                 node: mems_netlist::expr::ExprNode::Ident(order.clone()),
-                span: mems_hdl::span::Span::new(0, 0),
-            },
-        ));
-    }
-    if let Some(factor) = &args.factor {
-        deck.options.push((
-            "factor".to_string(),
-            mems_netlist::expr::NumExpr {
-                node: mems_netlist::expr::ExprNode::Ident(factor.clone()),
-                span: mems_hdl::span::Span::new(0, 0),
-            },
-        ));
-    }
-    if let Some(t) = args.factor_threads {
-        deck.options.push((
-            "factor_threads".to_string(),
-            mems_netlist::expr::NumExpr {
-                node: mems_netlist::expr::ExprNode::Num(t as f64),
                 span: mems_hdl::span::Span::new(0, 0),
             },
         ));

@@ -349,45 +349,6 @@ fn shipped_decks_agree_across_orderings_and_dense() {
     assert!(seen >= 6, "expected the shipped decks, found {seen}");
 }
 
-/// Every shipped deck through the supernodal engine: forcing
-/// `factor=super` (with a 2-thread request) must reproduce the scalar
-/// engine and the dense backend field-by-field to ≤ 1e-10. Decks
-/// whose Jacobians trip the static-pivot drift guard exercise the
-/// scalar fallback inside the same run — either way the physics must
-/// not move.
-#[test]
-fn shipped_decks_agree_supernodal_vs_scalar() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/decks");
-    let mut seen = 0;
-    for entry in std::fs::read_dir(&dir).expect("examples/decks exists") {
-        let path = entry.unwrap().path();
-        if path.extension().is_none_or(|e| e != "cir") {
-            continue;
-        }
-        seen += 1;
-        let raw = std::fs::read_to_string(&path).unwrap();
-        let src: String = raw
-            .lines()
-            .map(|l| {
-                let low = l.trim_start().to_ascii_lowercase();
-                if low.starts_with(".tran") && !low.contains("fixed") {
-                    format!("{l} fixed")
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        let name = path.file_name().unwrap().to_string_lossy().to_string();
-        let snl = run_ordered(&src, "sparse=1 order=amd factor=super factor_threads=2");
-        let scalar = run_ordered(&src, "sparse=1 order=amd factor=scalar");
-        let dense = run_ordered(&src, "sparse=0");
-        assert_outcomes_agree(&format!("{name}: super vs scalar"), &snl, &scalar, 1e-10);
-        assert_outcomes_agree(&format!("{name}: super vs dense"), &snl, &dense, 1e-10);
-    }
-    assert!(seen >= 6, "expected the shipped decks, found {seen}");
-}
-
 /// The meshed scale tier: a generated grid deck (~340 unknowns, well
 /// past the dense comfort zone) through dense, sparse-natural,
 /// sparse-AMD, and sparse-ND — `.OP` and `.AC` agree to 1e-10.

@@ -2,12 +2,15 @@
 //! patterns — diagonally-dominant SPD-ish and plainly unsymmetric —
 //! the AMD and nested-dissection permutations must always be valid
 //! bijections, permuted factor/refactor solves must agree with
-//! natural-order solves to ≤ 1e-12, and the dead-pivot → full
-//! re-pivot fallback must keep working under a permutation.
+//! natural-order solves to ≤ 1e-12 and with the dense backend to
+//! ≤ 1e-10 (in f64 and, for the AC path, in Complex64), and the
+//! dead-pivot → full re-pivot fallback must keep working under a
+//! permutation.
 
 use mems::numerics::ordering::{amd_order, is_permutation, nd_order, FillOrdering};
 use mems::numerics::sparse_lu::{CscMatrix, SparseLu};
-use mems::spice::system::{SparseSystem, SystemMatrix};
+use mems::numerics::{Complex64, Scalar};
+use mems::spice::system::{DenseSystem, SparseSystem, SystemMatrix};
 use proptest::prelude::*;
 
 /// Deterministic pattern + values from a seed: `n`-node matrix with
@@ -38,7 +41,23 @@ fn random_matrix(seed: u64, n: usize, density: f64, symmetric: bool) -> Vec<(usi
     t
 }
 
-fn solve_both_orders(triplets: &[(usize, usize, f64)], n: usize) -> (Vec<f64>, Vec<f64>) {
+/// The dense backend's solve of the same stamps: the reference every
+/// sparse solve must reproduce.
+fn dense_solve<S: Scalar + Send + 'static>(
+    triplets: &[(usize, usize, S)],
+    n: usize,
+    b: &[S],
+) -> Vec<S> {
+    let mut sys = DenseSystem::<S>::new(n);
+    for &(i, j, v) in triplets {
+        sys.add(i, j, v);
+    }
+    sys.factor().unwrap();
+    sys.solve(b).unwrap()
+}
+
+/// Natural-order, AMD-ordered and dense solves of one system.
+fn solve_both_orders(triplets: &[(usize, usize, f64)], n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let csc = CscMatrix::from_triplets(n, triplets);
     let order = amd_order(n, &csc.col_ptr, &csc.row_idx);
     assert!(is_permutation(&order, n), "invalid AMD permutation");
@@ -48,7 +67,7 @@ fn solve_both_orders(triplets: &[(usize, usize, f64)], n: usize) -> (Vec<f64>, V
         .unwrap()
         .solve(&b)
         .unwrap();
-    (x_nat, x_amd)
+    (x_nat, x_amd, dense_solve(triplets, n, &b))
 }
 
 proptest! {
@@ -60,10 +79,11 @@ proptest! {
         density in 0.02f64..0.3,
     ) {
         let t = random_matrix(seed as u64, n, density, true);
-        let (x_nat, x_amd) = solve_both_orders(&t, n);
+        let (x_nat, x_amd, x_dense) = solve_both_orders(&t, n);
         let scale = x_nat.iter().fold(1e-300f64, |m, v| m.max(v.abs()));
-        for (a, b) in x_nat.iter().zip(&x_amd) {
+        for ((a, b), d) in x_nat.iter().zip(&x_amd).zip(&x_dense) {
             prop_assert!((a - b).abs() <= 1e-12 * scale, "{a} vs {b} (scale {scale})");
+            prop_assert!((b - d).abs() <= 1e-10 * scale, "amd {b} vs dense {d}");
         }
     }
 
@@ -76,10 +96,11 @@ proptest! {
         density in 0.02f64..0.3,
     ) {
         let t = random_matrix(seed as u64 ^ 0xdead_beef, n, density, false);
-        let (x_nat, x_amd) = solve_both_orders(&t, n);
+        let (x_nat, x_amd, x_dense) = solve_both_orders(&t, n);
         let scale = x_nat.iter().fold(1e-300f64, |m, v| m.max(v.abs()));
-        for (a, b) in x_nat.iter().zip(&x_amd) {
+        for ((a, b), d) in x_nat.iter().zip(&x_amd).zip(&x_dense) {
             prop_assert!((a - b).abs() <= 1e-12 * scale, "{a} vs {b} (scale {scale})");
+            prop_assert!((b - d).abs() <= 1e-10 * scale, "amd {b} vs dense {d}");
         }
     }
 
@@ -119,7 +140,8 @@ proptest! {
 
     /// Nested dissection on random sym/unsym patterns: the permutation
     /// is always a valid bijection, and ND-permuted solves agree with
-    /// natural order and AMD to ≤ 1e-12.
+    /// natural order and AMD to ≤ 1e-12 and with the dense backend to
+    /// ≤ 1e-10.
     #[test]
     fn nd_is_a_valid_permutation_and_matches_natural_and_amd(
         seed in 0i64..1_000_000,
@@ -142,19 +164,137 @@ proptest! {
             .unwrap()
             .solve(&b)
             .unwrap();
+        let x_dense = dense_solve(&t, n, &b);
         let scale = x_nat.iter().fold(1e-300f64, |m, v| m.max(v.abs()));
         for i in 0..n {
             prop_assert!((x_nat[i] - x_nd[i]).abs() <= 1e-12 * scale,
                 "nd {} vs natural {}", x_nd[i], x_nat[i]);
             prop_assert!((x_amd[i] - x_nd[i]).abs() <= 1e-12 * scale,
                 "nd {} vs amd {}", x_nd[i], x_amd[i]);
+            prop_assert!((x_dense[i] - x_nd[i]).abs() <= 1e-10 * scale,
+                "nd {} vs dense {}", x_nd[i], x_dense[i]);
+        }
+    }
+
+    /// The f64 instantiation (the DC and transient path): natural, AMD
+    /// and ND sparse solves, and the sparse backend's factor and
+    /// refactor, agree with the dense backend to ≤ 1e-10 on random
+    /// symmetric and unsymmetric systems.
+    #[test]
+    fn sparse_solves_match_dense(
+        seed in 0i64..1_000_000,
+        n in 5usize..70,
+        density in 0.02f64..0.3,
+        symmetric in 0usize..2,
+    ) {
+        let t = random_matrix(seed as u64, n, density, symmetric == 1);
+        let csc = CscMatrix::from_triplets(n, &t);
+        let b: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 11) as f64 - 5.0).collect();
+        let x_dense = dense_solve(&t, n, &b);
+        let scale = x_dense.iter().fold(1e-300f64, |m, v| m.max(v.abs()));
+        let amd = amd_order(n, &csc.col_ptr, &csc.row_idx);
+        let nd = nd_order(n, &csc.col_ptr, &csc.row_idx);
+        let solves = [
+            ("natural", SparseLu::factor(&csc.view()).unwrap().solve(&b).unwrap()),
+            ("amd", SparseLu::factor_ordered(&csc.view(), &amd).unwrap().solve(&b).unwrap()),
+            ("nd", SparseLu::factor_ordered(&csc.view(), &nd).unwrap().solve(&b).unwrap()),
+        ];
+        for (name, x) in &solves {
+            for i in 0..n {
+                prop_assert!((x[i] - x_dense[i]).abs() <= 1e-10 * scale,
+                    "{name} {} vs dense {}", x[i], x_dense[i]);
+            }
+        }
+        // Through the backend: a fresh factor, then a numeric-only
+        // refactor of drifted values on the same pattern.
+        let drifted: Vec<(usize, usize, f64)> = t
+            .iter()
+            .map(|&(i, j, v)| (i, j, v * 1.25 + if i == j { 0.5 } else { 0.0 }))
+            .collect();
+        let mut sys = SparseSystem::<f64>::with_ordering(n, FillOrdering::Auto);
+        for (pass, t) in [t, drifted].iter().enumerate() {
+            sys.clear();
+            for &(i, j, v) in t {
+                sys.add(i, j, v);
+            }
+            sys.factor().unwrap();
+            let x = sys.solve(&b).unwrap();
+            let x_dense = dense_solve(t, n, &b);
+            let scale = x_dense.iter().fold(1e-300f64, |m, v| m.max(v.abs()));
+            for i in 0..n {
+                prop_assert!((x[i] - x_dense[i]).abs() <= 1e-10 * scale,
+                    "system pass {pass}: {} vs dense {}", x[i], x_dense[i]);
+            }
+        }
+    }
+
+    /// The Complex64 instantiation (the AC path): natural, AMD and ND
+    /// sparse solves, and the sparse backend's factor and refactor,
+    /// agree with the dense backend to ≤ 1e-10 on random complex
+    /// systems.
+    #[test]
+    fn complex_sparse_solves_match_dense(
+        seed in 0i64..1_000_000,
+        n in 5usize..50,
+        density in 0.05f64..0.25,
+    ) {
+        let complexify = |t: &[(usize, usize, f64)]| -> Vec<(usize, usize, Complex64)> {
+            t.iter()
+                .map(|&(i, j, v)| {
+                    let im = if i == j { 0.5 } else { -0.3 * v };
+                    (i, j, Complex64::new(v, im))
+                })
+                .collect()
+        };
+        let t_re = random_matrix(seed as u64 ^ 0xac, n, density, false);
+        let t = complexify(&t_re);
+        let csc = CscMatrix::from_triplets(n, &t);
+        let b: Vec<Complex64> = (0..n)
+            .map(|i| Complex64::new((i as f64 * 0.31).cos(), (i as f64 * 0.17).sin()))
+            .collect();
+        let x_dense = dense_solve(&t, n, &b);
+        let scale = x_dense.iter().fold(1e-300f64, |m, v| m.max(v.abs()));
+        let amd = amd_order(n, &csc.col_ptr, &csc.row_idx);
+        let nd = nd_order(n, &csc.col_ptr, &csc.row_idx);
+        let solves = [
+            ("natural", SparseLu::factor(&csc.view()).unwrap().solve(&b).unwrap()),
+            ("amd", SparseLu::factor_ordered(&csc.view(), &amd).unwrap().solve(&b).unwrap()),
+            ("nd", SparseLu::factor_ordered(&csc.view(), &nd).unwrap().solve(&b).unwrap()),
+        ];
+        for (name, x) in &solves {
+            for i in 0..n {
+                prop_assert!((x[i] - x_dense[i]).abs() <= 1e-10 * scale,
+                    "{name} {:?} vs dense {:?}", x[i], x_dense[i]);
+            }
+        }
+        // Through the backend, as the AC analysis drives it: a fresh
+        // factor, then a numeric-only refactor of drifted values on
+        // the same pattern.
+        let drifted: Vec<(usize, usize, f64)> = t_re
+            .iter()
+            .map(|&(i, j, v)| (i, j, v * 1.25 + if i == j { 0.5 } else { 0.0 }))
+            .collect();
+        let mut sys = SparseSystem::<Complex64>::with_ordering(n, FillOrdering::Auto);
+        for (pass, t) in [t, complexify(&drifted)].iter().enumerate() {
+            sys.clear();
+            for &(i, j, v) in t {
+                sys.add(i, j, v);
+            }
+            sys.factor().unwrap();
+            let x = sys.solve(&b).unwrap();
+            let x_dense = dense_solve(t, n, &b);
+            let scale = x_dense.iter().fold(1e-300f64, |m, v| m.max(v.abs()));
+            for i in 0..n {
+                prop_assert!((x[i] - x_dense[i]).abs() <= 1e-10 * scale,
+                    "system pass {pass}: {:?} vs dense {:?}", x[i], x_dense[i]);
+            }
         }
     }
 
     /// Full-backend agreement under ND: factor + refactor through
     /// `SparseSystem` with `order=nd` matches the natural-order
-    /// backend on the same stamps (exercises the lazy ordering path
-    /// and the machine-wide ordering cache end to end).
+    /// backend on the same stamps (exercises the ordering path and
+    /// the machine-wide ordering cache end to end).
     #[test]
     fn nd_system_factor_and_refactor_match_natural(
         seed in 0i64..1_000_000,
