@@ -6,10 +6,9 @@
 //! with its reusable register banks — the per-iteration cost every
 //! DC/transient solve pays per behavioral device.
 //!
-//! Group 2 times a 40-point `.STEP` batch of an HDL deck with
-//! per-point re-elaboration (parse tree → circuit per point, the
-//! PR 2 behavior) against the elaborate-once `set_param` path (one
-//! circuit per worker, parameters re-bound in place).
+//! Group 2 times a 40-point `.STEP` batch of an HDL deck on one
+//! worker: every point builds its circuit (and HDL instance) fresh
+//! and reuses the worker's solver workspace.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mems_hdl::eval::{DualReal, EvalEnv};
@@ -166,26 +165,20 @@ fn hdl_step_deck() -> String {
 fn bench_batch(c: &mut Criterion) {
     mems_bench::print_banner(
         "HDL batch elaboration",
-        "40-point .STEP: per-point re-elaboration vs elaborate-once set_param",
+        "40-point .STEP on one worker, a fresh circuit per point",
     );
     let src = hdl_step_deck();
     let deck = Deck::parse(&src).expect("bench deck parses");
-    for (id, reelaborate) in [("reelaborate_per_point", true), ("elaborate_once", false)] {
-        let opts = BatchOptions {
-            threads: 1,
-            reelaborate,
-            cancel: None,
-        };
-        // Sanity outside the timed region.
-        let check = run_batch(&deck, &opts).expect("batch runs");
-        assert_eq!(check.ok_count(), 40, "{id}: points failed");
-        let mut group = c.benchmark_group("hdl_step_40pt");
-        group.sample_size(10);
-        group.bench_function(id, |b| {
-            b.iter(|| run_batch(&deck, &opts).expect("batch runs"))
-        });
-        group.finish();
-    }
+    let opts = BatchOptions::with_threads(1);
+    // Sanity outside the timed region.
+    let check = run_batch(&deck, &opts).expect("batch runs");
+    assert_eq!(check.ok_count(), 40, "points failed");
+    let mut group = c.benchmark_group("hdl_step_40pt");
+    group.sample_size(10);
+    group.bench_function("batch", |b| {
+        b.iter(|| run_batch(&deck, &opts).expect("batch runs"))
+    });
+    group.finish();
 }
 
 criterion_group!(benches, bench_eval, bench_batch);

@@ -7,7 +7,7 @@
 //!   symbolic analysis from scratch;
 //! - **warm**: every iteration resubmits the same deck, so the
 //!   fingerprint cache supplies the parsed deck, the expanded point
-//!   list, and pooled contexts whose circuits are patched in place.
+//!   list, and pooled contexts whose solver workspaces are warm.
 //!
 //! The tracked number keeps the cache honest: BENCH_*.json records
 //! the cold/warm ratio instead of quoting it in prose.

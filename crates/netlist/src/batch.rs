@@ -1,9 +1,9 @@
 //! Batch scenario engine: `.STEP` parameter sweeps and `.MC` Monte
 //! Carlo, running points in parallel across threads. Each worker
-//! elaborates the deck once and re-binds parameters in place through
-//! the devices' `set_param` path per point (see
-//! [`crate::elab::Elaborator::patch`]); `BatchOptions::reelaborate`
-//! forces the old rebuild-per-point behavior, which is bit-identical.
+//! flattens the deck and compiles its HDL models once, then builds
+//! every point's circuits fresh through
+//! [`crate::elab::Elaborator::build`] while its [`RunCtx`] keeps the
+//! assembly workspace (and the sparse pattern inside it) warm.
 //!
 //! Determinism: every point's parameter values are derived from a
 //! splitmix64 hash of `(seed, point index, variable index)` — never
@@ -24,7 +24,6 @@ use crate::elab::{
 use crate::error::{NetlistError, Result};
 use mems_numerics::stats::{self, TraceStats};
 use mems_spice::analysis::dcop;
-use mems_spice::circuit::Circuit;
 use mems_spice::solver::Workspace;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -60,13 +59,6 @@ impl CancelToken {
 pub struct BatchOptions {
     /// Worker threads (`0` = all available cores).
     pub threads: usize,
-    /// Forces per-point re-elaboration (parse tree → circuit) instead
-    /// of the default elaborate-once path, where each worker builds
-    /// its circuits once and re-binds parameters in place through the
-    /// devices' `set_param` hooks. The two paths are bit-identical
-    /// (enforced by tests); this switch exists for differential
-    /// testing and benchmarking.
-    pub reelaborate: bool,
     /// Cooperative cancellation: when the token trips, workers (and
     /// the sequential warm-start pre-chain) stop at the next point
     /// boundary; unvisited points are recorded as cancelled failures
@@ -75,8 +67,7 @@ pub struct BatchOptions {
 }
 
 impl BatchOptions {
-    /// Options with a fixed worker count and the default
-    /// elaborate-once path.
+    /// Options with a fixed worker count.
     pub fn with_threads(threads: usize) -> Self {
         BatchOptions {
             threads,
@@ -118,6 +109,10 @@ pub struct PointResult {
     /// Extracted metrics, or the failure description.
     pub outcome: std::result::Result<Vec<Metric>, String>,
 }
+
+/// Bound on an `.MC` point count and on the `.STEP` × `.MC` cross
+/// product.
+const MAX_POINTS: usize = 1_000_000;
 
 /// The failure message recorded for points a [`CancelToken`] stopped
 /// before they ran (and matched on by the CLI's partial-batch
@@ -172,7 +167,8 @@ impl BatchResult {
 ///
 /// [`NetlistError::Elab`] when the deck has neither card, when a
 /// swept/perturbed parameter is declared in no scope of the
-/// hierarchy, or when a range is malformed.
+/// hierarchy, when a range is malformed, or when `.STEP` × `.MC`
+/// exceeds 10⁶ points.
 pub fn batch_points(deck: &Deck) -> Result<Vec<BatchPoint>> {
     batch_points_with(&Elaborator::new(deck)?)
 }
@@ -188,7 +184,7 @@ pub fn batch_points(deck: &Deck) -> Result<Vec<BatchPoint>> {
 pub fn batch_points_with(elab: &Elaborator<'_>) -> Result<Vec<BatchPoint>> {
     let deck = elab.deck();
     let nominal = crate::elab::param_env(deck, &ParamEnv::new())?;
-    let step_sets: Vec<Vec<(String, f64)>> = match &deck.step {
+    let step: Option<(&str, Vec<f64>)> = match &deck.step {
         Some(card) => {
             // Structural check only: a default-less formal is fine to
             // sweep — every point supplies its value — so nothing is
@@ -217,22 +213,35 @@ pub fn batch_points_with(elab: &Elaborator<'_>) -> Result<Vec<BatchPoint>> {
                     out
                 }
             };
-            values
-                .into_iter()
-                .map(|v| vec![(card.param.clone(), v)])
-                .collect()
+            Some((card.param.as_str(), values))
         }
-        None => vec![Vec::new()],
+        None => None,
     };
 
     let mc_sets: Vec<Vec<(String, f64)>> = match &deck.mc {
         Some(card) => {
             let n = card.n.eval(&nominal)?.round();
-            if !(1.0..=1e6).contains(&n) {
+            if !(1.0..=MAX_POINTS as f64).contains(&n) {
                 return Err(NetlistError::elab_at(
                     format!("`.MC` point count must be in 1..=1e6, got {n}"),
                     card.span,
                 ));
+            }
+            let n = n as usize;
+            // Each card is bounded on its own; their cross product is
+            // bounded too, before any point is materialized.
+            if let Some((_, values)) = &step {
+                let total = values.len() * n;
+                if total > MAX_POINTS {
+                    return Err(NetlistError::elab_at(
+                        format!(
+                            "`.STEP` × `.MC` would run {} × {n} = {total} points; \
+                             a batch may run at most 1e6",
+                            values.len()
+                        ),
+                        card.span,
+                    ));
+                }
             }
             let seed = match &card.seed {
                 Some(e) => e.eval(&nominal)?.abs() as u64,
@@ -259,7 +268,7 @@ pub fn batch_points_with(elab: &Elaborator<'_>) -> Result<Vec<BatchPoint>> {
                     v.dist,
                 ));
             }
-            (0..n as usize)
+            (0..n)
                 .map(|i| {
                     vars.iter()
                         .enumerate()
@@ -279,6 +288,14 @@ pub fn batch_points_with(elab: &Elaborator<'_>) -> Result<Vec<BatchPoint>> {
             span: None,
         });
     }
+
+    let step_sets: Vec<Vec<(String, f64)>> = match step {
+        Some((param, values)) => values
+            .into_iter()
+            .map(|v| vec![(param.to_string(), v)])
+            .collect(),
+        None => vec![Vec::new()],
+    };
 
     let mut points = Vec::with_capacity(step_sets.len() * mc_sets.len());
     for s in &step_sets {
@@ -348,7 +365,7 @@ pub fn run_batch(deck: &Deck, opts: &BatchOptions) -> Result<BatchResult> {
     // last) keeps every point's guess — and therefore its converged
     // bits — independent of the thread count.
     let cancel = opts.cancel.clone().unwrap_or_default();
-    let op_guesses = warm_start_chain(deck, &chain_elab, &points, opts.reelaborate, &cancel);
+    let op_guesses = warm_start_chain(deck, &chain_elab, &points, false, &cancel);
 
     let threads = if opts.threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -375,15 +392,9 @@ pub fn run_batch(deck: &Deck, opts: &BatchOptions) -> Result<BatchResult> {
                 };
                 // One reusable context per worker: all points share a
                 // topology, so the assembly workspace — including the
-                // sparse backend's symbolic factorization — AND the
-                // elaborated circuits themselves (parameter-patched in
-                // place via `set_param`, unless `reelaborate` opts
-                // out) carry across every point this worker simulates.
-                let mut ctx = if opts.reelaborate {
-                    RunCtx::without_reuse()
-                } else {
-                    RunCtx::default()
-                };
+                // sparse backend's pattern and ordering — carries
+                // across every point this worker simulates.
+                let mut ctx = RunCtx::default();
                 loop {
                     if cancel.is_cancelled() {
                         break;
@@ -428,19 +439,21 @@ pub fn run_batch(deck: &Deck, opts: &BatchOptions) -> Result<BatchResult> {
 /// point's solution as Newton guess) for decks with `.TRAN` cards.
 /// Returns `None` when the deck has no transient analysis or only one
 /// point; per-point failures yield `None` guesses (the point itself
-/// will surface its error when simulated). The chain runs
-/// elaborate-once itself: one circuit, parameter-patched per point
-/// (unless `reelaborate`) — and checks `cancel` between points,
-/// leaving the remaining guesses `None`.
+/// will surface its error when simulated). The chain builds each
+/// point's circuit fresh, shares one workspace across the points, and
+/// checks `cancel` between points, leaving the remaining guesses
+/// `None`.
 ///
 /// Public because the `mems serve` job runner pre-chains the same
 /// guesses before chunking a sweep across its workers, keeping served
-/// results bit-identical to `mems sweep` for any worker count.
+/// results bit-identical to `mems sweep` for any worker count. The
+/// `bool` argument has no effect; it is kept only because the
+/// `perfbench` benchmark passes it.
 pub fn warm_start_chain(
     deck: &Deck,
     elab: &Elaborator<'_>,
     points: &[BatchPoint],
-    reelaborate: bool,
+    _ignored: bool,
     cancel: &CancelToken,
 ) -> Option<Vec<Option<Vec<f64>>>> {
     let has_tran = deck
@@ -452,7 +465,6 @@ pub fn warm_start_chain(
     }
     let mut ws: Option<Workspace> = None;
     let mut prev: Option<Vec<f64>> = None;
-    let mut cached: Option<Circuit> = None;
     let mut guesses = Vec::with_capacity(points.len());
     for point in points {
         if cancel.is_cancelled() {
@@ -460,21 +472,12 @@ pub fn warm_start_chain(
             break;
         }
         let overrides = point.env();
-        // Patch the chain's one circuit in place; fall back to a
-        // fresh build on the first point or when patching is
-        // disabled. Failures yield a `None` guess (the point itself
-        // surfaces its error when simulated).
-        let from = if reelaborate { None } else { cached.take() };
-        let ckt = crate::elab::patch_or_build(elab, from, &overrides, None).ok();
-        let guess = ckt.and_then(|mut ckt| {
+        let guess = elab.build(&overrides, None).ok().and_then(|(mut ckt, _)| {
             let env = crate::elab::param_env(deck, &overrides).ok()?;
             let sim = sim_options(deck, &env).ok()?;
             let ws = ws.get_or_insert_with(|| Workspace::new(0));
-            let op = dcop::solve_in(&mut ckt, &sim, prev.as_deref(), ws).ok();
-            if !reelaborate {
-                cached = Some(ckt);
-            }
-            op.map(|op| op.x)
+            let op = dcop::solve_in(&mut ckt, &sim, prev.as_deref(), ws).ok()?;
+            Some(op.x)
         });
         if guess.is_some() {
             prev.clone_from(&guess);
@@ -692,6 +695,19 @@ R2 out 0 {rbot}
     }
 
     #[test]
+    fn step_times_mc_over_a_million_points_is_a_spanned_error() {
+        // 1001 × 1000 is one card within its own bound each, but one
+        // batch past 10⁶ points.
+        let src = "x\n.param a=1 b=2\nVs in 0 {a}\nR1 in 0 {b}\n.op\n\
+                   .step param a 1 1001 1\n.mc 1000 b tol=0.1\n";
+        let deck = Deck::parse(src).unwrap();
+        let err = batch_points(&deck).unwrap_err();
+        let r = err.render(src);
+        assert!(r.contains("1001 × 1000 = 1001000 points"), "{r}");
+        assert!(r.contains("line 7"), "{r}");
+    }
+
+    #[test]
     fn gauss_sampling_stays_reasonable() {
         let deck = Deck::parse(
             "g\n.param m=1\nVs in 0 1\nR1 in 0 {m}\n.op\n.mc 200 m tol=0.09 dist=gauss\n",
@@ -807,7 +823,6 @@ X1 in out div
             &BatchOptions {
                 threads: 2,
                 cancel: Some(cancel),
-                ..BatchOptions::default()
             },
         )
         .unwrap();
@@ -845,7 +860,6 @@ X1 in out div
             &BatchOptions {
                 threads: 1,
                 cancel: Some(cancel),
-                ..BatchOptions::default()
             },
         )
         .unwrap();

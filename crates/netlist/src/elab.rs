@@ -6,9 +6,9 @@
 //! — each carrying its hierarchical instance path (`x1.r1`), its
 //! resolved global node names (`x1.mid`; ports map to the caller's
 //! nodes, ground is shared), and the index of its parameter scope.
-//! [`Elaborator::build`] and [`Elaborator::patch`] then only
-//! re-evaluate the scope environments per `.STEP`/`.MC`/`.DC` point,
-//! so hierarchical decks ride the same elaborate-once batch path as
+//! [`Elaborator::build`] — the one way a circuit is made — then only
+//! re-evaluates the scope environments and constructs the devices per
+//! `.STEP`/`.MC`/`.DC` point, so hierarchical decks batch exactly like
 //! flat ones.
 //!
 //! Node natures flow from three sources: explicit `.NODE`
@@ -26,7 +26,7 @@ use mems_numerics::cache::Fingerprint;
 use mems_numerics::Complex64;
 use mems_spice::analysis::ac::{run_with_op_in as run_ac_with_op_in, FreqSweep};
 use mems_spice::analysis::dcop;
-use mems_spice::analysis::sweep::{dc_sweep_reuse_in, SweepResult};
+use mems_spice::analysis::sweep::{dc_sweep_in, SweepResult};
 use mems_spice::analysis::transient::{run_in as run_tran_in, TranOptions};
 use mems_spice::circuit::Circuit;
 use mems_spice::devices::{
@@ -94,7 +94,7 @@ fn resolve_node(name: &str, port_map: &HashMap<String, String>, prefix: &str) ->
 }
 
 /// A deck with its hierarchy flattened and its HDL entities compiled,
-/// ready to build (or re-bind) circuits.
+/// ready to build circuits.
 pub struct Elaborator<'d> {
     deck: &'d Deck,
     models: HashMap<String, HdlModel>,
@@ -530,173 +530,15 @@ impl<'d> Elaborator<'d> {
         }
     }
 
-    /// Re-binds every card-derived parameter of `ckt` in place under
-    /// `overrides` — the elaborate-once `set_param` path. The circuit
-    /// must have been built by this elaborator (same deck): device
-    /// order mirrors card order. Each setter also resets the device's
-    /// dynamic state (integration histories, HDL instance state), so
-    /// a patched circuit is bit-identical to a freshly built one.
-    ///
-    /// Returns `Ok(false)` when some device does not expose the
-    /// `set_param` hook (callers fall back to [`Elaborator::build`]);
-    /// the circuit may be partially patched in that case and must not
-    /// be reused.
-    ///
-    /// # Errors
-    ///
-    /// The same spanned expression/validation failures as
-    /// [`Elaborator::build`] (e.g. a swept value making a resistance
-    /// zero).
+    /// Returns `Ok(false)` and leaves `ckt` untouched; kept only
+    /// because the `perfbench` benchmark calls it.
     pub fn patch(
         &self,
-        ckt: &mut Circuit,
-        overrides: &ParamEnv,
-        source_dc: Option<(&str, f64)>,
+        _ckt: &mut Circuit,
+        _overrides: &ParamEnv,
+        _source_dc: Option<(&str, f64)>,
     ) -> Result<bool> {
-        let envs = self.scope_envs(overrides)?;
-        if ckt.devices().len() != self.flat.len() {
-            return Ok(false);
-        }
-        for (i, fc) in self.flat.iter().enumerate() {
-            if !self.patch_device(ckt, i, fc, &envs[fc.scope], source_dc)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    fn patch_device(
-        &self,
-        ckt: &mut Circuit,
-        index: usize,
-        fc: &FlatCard<'_>,
-        env: &ParamEnv,
-        source_dc: Option<(&str, f64)>,
-    ) -> Result<bool> {
-        /// Downcasts through the `Device::as_any_mut` hook.
-        fn cast<T: 'static>(dev: &mut Box<dyn mems_spice::device::Device>) -> Option<&mut T> {
-            dev.as_any_mut()?.downcast_mut::<T>()
-        }
-        let card = fc.card;
-        let name = fc.path.as_str();
-        let span = card.span();
-        let ev = |e: &NumExpr| e.eval(env);
-        let dev = &mut ckt.devices_mut()[index];
-        match card {
-            DeviceCard::Passive { kind, value, .. } => {
-                if dev.name() != name {
-                    return Ok(false);
-                }
-                let v = ev(value)?;
-                check_positive(*kind, v, value)?;
-                let done = match kind {
-                    PassiveKind::Resistor => {
-                        cast::<Resistor>(dev).map(|d| d.set_resistance(v)).is_some()
-                    }
-                    PassiveKind::Capacitor => cast::<Capacitor>(dev)
-                        .map(|d| d.set_capacitance(v))
-                        .is_some(),
-                    PassiveKind::Inductor => {
-                        cast::<Inductor>(dev).map(|d| d.set_inductance(v)).is_some()
-                    }
-                    PassiveKind::Mass => cast::<Mass>(dev).map(|d| d.set_mass(v)).is_some(),
-                    PassiveKind::Spring => {
-                        cast::<Spring>(dev).map(|d| d.set_stiffness(v)).is_some()
-                    }
-                    PassiveKind::Damper => cast::<Damper>(dev).map(|d| d.set_damping(v)).is_some(),
-                };
-                Ok(done)
-            }
-            DeviceCard::Source { kind, wave, ac, .. } => {
-                if dev.name() != name {
-                    return Ok(false);
-                }
-                let waveform = match source_dc {
-                    Some((target, level)) if target == name => Waveform::Dc(level),
-                    _ => self.build_wave(wave, env, span)?,
-                };
-                let ac_spec = match ac {
-                    Some((mag, phase)) => Some(AcSpec {
-                        mag: ev(mag)?,
-                        phase_deg: phase.as_ref().map_or(Ok(0.0), &ev)?,
-                    }),
-                    None => None,
-                };
-                let done = match kind {
-                    SourceKind::Voltage => cast::<VoltageSource>(dev)
-                        .map(|d| {
-                            d.set_wave(waveform);
-                            d.set_ac(ac_spec);
-                        })
-                        .is_some(),
-                    SourceKind::Current => cast::<CurrentSource>(dev)
-                        .map(|d| {
-                            d.set_wave(waveform);
-                            d.set_ac(ac_spec);
-                        })
-                        .is_some(),
-                };
-                Ok(done)
-            }
-            DeviceCard::Controlled { kind, value, .. } => {
-                if dev.name() != name {
-                    return Ok(false);
-                }
-                let v = ev(value)?;
-                let done = match kind {
-                    ControlledKind::Vcvs => cast::<Vcvs>(dev).map(|d| d.set_gain(v)).is_some(),
-                    ControlledKind::Vccs => cast::<Vccs>(dev).map(|d| d.set_gm(v)).is_some(),
-                    ControlledKind::Cccs => cast::<Cccs>(dev).map(|d| d.set_gain(v)).is_some(),
-                    ControlledKind::Ccvs => cast::<Ccvs>(dev)
-                        .map(|d| d.set_transresistance(v))
-                        .is_some(),
-                };
-                Ok(done)
-            }
-            DeviceCard::Product { value, .. } => {
-                if dev.name() != name {
-                    return Ok(false);
-                }
-                let v = ev(value)?;
-                Ok(cast::<ProductVccs>(dev)
-                    .map(|d| d.set_coefficient(v))
-                    .is_some())
-            }
-            DeviceCard::TwoPort { kind, value, .. } => {
-                if dev.name() != name {
-                    return Ok(false);
-                }
-                let v = ev(value)?;
-                let done = match kind {
-                    TwoPortKind::Transformer => cast::<IdealTransformer>(dev)
-                        .map(|d| d.set_ratio(v))
-                        .is_some(),
-                    TwoPortKind::Gyrator => {
-                        cast::<Gyrator>(dev).map(|d| d.set_conductance(v)).is_some()
-                    }
-                };
-                Ok(done)
-            }
-            DeviceCard::Call { args, .. } => {
-                if dev.name() != name {
-                    return Ok(false);
-                }
-                let mut bound: Vec<(String, f64)> = Vec::with_capacity(args.len());
-                for (gname, gexpr) in args {
-                    bound.push((gname.clone(), gexpr.eval(env)?));
-                }
-                let bound_refs: Vec<(&str, f64)> =
-                    bound.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-                match cast::<HdlDevice>(dev) {
-                    Some(d) => {
-                        d.set_generics(&bound_refs)
-                            .map_err(|e| NetlistError::elab_at(e.to_string(), span))?;
-                        Ok(true)
-                    }
-                    None => Ok(false),
-                }
-            }
-        }
+        Ok(false)
     }
 
     fn build_wave(
@@ -939,10 +781,9 @@ fn fill_ordering(value: &NumExpr) -> Result<FillOrdering> {
 
 /// Fingerprint of a deck's *definitions*: its full (include-spliced)
 /// source text plus every HDL block. Two decks with equal
-/// fingerprints elaborate to identical topologies, so cached
-/// circuits, workspaces, and symbolic factorizations built from one
-/// are valid for the other — this is the key of `mems serve`'s
-/// artifact cache and of [`RunCtx`]'s own circuit-cache guard.
+/// fingerprints elaborate to identical topologies, so a warm
+/// [`RunCtx`] (workspace, sparse pattern, ordering) from one is valid
+/// for the other — this is the key of `mems serve`'s artifact cache.
 pub fn deck_fingerprint(deck: &Deck) -> Fingerprint {
     deck.hdl_blocks.iter().fold(
         Fingerprint::new().bytes(deck.source.as_bytes()),
@@ -950,29 +791,25 @@ pub fn deck_fingerprint(deck: &Deck) -> Fingerprint {
     )
 }
 
-/// Reuse counters a [`RunCtx`] accumulates across
-/// [`run_elaborated_ctx`] calls: how often an analysis slot's circuit
-/// was re-bound in place versus rebuilt from the parse tree. `mems
-/// serve` diffs these around each job chunk to report cache-hit
-/// semantics (`circuits_built == 0` ⇒ the job never re-elaborated).
+/// Has no effect; kept only because the `perfbench` benchmark names it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
-    /// Circuits elaborated from the parse tree (cold path).
+    /// Circuits built (counted by `perfbench` only).
     pub circuits_built: u64,
-    /// Circuits re-bound in place through `set_param` (warm path).
+    /// Always 0 (counted by `perfbench` only).
     pub circuits_patched: u64,
 }
 
 /// Reusable per-runner state threaded through repeated
 /// [`run_elaborated_ctx`] calls — the structure-reuse hook for the
-/// `.STEP`/`.MC` batch engine. Every point of a batch elaborates the
-/// same topology, so the assembly workspace (and the sparse backend's
-/// symbolic factorization living inside it) is shared across points,
-/// a deterministic operating-point guess can warm-start each point's
-/// Newton solves, and — with `reuse_circuits` (the default) — the
-/// elaborated circuits themselves persist across points, re-bound in
-/// place through the devices' `set_param` path instead of rebuilt
-/// from the parse tree.
+/// `.STEP`/`.MC` batch engine. Every point builds its circuits fresh
+/// through [`Elaborator::build`], but every point of a batch
+/// elaborates the same topology, so the assembly workspace (and the
+/// sparse backend's pattern, ordering and replayed pivots living
+/// inside it) and the AC system are shared across points, and a
+/// deterministic operating-point guess can warm-start each point's
+/// Newton solves.
+#[derive(Default)]
 pub struct RunCtx {
     /// Shared assembly workspace (lazily sized to the circuit).
     pub ws: Option<Workspace>,
@@ -986,85 +823,19 @@ pub struct RunCtx {
     /// Newton guess for DC operating points (e.g. the previous batch
     /// point's solved operating point).
     pub op_guess: Option<Vec<f64>>,
-    /// Cached circuits, one per analysis-card slot, patched in place
-    /// per point.
-    ckts: HashMap<usize, Circuit>,
-    /// Fingerprint of the deck the cached circuits were built from.
-    /// A context reused across *different* decks (the cache is keyed
-    /// by analysis-slot index only) must not patch another deck's
-    /// circuits — name/kind checks could pass on boilerplate device
-    /// names while the node wiring differs.
-    deck_fp: Option<Fingerprint>,
-    /// When `true` (default), circuits are cached across points and
-    /// parameter-patched; when `false`, every analysis re-elaborates
-    /// the deck (the pre-elaborate-once behavior, kept for
-    /// differential testing and benchmarking).
-    pub reuse_circuits: bool,
-    /// Patch-vs-build counters over the context's lifetime.
-    pub stats: RunStats,
-}
-
-impl Default for RunCtx {
-    fn default() -> Self {
-        RunCtx {
-            ws: None,
-            ac_sys: None,
-            op_guess: None,
-            ckts: HashMap::new(),
-            deck_fp: None,
-            reuse_circuits: true,
-            stats: RunStats::default(),
-        }
-    }
 }
 
 impl RunCtx {
-    /// A context that re-elaborates the deck per point instead of
-    /// patching cached circuits.
-    pub fn without_reuse() -> Self {
-        RunCtx {
-            reuse_circuits: false,
-            ..RunCtx::default()
-        }
-    }
-
     fn workspace(&mut self) -> &mut Workspace {
         self.ws.get_or_insert_with(|| Workspace::new(0))
     }
 
     /// Whether the context carries reusable artifacts from earlier
-    /// runs — cached circuits or an assembly workspace (and with it,
-    /// on the sparse backend, the symbolic factorization + ordering).
-    /// `mems serve` reports this per checkout as warm/cold cache
-    /// evidence.
+    /// runs — an assembly workspace (and with it, on the sparse
+    /// backend, the pattern and ordering) or an AC system. `mems
+    /// serve` reports this per checkout as warm/cold cache evidence.
     pub fn is_warm(&self) -> bool {
-        self.ws.is_some() || !self.ckts.is_empty()
-    }
-
-    /// Drops cached circuits that belong to a different deck. Called
-    /// at the top of every [`run_elaborated_ctx`] with the deck's
-    /// [`deck_fingerprint`].
-    fn bind_deck(&mut self, fp: Fingerprint) {
-        if self.deck_fp != Some(fp) {
-            self.ckts.clear();
-            self.deck_fp = Some(fp);
-        }
-    }
-
-    /// Hands out the cached circuit of an analysis slot, if any.
-    fn take_circuit(&mut self, slot: usize) -> Option<Circuit> {
-        if self.reuse_circuits {
-            self.ckts.remove(&slot)
-        } else {
-            None
-        }
-    }
-
-    /// Returns a circuit to its slot for the next point.
-    fn stash_circuit(&mut self, slot: usize, ckt: Circuit) {
-        if self.reuse_circuits {
-            self.ckts.insert(slot, ckt);
-        }
+        self.ws.is_some() || self.ac_sys.is_some()
     }
 
     /// Linear-solver statistics of the context's live systems (real
@@ -1132,55 +903,6 @@ pub fn run_elaborated(elab: &Elaborator<'_>, overrides: &ParamEnv) -> Result<Dec
     run_elaborated_ctx(elab, overrides, &mut RunCtx::default())
 }
 
-/// Obtains the circuit for one analysis slot: patches the slot's
-/// cached circuit in place when the context reuses circuits and every
-/// device supports `set_param`, otherwise re-elaborates.
-///
-/// # Errors
-///
-/// Propagates the (identical) expression/validation failures of the
-/// patch and build paths.
-fn obtain_circuit(
-    elab: &Elaborator<'_>,
-    ctx: &mut RunCtx,
-    slot: usize,
-    overrides: &ParamEnv,
-    source_dc: Option<(&str, f64)>,
-) -> Result<Circuit> {
-    if let Some(mut ckt) = ctx.take_circuit(slot) {
-        if elab.patch(&mut ckt, overrides, source_dc)? {
-            ctx.stats.circuits_patched += 1;
-            return Ok(ckt);
-        }
-    }
-    let (ckt, _) = elab.build(overrides, source_dc)?;
-    ctx.stats.circuits_built += 1;
-    Ok(ckt)
-}
-
-/// The one patch-or-build fallback every reuse site shares: patches
-/// `prev` in place when given and every device supports `set_param`,
-/// otherwise re-elaborates. A partially patched circuit is dropped,
-/// never reused.
-///
-/// # Errors
-///
-/// The (identical) expression/validation failures of the patch and
-/// build paths.
-pub(crate) fn patch_or_build(
-    elab: &Elaborator<'_>,
-    prev: Option<Circuit>,
-    overrides: &ParamEnv,
-    source_dc: Option<(&str, f64)>,
-) -> Result<Circuit> {
-    if let Some(mut ckt) = prev {
-        if elab.patch(&mut ckt, overrides, source_dc)? {
-            return Ok(ckt);
-        }
-    }
-    elab.build(overrides, source_dc).map(|(c, _)| c)
-}
-
 /// [`run_elaborated`] with caller-owned reusable state (see
 /// [`RunCtx`]).
 ///
@@ -1193,12 +915,6 @@ pub fn run_elaborated_ctx(
     ctx: &mut RunCtx,
 ) -> Result<DeckRun> {
     let deck = elab.deck();
-    // The fingerprint covers the definition table: `.SUBCKT` bodies
-    // from `.INCLUDE`d fragments are spliced into `deck.source` at
-    // parse time, and `.INCLUDE`d HDL entities live in `hdl_blocks` —
-    // both are hashed so a context reused across decks never patches
-    // circuits built from other definitions.
-    ctx.bind_deck(deck_fingerprint(deck));
     let env = param_env(deck, overrides)?;
     let sim = sim_options(deck, &env)?;
     if deck.analyses.is_empty() {
@@ -1208,14 +924,13 @@ pub fn run_elaborated_ctx(
         elab.build(overrides, None)?;
     }
     let mut outcomes = Vec::new();
-    for (slot, card) in deck.analyses.iter().enumerate() {
+    for card in &deck.analyses {
         let outcome = match card {
             AnalysisCard::Op { .. } => {
-                let mut ckt = obtain_circuit(elab, ctx, slot, overrides, None)?;
+                let (mut ckt, _) = elab.build(overrides, None)?;
                 let guess = ctx.op_guess.clone();
                 let ws = ctx.workspace();
                 let op = dcop::solve_in(&mut ckt, &sim, guess.as_deref(), ws)?;
-                ctx.stash_circuit(slot, ckt);
                 AnalysisOutcome::Op(op)
             }
             AnalysisCard::Dc {
@@ -1228,13 +943,7 @@ pub fn run_elaborated_ctx(
                 let (v0, v1, dv) = (start.eval(&env)?, stop.eval(&env)?, step.eval(&env)?);
                 let values = linear_points(v0, v1, dv)
                     .ok_or_else(|| NetlistError::elab_at("bad `.DC` range", *span))?;
-                // The sweep patches one circuit across its values
-                // (handed back point to point by
-                // `dc_sweep_reuse_in`), seeded from the slot's cached
-                // circuit and stashed again afterwards.
-                let reuse = ctx.reuse_circuits;
-                let mut seed = ctx.take_circuit(slot);
-                let (var_name, result, last) = match var {
+                let (var_name, result) = match var {
                     DcSweepVar::Source(src) => {
                         if !elab.has_source(src) {
                             return Err(NetlistError::elab_at(
@@ -1242,21 +951,13 @@ pub fn run_elaborated_ctx(
                                 *span,
                             ));
                         }
-                        let (result, last) = dc_sweep_reuse_in(
-                            |v, prev| {
-                                let from = if reuse {
-                                    prev.or_else(|| seed.take())
-                                } else {
-                                    None
-                                };
-                                patch_or_build(elab, from, overrides, Some((src.as_str(), v)))
-                                    .map_err(to_spice_build)
-                            },
+                        let result = dc_sweep_in(
+                            |v| build_circuit(elab, overrides, Some((src.as_str(), v))),
                             &values,
                             &sim,
                             ctx.workspace(),
                         )?;
-                        (format!("v({src})"), result, last)
+                        (format!("v({src})"), result)
                     }
                     DcSweepVar::Param(p) => {
                         if !elab.declares_param(p) {
@@ -1265,27 +966,19 @@ pub fn run_elaborated_ctx(
                                 *span,
                             ));
                         }
-                        let (result, last) = dc_sweep_reuse_in(
-                            |v, prev| {
+                        let result = dc_sweep_in(
+                            |v| {
                                 let mut o = overrides.clone();
                                 o.insert(p.clone(), v);
-                                let from = if reuse {
-                                    prev.or_else(|| seed.take())
-                                } else {
-                                    None
-                                };
-                                patch_or_build(elab, from, &o, None).map_err(to_spice_build)
+                                build_circuit(elab, &o, None)
                             },
                             &values,
                             &sim,
                             ctx.workspace(),
                         )?;
-                        (format!("param({p})"), result, last)
+                        (format!("param({p})"), result)
                     }
                 };
-                if let Some(ckt) = last {
-                    ctx.stash_circuit(slot, ckt);
-                }
                 AnalysisOutcome::Dc {
                     var: var_name,
                     result,
@@ -1314,7 +1007,7 @@ pub fn run_elaborated_ctx(
                         FreqSweep::List(out)
                     }
                 };
-                let mut ckt = obtain_circuit(elab, ctx, slot, overrides, None)?;
+                let (mut ckt, _) = elab.build(overrides, None)?;
                 // Same reuse shape as the other analyses: operating
                 // point through the shared real workspace (with the
                 // warm-start guess), frequency sweep through the
@@ -1324,7 +1017,6 @@ pub fn run_elaborated_ctx(
                 let op = dcop::solve_in(&mut ckt, &sim, guess.as_deref(), ctx.workspace())?;
                 let sys = ctx.ac_system(op.layout.n_unknowns, &sim);
                 let ac = run_ac_with_op_in(&mut ckt, &freqs, &op, sys)?;
-                ctx.stash_circuit(slot, ckt);
                 AnalysisOutcome::Ac(ac)
             }
             AnalysisCard::Tran {
@@ -1351,11 +1043,10 @@ pub fn run_elaborated_ctx(
                     o.h_max = Some(h);
                     o
                 };
-                let mut ckt = obtain_circuit(elab, ctx, slot, overrides, None)?;
+                let (mut ckt, _) = elab.build(overrides, None)?;
                 let guess = ctx.op_guess.clone();
                 let ws = ctx.workspace();
                 let tr = run_tran_in(&mut ckt, &opts, &sim, guess.as_deref(), ws)?;
-                ctx.stash_circuit(slot, ckt);
                 AnalysisOutcome::Tran(tr)
             }
         };
@@ -1381,10 +1072,16 @@ pub fn run_elaborated_ctx(
     })
 }
 
-/// Maps elaboration failures inside a sweep closure into the
-/// simulator's error type (the closure must return `SpiceError`).
-fn to_spice_build(e: NetlistError) -> mems_spice::SpiceError {
-    mems_spice::SpiceError::Build(e.to_string())
+/// [`Elaborator::build`] for a `.DC` sweep closure, which must return
+/// the simulator's error type.
+fn build_circuit(
+    elab: &Elaborator<'_>,
+    overrides: &ParamEnv,
+    source_dc: Option<(&str, f64)>,
+) -> mems_spice::Result<Circuit> {
+    elab.build(overrides, source_dc)
+        .map(|(ckt, _)| ckt)
+        .map_err(|e| mems_spice::SpiceError::Build(e.to_string()))
 }
 
 /// Inclusive linear range with sign-checked step.
@@ -1411,7 +1108,7 @@ mod tests {
     #[test]
     fn cached_artifacts_cross_threads() {
         // `mems serve` keeps owned decks and pooled warm `RunCtx`s
-        // (circuits + symbolic factorizations) behind a shared cache
+        // (workspaces + sparse patterns) behind a shared cache
         // and hands them to worker threads; this must stay Send.
         fn assert_send<T: Send>() {}
         fn assert_sync<T: Sync>() {}
@@ -1583,12 +1280,10 @@ mod tests {
         assert!(r.contains("line 2"), "{r}");
     }
 
-    /// Every card kind the elaborator can build must also be
-    /// patchable — a single unpatchable device silently downgrades
-    /// the whole deck to rebuild-per-point (this is the regression
-    /// test for the VCVS `as_any_mut` gap).
+    /// Every device card kind elaborates, and a parameter override
+    /// lands in the built devices.
     #[test]
-    fn every_card_kind_is_patchable() {
+    fn every_card_kind_elaborates_under_overrides() {
         let deck = Deck::parse(
             "all kinds\n\
              .param g=2 r=1k\n\
@@ -1605,15 +1300,16 @@ mod tests {
                END RELATION;\n\
              END ARCHITECTURE a;\n\
              .endhdl\n\
-             Vs in 0 SIN(0 1 1k) AC 1 0\n\
+             Vs in 0 SIN(1 1 1k) AC 1 0\n\
              Is in 0 PULSE(0 1m 0 1u 1u 1m 2m)\n\
              R1 in out {r}\n\
              C1 out 0 1n\n\
              L1 out 0 1m\n\
              E1 e1o 0 in 0 {g}\n\
              G1 g1o 0 in 0 {g}\n\
-             F1 f1o 0 in 0 {g}\n\
-             H1 h1o 0 in 0 {g}\n\
+             F1 f1o 0 in s1 {g}\n\
+             H1 h1o 0 s1 s2 {g}\n\
+             Rs s2 0 1k\n\
              B1 b1o 0 in 0 out 0 {g}\n\
              T1 e1o 0 t1o 0 2\n\
              Y1 g1o 0 y1o 0 0.5\n\
@@ -1631,28 +1327,18 @@ mod tests {
              .op\n",
         )
         .unwrap();
-        let elab = Elaborator::new(&deck).unwrap();
-        let (mut ckt, _) = elab.build(&ParamEnv::new(), None).unwrap();
         let mut over = ParamEnv::new();
         over.insert("g".into(), 3.0);
         over.insert("r".into(), 2.0e3);
-        assert!(
-            elab.patch(&mut ckt, &over, None).unwrap(),
-            "every device kind must take the set_param path"
-        );
-        // The re-bound values actually landed in the devices.
-        let e1 = ckt.device_index("e1").unwrap();
-        let vcvs = ckt.devices_mut()[e1]
-            .as_any_mut()
-            .and_then(|d| d.downcast_mut::<Vcvs>())
-            .expect("E card builds a Vcvs");
-        assert_eq!(vcvs.gain(), 3.0);
-        let r1 = ckt.device_index("r1").unwrap();
-        let res = ckt.devices_mut()[r1]
-            .as_any_mut()
-            .and_then(|d| d.downcast_mut::<Resistor>())
-            .expect("R card builds a Resistor");
-        assert_eq!(res.resistance(), 2.0e3);
+        let run = run_deck_with(&deck, &over).unwrap();
+        match &run.outcomes[0].1 {
+            // The VCVS output follows the overridden gain: 3 · 1 V.
+            AnalysisOutcome::Op(op) => {
+                let v = op.by_label("v(e1o)").unwrap();
+                assert!((v - 3.0).abs() < 1e-9, "v(e1o) = {v}");
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     /// A deck with no analysis cards still validates its devices
@@ -1753,32 +1439,6 @@ Rl tap 0 1e9
         assert_eq!(q.get("vin"), Some(&8.0));
         assert!(elab.declares_param("xq.xa.r"));
         assert!(!elab.declares_param("xq.xc.r"));
-    }
-
-    #[test]
-    fn hierarchical_patch_matches_build() {
-        let deck = Deck::parse(QUARTER_DECK).unwrap();
-        let elab = Elaborator::new(&deck).unwrap();
-        let (mut ckt, _) = elab.build(&ParamEnv::new(), None).unwrap();
-        let mut over = ParamEnv::new();
-        over.insert("xq.xa.r".into(), 3.0e3);
-        assert!(
-            elab.patch(&mut ckt, &over, None).unwrap(),
-            "hierarchical decks take the set_param path"
-        );
-        let i = ckt.device_index("xq.xa.r1").unwrap();
-        let r = ckt.devices_mut()[i]
-            .as_any_mut()
-            .and_then(|d| d.downcast_mut::<Resistor>())
-            .unwrap();
-        assert_eq!(r.resistance(), 3.0e3);
-        // Untouched sibling instance keeps its default.
-        let i = ckt.device_index("xq.xb.r1").unwrap();
-        let r = ckt.devices_mut()[i]
-            .as_any_mut()
-            .and_then(|d| d.downcast_mut::<Resistor>())
-            .unwrap();
-        assert_eq!(r.resistance(), 2.0e3);
     }
 
     #[test]
@@ -1896,10 +1556,10 @@ Rl tap 0 1e9
         }
     }
 
-    /// A context reused across *different* decks must not patch the
-    /// other deck's circuits, even when device names/kinds coincide.
+    /// A context reused across *different* decks answers each deck
+    /// from its own wiring, even when device names/kinds coincide.
     #[test]
-    fn runctx_does_not_cross_patch_between_decks() {
+    fn runctx_reused_across_decks_answers_each_deck() {
         // Same device names and kinds, different wiring: deck A is a
         // divider (v(out) = vin/2), deck B ties R2 across the source
         // instead (v(out) = vin).

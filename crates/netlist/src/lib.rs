@@ -57,8 +57,8 @@
 //! surfaces as `x1.mid` — addressable from `.PRINT`, probes, and CSV/
 //! JSON reports. `.STEP`/`.MC`/`.DC PARAM` accept hierarchical
 //! parameter paths (`x1.k`, `x1.xleg.gap`) and `.DC` sweeps sources
-//! by path (`x1.vs`); all of it rides the elaborate-once batch path —
-//! circuits are flattened once and re-bound in place per point.
+//! by path (`x1.vs`); the hierarchy is flattened once per batch
+//! worker and every point builds its circuit from that flattening.
 //!
 //! `.SUBCKT` definitions (nested ones included) are hoisted into one
 //! global, duplicate-checked table. `.INCLUDE` accepts library
@@ -96,9 +96,10 @@
 //!
 //! The batch engine ([`run_batch`]) expands `.STEP` sweeps and `.MC`
 //! Monte Carlo into a point list and runs points across worker
-//! threads — each worker elaborates the deck once and patches device
-//! parameters in place per point; sampling is keyed on `(seed, point,
-//! variable)` so results are independent of thread count.
+//! threads — each worker flattens the deck once and builds every
+//! point's circuit fresh, keeping its solver workspace warm; sampling
+//! is keyed on `(seed, point, variable)` so results are independent of
+//! thread count.
 
 pub mod ast;
 pub mod batch;

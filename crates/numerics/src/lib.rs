@@ -11,7 +11,6 @@
 //! - [`qr`] — Householder QR and least-squares solves;
 //! - [`sparse`] — triplet/CSR sparse matrices and products;
 //! - [`cg`] — preconditioned conjugate gradient for SPD systems;
-//! - [`dual`] — scalar forward-mode dual numbers;
 //! - [`poly`] — polynomial evaluation, fitting, and Durand–Kerner roots;
 //! - [`pwl`] — piecewise-linear and bilinear interpolation tables;
 //! - [`quad`] — Gauss–Legendre and composite quadrature;
@@ -49,7 +48,6 @@ pub mod cache;
 pub mod cg;
 pub mod complex;
 pub mod dense;
-pub mod dual;
 pub mod lu;
 pub mod ode;
 pub mod ordering;
@@ -71,7 +69,6 @@ pub mod supernodal {
 
 pub use complex::Complex64;
 pub use dense::DenseMatrix;
-pub use dual::Dual64;
 pub use scalar::Scalar;
 
 use std::fmt;

@@ -22,7 +22,6 @@
 //! DC/transient Jacobian and the complex AC system.
 
 use crate::scalar::Scalar;
-use crate::sparse::CsrMatrix;
 use crate::{NumericsError, Result};
 
 /// Threshold-pivoting tolerance: at factorization the natural
@@ -464,28 +463,6 @@ impl<S: Scalar> CscMatrix<S> {
     }
 }
 
-/// Convenience: factors a real [`CsrMatrix`] (transposing to CSC).
-///
-/// # Errors
-///
-/// As [`SparseLu::factor`].
-pub fn factor_csr(a: &CsrMatrix) -> Result<SparseLu<f64>> {
-    let (rows, cols) = a.shape();
-    if rows != cols {
-        return Err(NumericsError::InvalidInput(format!(
-            "sparse LU requires a square matrix, got {rows}x{cols}"
-        )));
-    }
-    let mut triplets = Vec::with_capacity(a.nnz());
-    for i in 0..rows {
-        for (j, v) in a.row_iter(i) {
-            triplets.push((i, j, v));
-        }
-    }
-    let csc = CscMatrix::from_triplets(rows, &triplets);
-    SparseLu::factor(&csc.view())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -821,18 +798,6 @@ mod tests {
         let ax1 = entries[2].2 * x[0] + entries[3].2 * x[1];
         assert!((ax0 - b[0]).abs() < 1e-12);
         assert!((ax1 - b[1]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn factor_csr_convenience() {
-        let mut t = crate::sparse::TripletMatrix::new(2, 2);
-        t.add(0, 0, 2.0);
-        t.add(0, 1, 1.0);
-        t.add(1, 1, 4.0);
-        let lu = factor_csr(&t.to_csr()).unwrap();
-        let x = lu.solve(&[4.0, 8.0]).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-12);
-        assert!((x[1] - 2.0).abs() < 1e-12);
     }
 
     #[test]

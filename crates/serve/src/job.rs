@@ -4,7 +4,7 @@
 
 use crate::cache::{DeckEntry, Lookup};
 use mems_netlist::report::{json_escape, point_json, solver_stats_json};
-use mems_netlist::{BatchPoint, CancelToken, PointResult, RunStats, SolverStats, CANCELLED_POINT};
+use mems_netlist::{BatchPoint, CancelToken, PointResult, SolverStats, CANCELLED_POINT};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -46,10 +46,8 @@ impl JobState {
 /// Aggregated run metadata, reported on `GET /v1/jobs/:id`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct JobMeta {
-    /// Reuse counters summed over every chunk's context.
-    pub stats: RunStats,
     /// Whether any chunk checked out a context that already carried
-    /// artifacts (circuits / symbolic factorization).
+    /// artifacts (workspace / sparse pattern / AC system).
     pub warm_checkout: bool,
     /// Linear-solver snapshot from the busiest chunk (the one whose
     /// context had performed the most factor + refactor calls) —
@@ -175,8 +173,6 @@ impl Job {
     pub fn finish_chunk(&self, chunk_meta: JobMeta) -> bool {
         {
             let mut meta = self.meta.lock().expect("no poisoned meta lock");
-            meta.stats.circuits_built += chunk_meta.stats.circuits_built;
-            meta.stats.circuits_patched += chunk_meta.stats.circuits_patched;
             meta.warm_checkout |= chunk_meta.warm_checkout;
             if let Some(s) = chunk_meta.solver {
                 let busier = meta
@@ -306,7 +302,7 @@ impl Job {
                 "{{\"id\":{},\"client\":\"{}\",\"state\":\"{}\",",
                 "\"points\":{},\"completed\":{},\"skipped\":{},",
                 "\"cache\":{{\"hit\":{},\"fingerprint\":\"{:032x}\",",
-                "\"circuits_built\":{},\"circuits_patched\":{},\"warm_checkout\":{}}},",
+                "\"warm_checkout\":{}}},",
                 "\"solver\":{},",
                 "\"timing\":{{\"parse_us\":{},\"first_result_us\":{},\"finished_us\":{}}},",
                 "\"finish_seq\":{}}}"
@@ -319,8 +315,6 @@ impl Job {
             self.skipped.load(Ordering::SeqCst),
             self.cache_hit,
             self.entry.fingerprint.value(),
-            meta.stats.circuits_built,
-            meta.stats.circuits_patched,
             meta.warm_checkout,
             meta.solver
                 .as_ref()

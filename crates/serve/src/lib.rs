@@ -13,12 +13,11 @@
 //! Every submission is keyed on the stable fingerprint of its source
 //! text and checked against the text itself. On a hit, the server
 //! reuses the parsed deck, the expanded `.STEP`/`.MC` point list, and
-//! a pool of warm run contexts whose elaborated circuits are
-//! re-bound in place (`Elaborator::patch`) and whose assembly
-//! workspaces keep the sparse symbolic factorization + AMD ordering.
-//! A re-submitted or parameter-tweaked deck therefore skips parse,
-//! elaborate, sweep expansion, *and* symbolic analysis — its job
-//! metadata reports `circuits_built == 0`.
+//! a pool of warm run contexts whose assembly workspaces keep the
+//! sparse pattern, ordering and replayed pivots. A re-submitted deck
+//! therefore skips parse and sweep expansion, and its job metadata
+//! reports `warm_checkout == true`; every point still builds its
+//! circuit fresh (`Elaborator::build`).
 //!
 //! ## Fair share, cancellation, backpressure
 //!

@@ -394,13 +394,12 @@ fn run_chunk(shared: &Shared, chunk: &Chunk) {
         meta.warm_checkout = warm;
         // Rebuilding the Elaborator per chunk mirrors the batch
         // engine's per-worker rebuild: HDL model compilation is cheap,
-        // and the expensive artifacts (circuits, symbolic
-        // factorization) live in the pooled context.
+        // and the expensive artifacts (workspace, sparse pattern and
+        // ordering) live in the pooled context.
         if let Ok(elab) = Elaborator::new(&entry.deck) {
             let guesses = job.guesses.get_or_init(|| {
                 warm_start_chain(&entry.deck, &elab, &job.points, false, &job.cancel)
             });
-            let before = ctx.stats;
             let solver_before = ctx.solver_snapshot();
             for index in chunk.start..chunk.end {
                 if job.cancel.is_cancelled() {
@@ -445,8 +444,6 @@ fn run_chunk(shared: &Shared, chunk: &Chunk) {
                     .points_completed
                     .fetch_add(1, Ordering::Relaxed);
             }
-            meta.stats.circuits_built = ctx.stats.circuits_built - before.circuits_built;
-            meta.stats.circuits_patched = ctx.stats.circuits_patched - before.circuits_patched;
             record_solver_deltas(&shared.metrics, &solver_before, &ctx.solver_snapshot());
         }
         entry.checkin(ctx);

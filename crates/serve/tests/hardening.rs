@@ -329,6 +329,46 @@ fn malformed_requests_get_the_right_status() {
     server.join();
 }
 
+/// A `.STEP` × `.MC` product of 10¹¹ points — each card within its own
+/// bound — is a spanned diagnostic on both deck-parsing endpoints, not
+/// an allocation that aborts the server.
+#[test]
+fn oversized_step_times_mc_product_is_diagnosed_not_fatal() {
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let deck = "product\n.param r=1k\nVs in 0 1\nR1 in 0 {r}\n.op\n\
+                .step param r 1 1000000 1\n.mc 100000 r tol=0.1\n";
+
+    let (status, body) = http(addr, "POST", "/v1/check", deck);
+    assert_eq!(status, 200, "{body}");
+    let doc = parsed(&body);
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(false)), "{body}");
+    let diag = match doc.get("diagnostics") {
+        Some(Json::Arr(items)) if items.len() == 1 => items[0].clone(),
+        other => panic!("expected one diagnostic: {other:?}"),
+    };
+    let message = diag.get("message").and_then(Json::as_str).expect("message");
+    assert!(
+        message.contains("1000000 × 100000 = 100000000000 points"),
+        "{message}"
+    );
+    let line = diag.get("span").and_then(|s| s.get("line"));
+    assert_eq!(line.and_then(Json::as_u64), Some(7), "{body}");
+
+    let (status, body) = http(addr, "POST", "/v1/jobs", deck);
+    assert_eq!(status, 400, "{body}");
+
+    let (status, body) = http(addr, "GET", "/v1/health", "");
+    assert_eq!(status, 200, "{body}");
+
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn connection_cap_answers_503() {
     let server = Server::start(ServeConfig {

@@ -1,10 +1,7 @@
 //! DC parameter sweeps.
 //!
-//! Each point is warm-started from the previous solution. The
-//! classic entry points rebuild the circuit per sweep value;
-//! [`dc_sweep_reuse_in`] hands the previous point's circuit back to
-//! the caller so a device-level `set_param` path can patch it in
-//! place instead.
+//! The caller builds the circuit for each sweep value; each point is
+//! warm-started from the previous solution.
 
 use crate::circuit::Circuit;
 use crate::error::Result;
@@ -60,33 +57,13 @@ pub fn dc_sweep_in(
     sim: &SimOptions,
     ws: &mut Workspace,
 ) -> Result<SweepResult> {
-    dc_sweep_reuse_in(|v, _| build(v), values, sim, ws).map(|(result, _)| result)
-}
-
-/// The circuit-reuse form of [`dc_sweep_in`]: `supply(value, prev)`
-/// receives the previous point's circuit back (None on the first
-/// point) so callers with a device-level `set_param` path can patch
-/// one circuit in place instead of rebuilding per value. Returns the
-/// final circuit alongside the result so it can keep serving later
-/// sweeps (e.g. the next `.STEP`/`.MC` batch point).
-///
-/// # Errors
-///
-/// As [`dc_sweep`].
-pub fn dc_sweep_reuse_in(
-    mut supply: impl FnMut(f64, Option<Circuit>) -> Result<Circuit>,
-    values: &[f64],
-    sim: &SimOptions,
-    ws: &mut Workspace,
-) -> Result<(SweepResult, Option<Circuit>)> {
     let mut result = SweepResult {
         values: values.to_vec(),
         points: Vec::with_capacity(values.len()),
     };
     let mut prev: Option<Vec<f64>> = None;
-    let mut circuit: Option<Circuit> = None;
     for &v in values {
-        let mut ckt = supply(v, circuit.take())?;
+        let mut ckt = build(v)?;
         let op = super::dcop::solve_in(&mut ckt, sim, prev.as_deref(), ws).map_err(|e| {
             crate::error::SpiceError::NoConvergence {
                 analysis: format!("dc sweep at value {v}"),
@@ -95,9 +72,8 @@ pub fn dc_sweep_reuse_in(
         })?;
         prev = Some(op.x.clone());
         result.points.push(op);
-        circuit = Some(ckt);
     }
-    Ok((result, circuit))
+    Ok(result)
 }
 
 #[cfg(test)]

@@ -290,18 +290,4 @@ pub trait Device: Send {
     fn breakpoints(&self, _t_end: f64) -> Vec<f64> {
         Vec::new()
     }
-
-    /// Typed-access hook for the in-place `set_param` path: callers
-    /// (the netlist elaborator's circuit patcher) downcast to the
-    /// concrete device type and call its parameter setters instead of
-    /// re-elaborating the whole deck per `.STEP`/`.MC` point.
-    ///
-    /// Every setter reached through this hook must leave the device
-    /// indistinguishable from a freshly constructed one — value *and*
-    /// integration history — so a patched circuit is bit-identical to
-    /// a rebuilt one. The default `None` marks the device as
-    /// unpatchable, making callers fall back to re-elaboration.
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
-    }
 }

@@ -30,12 +30,6 @@ impl Vccs {
     pub fn gm(&self) -> f64 {
         self.gm
     }
-
-    /// Re-binds the transconductance in place (elaborate-once
-    /// batches).
-    pub fn set_gm(&mut self, gm: f64) {
-        self.gm = gm;
-    }
 }
 
 impl Device for Vccs {
@@ -66,10 +60,6 @@ impl Device for Vccs {
         ctx.stamp(rn, ccp, -g);
         ctx.stamp(rn, ccn, g);
         Ok(())
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
     }
 }
 
@@ -103,11 +93,6 @@ impl Vcvs {
     /// The voltage gain.
     pub fn gain(&self) -> f64 {
         self.gain
-    }
-
-    /// Re-binds the gain in place (elaborate-once batches).
-    pub fn set_gain(&mut self, gain: f64) {
-        self.gain = gain;
     }
 }
 
@@ -162,10 +147,6 @@ impl Device for Vcvs {
     }
 
     fn commit(&mut self, _x: &[f64], _layout: &UnknownLayout, _kind: CommitKind) {}
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 /// Current-controlled current source: `i(out) = gain·i(sense)`, where
@@ -201,11 +182,6 @@ impl Cccs {
     /// The current gain.
     pub fn gain(&self) -> f64 {
         self.gain
-    }
-
-    /// Re-binds the gain in place (elaborate-once batches).
-    pub fn set_gain(&mut self, gain: f64) {
-        self.gain = gain;
     }
 }
 
@@ -254,10 +230,6 @@ impl Device for Cccs {
         ctx.stamp(o2, row_j, Complex64::from_re(-self.gain));
         Ok(())
     }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 /// Current-controlled voltage source: `v(out) = r·i(sense)`.
@@ -290,12 +262,6 @@ impl Ccvs {
     /// The transresistance.
     pub fn transresistance(&self) -> f64 {
         self.r
-    }
-
-    /// Re-binds the transresistance in place (elaborate-once
-    /// batches).
-    pub fn set_transresistance(&mut self, r: f64) {
-        self.r = r;
     }
 }
 
@@ -355,10 +321,6 @@ impl Device for Ccvs {
         ctx.stamp(row_o, row_s, Complex64::from_re(-self.r));
         Ok(())
     }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 /// Nonlinear product-controlled current source
@@ -395,11 +357,6 @@ impl ProductVccs {
     /// The product coefficient.
     pub fn coefficient(&self) -> f64 {
         self.k
-    }
-
-    /// Re-binds the coefficient in place (elaborate-once batches).
-    pub fn set_coefficient(&mut self, k: f64) {
-        self.k = k;
     }
 }
 
@@ -451,9 +408,5 @@ impl Device for ProductVccs {
             ctx.stamp(rn, cn, g);
         }
         Ok(())
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
     }
 }

@@ -36,11 +36,6 @@ impl IdealTransformer {
     pub fn ratio(&self) -> f64 {
         self.ratio
     }
-
-    /// Re-binds the turns ratio in place (elaborate-once batches).
-    pub fn set_ratio(&mut self, ratio: f64) {
-        self.ratio = ratio;
-    }
 }
 
 impl Device for IdealTransformer {
@@ -105,10 +100,6 @@ impl Device for IdealTransformer {
     }
 
     fn commit(&mut self, _x: &[f64], _layout: &UnknownLayout, _kind: CommitKind) {}
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 /// Ideal gyrator: `i1 = g·v2`, `i2 = −g·v1` (power conserving).
@@ -132,12 +123,6 @@ impl Gyrator {
     /// The gyration conductance.
     pub fn conductance(&self) -> f64 {
         self.g
-    }
-
-    /// Re-binds the gyration conductance in place (elaborate-once
-    /// batches).
-    pub fn set_conductance(&mut self, g: f64) {
-        self.g = g;
     }
 }
 
@@ -177,9 +162,5 @@ impl Device for Gyrator {
         ctx.stamp(b2, a1, g);
         ctx.stamp(b2, b1, -g);
         Ok(())
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
     }
 }

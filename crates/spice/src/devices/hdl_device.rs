@@ -17,7 +17,6 @@ use mems_numerics::Complex64;
 
 /// A behavioral device wrapping an elaborated HDL-A instance.
 pub struct HdlDevice {
-    model: HdlModel,
     instance: Instance,
     pins: Vec<NodeId>,
     branches: Vec<BranchInfo>,
@@ -71,7 +70,6 @@ impl HdlDevice {
         let branches = compiled.branches.clone();
         let n_unknowns = compiled.n_unknowns;
         Ok(HdlDevice {
-            model: model.clone(),
             instance,
             pins: nodes.to_vec(),
             branches,
@@ -90,31 +88,6 @@ impl HdlDevice {
     /// state manipulation in tests).
     pub fn instance_mut(&mut self) -> &mut Instance {
         &mut self.instance
-    }
-
-    /// Re-binds the generics by re-elaborating the instance in place
-    /// (elaborate-once batches): the fresh instance re-runs the
-    /// `init` program, re-folds the tables, and starts from pristine
-    /// history — exactly the state a rebuilt deck would produce. The
-    /// selected evaluator carries over.
-    ///
-    /// # Errors
-    ///
-    /// Same failures as [`HdlDevice::new`] (unknown/missing generics,
-    /// bad table axes, `init` assertions).
-    pub fn set_generics(&mut self, generics: &[(&str, f64)]) -> Result<()> {
-        let mode = self.instance.eval_mode();
-        let mut instance = self
-            .model
-            .instantiate(self.instance.name(), generics)
-            .map_err(|e| SpiceError::Device {
-                device: self.instance.name().to_string(),
-                detail: e.to_string(),
-            })?;
-        instance.set_eval_mode(mode);
-        self.instance = instance;
-        self.last_reports.clear();
-        Ok(())
     }
 
     /// Local gradient slot count: one per pin, then one per unknown.
@@ -335,9 +308,5 @@ impl Device for HdlDevice {
         } else {
             self.instance.commit_transient(kind.h);
         }
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
     }
 }

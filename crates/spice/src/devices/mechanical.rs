@@ -33,18 +33,6 @@ impl Mass {
     pub fn mass(&self) -> f64 {
         self.mass
     }
-
-    /// Re-binds the mass in place, resetting the integration history
-    /// (elaborate-once batches).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-positive/non-finite mass, like [`Mass::new`].
-    pub fn set_mass(&mut self, m: f64) {
-        let name = self.inner.name().to_string();
-        let [a, b] = [self.inner.pins()[0], self.inner.pins()[1]];
-        *self = Mass::new(&name, a, b, m);
-    }
 }
 
 impl Device for Mass {
@@ -62,10 +50,6 @@ impl Device for Mass {
     }
     fn commit(&mut self, x: &[f64], layout: &UnknownLayout, kind: CommitKind) {
         self.inner.commit(x, layout, kind);
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
     }
 }
 
@@ -91,19 +75,6 @@ impl Spring {
     /// The stiffness [N/m].
     pub fn stiffness(&self) -> f64 {
         self.stiffness
-    }
-
-    /// Re-binds the stiffness in place, resetting the integration
-    /// history (elaborate-once batches).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-positive/non-finite stiffness (the underlying
-    /// inductance `1/k` must stay positive and finite).
-    pub fn set_stiffness(&mut self, k: f64) {
-        let name = self.inner.name().to_string();
-        let [a, b] = [self.inner.pins()[0], self.inner.pins()[1]];
-        *self = Spring::new(&name, a, b, k);
     }
 
     /// Global unknown index of the spring force (branch current).
@@ -134,10 +105,6 @@ impl Device for Spring {
     fn commit(&mut self, x: &[f64], layout: &UnknownLayout, kind: CommitKind) {
         self.inner.commit(x, layout, kind);
     }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 /// A linear (viscous) damper: `F = α·(v_a − v_b)`.
@@ -160,19 +127,6 @@ impl Damper {
     pub fn damping(&self) -> f64 {
         self.damping
     }
-
-    /// Re-binds the damping coefficient in place (elaborate-once
-    /// batches).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a non-positive/non-finite coefficient (the
-    /// underlying resistance `1/α` must stay nonzero and finite).
-    pub fn set_damping(&mut self, alpha: f64) {
-        let name = self.inner.name().to_string();
-        let [a, b] = [self.inner.pins()[0], self.inner.pins()[1]];
-        *self = Damper::new(&name, a, b, alpha);
-    }
 }
 
 impl Device for Damper {
@@ -187,10 +141,6 @@ impl Device for Damper {
     }
     fn load_ac(&mut self, ctx: &mut AcLoadCtx<'_>) -> Result<()> {
         self.inner.load_ac(ctx)
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
     }
 }
 

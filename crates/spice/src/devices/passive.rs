@@ -36,15 +36,6 @@ impl Resistor {
     pub fn resistance(&self) -> f64 {
         self.resistance
     }
-
-    /// Re-binds the resistance in place (elaborate-once batches).
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero/non-finite resistance, like [`Resistor::new`].
-    pub fn set_resistance(&mut self, resistance: f64) {
-        *self = Resistor::new(&self.name, self.pins[0], self.pins[1], resistance);
-    }
 }
 
 impl Device for Resistor {
@@ -68,10 +59,6 @@ impl Device for Resistor {
             Complex64::from_re(1.0 / self.resistance),
         );
         Ok(())
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
     }
 }
 
@@ -118,17 +105,6 @@ impl Capacitor {
     /// The capacitance [F].
     pub fn capacitance(&self) -> f64 {
         self.capacitance
-    }
-
-    /// Re-binds the capacitance in place, resetting the integration
-    /// history to the freshly built state (elaborate-once batches).
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive/non-finite capacitance, like
-    /// [`Capacitor::new`].
-    pub fn set_capacitance(&mut self, capacitance: f64) {
-        *self = Capacitor::new(&self.name, self.pins[0], self.pins[1], capacitance);
     }
 }
 
@@ -200,10 +176,6 @@ impl Device for Capacitor {
             self.h_prev = kind.h;
         }
     }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 /// Linear inductor `v_a − v_b = L·di/dt` with a branch-current
@@ -250,17 +222,6 @@ impl Inductor {
     /// The inductance [H].
     pub fn inductance(&self) -> f64 {
         self.inductance
-    }
-
-    /// Re-binds the inductance in place, resetting the integration
-    /// history to the freshly built state (elaborate-once batches).
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive/non-finite inductance, like
-    /// [`Inductor::new`].
-    pub fn set_inductance(&mut self, inductance: f64) {
-        *self = Inductor::new(&self.name, self.pins[0], self.pins[1], inductance);
     }
 
     /// Global unknown index of the branch current.
@@ -377,9 +338,5 @@ impl Device for Inductor {
             self.didt_prev = didt;
             self.h_prev = kind.h;
         }
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
     }
 }

@@ -65,16 +65,6 @@ impl VoltageSource {
         &self.wave
     }
 
-    /// Replaces the waveform in place (elaborate-once batches).
-    pub fn set_wave(&mut self, wave: Waveform) {
-        self.wave = wave;
-    }
-
-    /// Replaces the AC stimulus in place (elaborate-once batches).
-    pub fn set_ac(&mut self, spec: Option<AcSpec>) {
-        self.ac = spec;
-    }
-
     /// Global unknown index of the branch current.
     pub fn branch_unknown(&self) -> usize {
         self.base
@@ -137,10 +127,6 @@ impl Device for VoltageSource {
     fn breakpoints(&self, t_end: f64) -> Vec<f64> {
         self.wave.breakpoints(t_end)
     }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 /// Independent current source (a force source on mechanical nodes
@@ -175,16 +161,6 @@ impl CurrentSource {
     pub fn waveform(&self) -> &Waveform {
         &self.wave
     }
-
-    /// Replaces the waveform in place (elaborate-once batches).
-    pub fn set_wave(&mut self, wave: Waveform) {
-        self.wave = wave;
-    }
-
-    /// Replaces the AC stimulus in place (elaborate-once batches).
-    pub fn set_ac(&mut self, spec: Option<AcSpec>) {
-        self.ac = spec;
-    }
 }
 
 impl Device for CurrentSource {
@@ -215,10 +191,6 @@ impl Device for CurrentSource {
 
     fn breakpoints(&self, t_end: f64) -> Vec<f64> {
         self.wave.breakpoints(t_end)
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
     }
 }
 

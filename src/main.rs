@@ -48,8 +48,6 @@ OPTIONS:
                      `.options order=`
     --log-x          Plot `.AC` magnitude over log10(frequency)
     --db             Plot `.AC` magnitude in dB (20·log10)
-    --reelaborate    Rebuild the circuit per batch point instead of the
-                     default elaborate-once in-place parameter patching
 
 SERVE OPTIONS:
     --host ADDR      Bind address (default 127.0.0.1)
@@ -86,7 +84,6 @@ struct Args {
     rows: usize,
     cols: usize,
     threads: usize,
-    reelaborate: bool,
     order: Option<String>,
     log_x: bool,
     db: bool,
@@ -114,7 +111,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut rows = 16usize;
     let mut cols = 72usize;
     let mut threads = 0usize;
-    let mut reelaborate = false;
     let mut order = None;
     let mut log_x = false;
     let mut db = false;
@@ -139,7 +135,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "-V" | "--version" => return Err(format!("mems {}", env!("CARGO_PKG_VERSION"))),
             "--csv" => csv = Some(optional_value(&mut it)),
             "--json" => json = Some(optional_value(&mut it)),
-            "--reelaborate" => reelaborate = true,
             "--log-x" => log_x = true,
             "--db" => db = true,
             "--order" => {
@@ -254,7 +249,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         rows,
         cols,
         threads,
-        reelaborate,
         order,
         log_x,
         db,
@@ -450,7 +444,6 @@ fn cmd_sweep(
     csv: Option<&str>,
     json: Option<&str>,
     threads: usize,
-    reelaborate: bool,
 ) -> Result<(), String> {
     // Ctrl-C stops the batch at the next point boundary; the partial
     // batch still reports (unvisited points carry cancelled errors).
@@ -466,7 +459,6 @@ fn cmd_sweep(
         deck,
         &BatchOptions {
             threads,
-            reelaborate,
             cancel: Some(cancel),
         },
     )
@@ -587,7 +579,6 @@ fn main() -> ExitCode {
             args.csv.as_deref(),
             args.json.as_deref(),
             args.threads,
-            args.reelaborate,
         ),
         _ => unreachable!("validated in parse_args"),
     };

@@ -4,7 +4,8 @@
 //! `mems_spice` API run exactly.
 
 use mems::netlist::{
-    batch_points, run_batch, run_deck, AnalysisOutcome, BatchOptions, Deck, Elaborator, FsResolver,
+    batch_points, run_batch, run_deck, run_deck_with, AnalysisOutcome, BatchOptions, BatchResult,
+    Deck, Elaborator, FsResolver,
 };
 use mems::numerics::rootfind::brent;
 use mems::numerics::stats::settled_value;
@@ -312,7 +313,7 @@ Xrelay drive 0 relaydc area={area} d={gap} k={k}
 }
 
 // ---------------------------------------------------------------
-// Elaborate-once (`set_param`) invariance
+// Warm-context and thread-count invariance
 // ---------------------------------------------------------------
 
 /// Asserts two deck runs are bit-identical outcome by outcome.
@@ -368,14 +369,14 @@ fn assert_runs_bit_identical(a: &mems::netlist::DeckRun, b: &mems::netlist::Deck
     }
 }
 
-/// Acceptance: every shipped deck produces bit-identical results
-/// whether each point re-elaborates the parse tree or patches the
-/// cached circuit through the devices' `set_param` hooks — including
-/// repeated runs over one context (exercising the patch path) and a
-/// perturbed parameter (exercising actual re-binding, not just
-/// same-value rewrites).
+/// Acceptance: on every shipped deck a reused [`RunCtx`] — its
+/// workspace, sparse pattern and AC system warm from an earlier run —
+/// answers bit-identically to a fresh context, both on a repeated run
+/// and under a perturbed parameter.
+///
+/// [`RunCtx`]: mems::netlist::RunCtx
 #[test]
-fn elaborate_once_matches_reelaboration_on_every_deck() {
+fn reused_runctx_matches_fresh_context_on_every_deck() {
     use mems::netlist::{run_elaborated_ctx, RunCtx};
     let dir = deck_path("");
     let mut seen = 0;
@@ -394,90 +395,69 @@ fn elaborate_once_matches_reelaboration_on_every_deck() {
         let elab = Elaborator::new(&deck).unwrap();
         let nominal = Default::default();
 
-        // Baseline: the pre-elaborate-once behavior.
-        let baseline = run_elaborated_ctx(&elab, &nominal, &mut RunCtx::without_reuse()).unwrap();
-
-        // One reusing context, run twice: the first run builds and
-        // caches, the second patches every circuit in place.
+        // One context, run twice: the second run starts warm.
         let mut ctx = RunCtx::default();
         let first = run_elaborated_ctx(&elab, &nominal, &mut ctx).unwrap();
-        let patched = run_elaborated_ctx(&elab, &nominal, &mut ctx).unwrap();
-        assert_runs_bit_identical(&baseline, &first, &format!("{name}: build vs no-reuse"));
-        assert_runs_bit_identical(&baseline, &patched, &format!("{name}: patch vs no-reuse"));
+        let second = run_elaborated_ctx(&elab, &nominal, &mut ctx).unwrap();
+        assert_runs_bit_identical(&first, &second, &format!("{name}: second run"));
 
-        // Perturb the deck's first parameter: the patched circuit
-        // must match a freshly built one under the same override.
+        // Perturb the deck's first parameter: the warm context must
+        // match a fresh one under the same override.
         let param = deck.params.first().expect("shipped decks declare params");
         let mut over = mems::netlist::elab::ParamEnv::new();
         over.insert(
             param.name.clone(),
             param.value.eval(&Default::default()).unwrap() * 1.05,
         );
-        let fresh = run_elaborated_ctx(&elab, &over, &mut RunCtx::without_reuse()).unwrap();
-        let repatch = run_elaborated_ctx(&elab, &over, &mut ctx).unwrap();
-        assert_runs_bit_identical(&fresh, &repatch, &format!("{name}: perturbed"));
+        let fresh = run_elaborated_ctx(&elab, &over, &mut RunCtx::default()).unwrap();
+        let warm = run_elaborated_ctx(&elab, &over, &mut ctx).unwrap();
+        assert_runs_bit_identical(&fresh, &warm, &format!("{name}: perturbed"));
     }
     assert!(seen >= 5, "expected all 5 shipped decks, found {seen}");
 }
 
-/// Acceptance: the `.STEP` batch of `resonator_step.cir` is
-/// bit-identical between the elaborate-once default and forced
-/// re-elaboration, and stays thread-count invariant with patching on.
-#[test]
-fn resonator_step_batch_patching_is_bit_identical_and_thread_invariant() {
-    let deck = load("resonator_step.cir");
-    let patched_1 = run_batch(&deck, &BatchOptions::with_threads(1)).unwrap();
-    let rebuilt_1 = run_batch(
-        &deck,
-        &BatchOptions {
-            threads: 1,
-            reelaborate: true,
-            cancel: None,
-        },
-    )
-    .unwrap();
-    let patched_4 = run_batch(&deck, &BatchOptions::with_threads(4)).unwrap();
-
-    assert!(patched_1.ok_count() >= 5, "all points solve");
-    for other in [&rebuilt_1, &patched_4] {
-        assert_eq!(patched_1.points.len(), other.points.len());
-        for (a, b) in patched_1.points.iter().zip(&other.points) {
-            assert_eq!(a.point, b.point);
-            let (ma, mb) = (a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
-            assert_eq!(ma.len(), mb.len());
-            for (x, y) in ma.iter().zip(mb) {
-                assert_eq!(x.name, y.name);
-                assert_eq!(x.value.to_bits(), y.value.to_bits(), "{}", x.name);
-            }
+/// Asserts two batches are bit-identical point by point.
+fn assert_batches_bit_identical(a: &BatchResult, b: &BatchResult) {
+    assert_eq!(a.points.len(), b.points.len());
+    for (a, b) in a.points.iter().zip(&b.points) {
+        assert_eq!(a.point, b.point);
+        let (ma, mb) = (a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
+        assert_eq!(ma.len(), mb.len());
+        for (x, y) in ma.iter().zip(mb) {
+            assert_eq!(x.name, y.name);
+            assert_eq!(x.value.to_bits(), y.value.to_bits(), "{}", x.name);
         }
     }
 }
 
-/// Patch errors surface exactly like build errors: a swept value
-/// that zeroes a resistance fails that point (with the same spanned
-/// message) whether the circuit is rebuilt or patched.
+/// Acceptance: the `.STEP` batch of `resonator_step.cir` is
+/// bit-identical on 1 and 4 worker threads.
 #[test]
-fn patch_validation_matches_build_validation() {
+fn resonator_step_batch_is_thread_invariant() {
+    let deck = load("resonator_step.cir");
+    let serial = run_batch(&deck, &BatchOptions::with_threads(1)).unwrap();
+    let parallel = run_batch(&deck, &BatchOptions::with_threads(4)).unwrap();
+    assert!(serial.ok_count() >= 5, "all points solve");
+    assert_batches_bit_identical(&serial, &parallel);
+}
+
+/// A swept value that zeroes a resistance fails only that point, with
+/// the same spanned diagnostic a single run under that value reports.
+#[test]
+fn swept_zero_resistance_fails_only_that_point() {
     let src = "f\n.param rbot=1k\nVs in 0 1\nR1 in out 1k\nR2 out 0 {rbot}\n.op\n.step param rbot LIST 1k 0 2k\n";
     let deck = Deck::parse(src).unwrap();
-    let patched = run_batch(&deck, &BatchOptions::with_threads(1)).unwrap();
-    let rebuilt = run_batch(
-        &deck,
-        &BatchOptions {
-            threads: 1,
-            reelaborate: true,
-            cancel: None,
-        },
-    )
-    .unwrap();
-    assert_eq!(patched.ok_count(), 2);
-    assert_eq!(rebuilt.ok_count(), 2);
-    let (pe, re_) = (
-        patched.points[1].outcome.as_ref().unwrap_err(),
-        rebuilt.points[1].outcome.as_ref().unwrap_err(),
-    );
-    assert_eq!(pe, re_, "patch and build report the same failure");
-    assert!(pe.contains("resistance must be nonzero"), "{pe}");
+    let batch = run_batch(&deck, &BatchOptions::with_threads(1)).unwrap();
+    assert_eq!(batch.ok_count(), 2);
+    assert!(batch.points[0].outcome.is_ok() && batch.points[2].outcome.is_ok());
+    let failed = batch.points[1].outcome.as_ref().unwrap_err();
+    assert!(failed.contains("resistance must be nonzero"), "{failed}");
+
+    let zero = [("rbot".to_string(), 0.0)].into_iter().collect();
+    let err = run_deck_with(&deck, &zero).unwrap_err();
+    assert_eq!(&err.to_string(), failed);
+    let rendered = err.render(src);
+    assert!(rendered.contains("(line 5, col"), "{rendered}");
 }
 
 // ---------------------------------------------------------------
@@ -567,43 +547,23 @@ fn nested_subckt_deck_flattens_bit_identically_to_hand_flat() {
 }
 
 /// Acceptance: the shipped two-level bridge deck's hierarchical
-/// `.STEP` (over `x1.k`) is bit-identical between the elaborate-once
-/// patch path and forced re-elaboration, and thread-count invariant.
+/// `.STEP` (over `x1.k`) is bit-identical on 1 and 4 worker threads.
 #[test]
-fn bridge_deck_hierarchical_step_patch_equals_rebuild_across_threads() {
+fn bridge_deck_hierarchical_step_is_thread_invariant() {
     let deck = load("bridge_cells.cir");
     let points = batch_points(&deck).unwrap();
     assert_eq!(points.len(), 3);
     assert_eq!(points[0].overrides, vec![("x1.k".to_string(), 150.0)]);
 
-    let patched_1 = run_batch(&deck, &BatchOptions::with_threads(1)).unwrap();
-    let rebuilt_1 = run_batch(
-        &deck,
-        &BatchOptions {
-            threads: 1,
-            reelaborate: true,
-            cancel: None,
-        },
-    )
-    .unwrap();
-    let patched_4 = run_batch(&deck, &BatchOptions::with_threads(4)).unwrap();
-    assert_eq!(patched_1.ok_count(), 3, "all hierarchical points solve");
-    for other in [&rebuilt_1, &patched_4] {
-        for (a, b) in patched_1.points.iter().zip(&other.points) {
-            assert_eq!(a.point, b.point);
-            let (ma, mb) = (a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
-            assert_eq!(ma.len(), mb.len());
-            for (x, y) in ma.iter().zip(mb) {
-                assert_eq!(x.name, y.name);
-                assert_eq!(x.value.to_bits(), y.value.to_bits(), "{}", x.name);
-            }
-        }
-    }
+    let serial = run_batch(&deck, &BatchOptions::with_threads(1)).unwrap();
+    let parallel = run_batch(&deck, &BatchOptions::with_threads(4)).unwrap();
+    assert_eq!(serial.ok_count(), 3, "all hierarchical points solve");
+    assert_batches_bit_identical(&serial, &parallel);
     // The sweep only moves instance X1: its settled spring force
     // stays the electrostatic drive force (the suspension always
     // balances it), while X2's metrics are untouched across points.
     let m = |p: usize, name: &str| {
-        patched_1.points[p].outcome.as_ref().unwrap()[..]
+        serial.points[p].outcome.as_ref().unwrap()[..]
             .iter()
             .find(|m| m.name == name)
             .unwrap_or_else(|| panic!("metric {name}"))
