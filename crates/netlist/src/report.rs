@@ -646,7 +646,8 @@ pub fn solver_stats_json(st: &mems_spice::system::SolverStats) -> String {
          \"order_source\":\"{}\",\"order_us\":{},\
          \"n\":{},\"pattern_nnz\":{},\"factor_nnz\":{},\"fill_ratio\":{},\
          \"factors\":{},\"refactors\":{},\"fallbacks\":{},\
-         \"last_factor_us\":{},\"last_refactor_us\":{}}}",
+         \"last_factor_us\":{},\"last_refactor_us\":{},\
+         \"stamps\":{},\"stamp_misses\":{}}}",
         json_escape(st.backend),
         json_escape(st.factor_path),
         json_escape(st.ordering),
@@ -660,7 +661,9 @@ pub fn solver_stats_json(st: &mems_spice::system::SolverStats) -> String {
         st.refactors,
         st.fallbacks,
         st.last_factor_us,
-        st.last_refactor_us
+        st.last_refactor_us,
+        st.stamps,
+        st.stamp_misses
     )
 }
 

@@ -121,6 +121,19 @@ impl<S: Scalar> DenseMatrix<S> {
         }
     }
 
+    /// Overwrites every entry with `src`'s, keeping the allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes differ.
+    pub fn copy_from(&mut self, src: &DenseMatrix<S>) {
+        assert!(
+            self.rows == src.rows && self.cols == src.cols,
+            "DenseMatrix::copy_from shape mismatch"
+        );
+        self.data.copy_from_slice(&src.data);
+    }
+
     /// Adds `v` to entry `(i, j)` (the MNA "stamp" primitive).
     pub fn add_at(&mut self, i: usize, j: usize, v: S) {
         let c = self.cols;

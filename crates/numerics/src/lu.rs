@@ -19,7 +19,7 @@ pub struct LuFactors<S: Scalar = f64> {
 }
 
 impl<S: Scalar> LuFactors<S> {
-    /// Factors `a` in place-copy with partial (row) pivoting.
+    /// Factors `a` with partial (row) pivoting into fresh storage.
     ///
     /// # Errors
     ///
@@ -27,6 +27,27 @@ impl<S: Scalar> LuFactors<S> {
     /// in a column, and [`NumericsError::InvalidInput`] for non-square
     /// input.
     pub fn factor(a: &DenseMatrix<S>) -> Result<Self> {
+        let n = a.rows();
+        let mut f = LuFactors {
+            lu: DenseMatrix::zeros(n, n),
+            perm: vec![0; n],
+            perm_sign: 1.0,
+        };
+        f.factor_in_place(a)?;
+        Ok(f)
+    }
+
+    /// [`factor`](Self::factor) into this storage, reusing its
+    /// allocation: the Newton loop refactors its dense Jacobian this
+    /// way every iteration. After an error the factors are invalid
+    /// until the next successful call.
+    ///
+    /// # Errors
+    ///
+    /// As [`factor`](Self::factor), plus
+    /// [`NumericsError::DimensionMismatch`] when `a` is not of this
+    /// storage's order.
+    pub fn factor_in_place(&mut self, a: &DenseMatrix<S>) -> Result<()> {
         if !a.is_square() {
             return Err(NumericsError::InvalidInput(format!(
                 "LU requires a square matrix, got {}x{}",
@@ -34,10 +55,19 @@ impl<S: Scalar> LuFactors<S> {
                 a.cols()
             )));
         }
-        let n = a.rows();
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
+        let n = self.order();
+        if a.rows() != n {
+            return Err(NumericsError::DimensionMismatch {
+                expected: n,
+                found: a.rows(),
+            });
+        }
+        self.lu.copy_from(a);
+        let lu = &mut self.lu;
+        for (k, p) in self.perm.iter_mut().enumerate() {
+            *p = k;
+        }
+        self.perm_sign = 1.0;
 
         for k in 0..n {
             // Pivot search on column k.
@@ -54,8 +84,8 @@ impl<S: Scalar> LuFactors<S> {
                 return Err(NumericsError::Singular { index: k });
             }
             if pivot_row != k {
-                perm.swap(k, pivot_row);
-                perm_sign = -perm_sign;
+                self.perm.swap(k, pivot_row);
+                self.perm_sign = -self.perm_sign;
                 for j in 0..n {
                     let tmp = lu[(k, j)];
                     lu[(k, j)] = lu[(pivot_row, j)];
@@ -75,11 +105,7 @@ impl<S: Scalar> LuFactors<S> {
                 }
             }
         }
-        Ok(LuFactors {
-            lu,
-            perm,
-            perm_sign,
-        })
+        Ok(())
     }
 
     /// Order of the factored matrix.
@@ -94,15 +120,31 @@ impl<S: Scalar> LuFactors<S> {
     /// Returns [`NumericsError::DimensionMismatch`] when `b` has the
     /// wrong length.
     pub fn solve(&self, b: &[S]) -> Result<Vec<S>> {
+        let mut x = vec![S::zero(); self.order()];
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// [`solve`](Self::solve) into the caller's `x`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumericsError::DimensionMismatch`] when `b` or `x`
+    /// has the wrong length.
+    pub fn solve_into(&self, b: &[S], x: &mut [S]) -> Result<()> {
         let n = self.order();
-        if b.len() != n {
-            return Err(NumericsError::DimensionMismatch {
-                expected: n,
-                found: b.len(),
-            });
+        for len in [b.len(), x.len()] {
+            if len != n {
+                return Err(NumericsError::DimensionMismatch {
+                    expected: n,
+                    found: len,
+                });
+            }
         }
         // Apply permutation: y = P·b.
-        let mut x: Vec<S> = self.perm.iter().map(|&p| b[p]).collect();
+        for (xi, &p) in x.iter_mut().zip(&self.perm) {
+            *xi = b[p];
+        }
         // Forward substitution L·y = P·b (unit diagonal).
         for i in 1..n {
             let mut acc = x[i];
@@ -119,7 +161,7 @@ impl<S: Scalar> LuFactors<S> {
             }
             x[i] = acc / self.lu[(i, i)];
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Solves with one step of iterative refinement against the

@@ -59,10 +59,11 @@ const EMPTY: usize = usize::MAX;
 
 /// Sparse LU factors `P·A = L·U` with recorded symbolic structure.
 ///
-/// `L` is unit-lower-triangular (unit diagonal implicit), stored
-/// column-wise with *original* row indices; `U` is upper-triangular,
-/// stored column-wise with pivot-step indices in elimination replay
-/// order, its diagonal kept separately.
+/// `L` is unit-lower-triangular (unit diagonal implicit) and `U` is
+/// upper-triangular with its diagonal kept separately; both are
+/// stored column-wise with *pivot-step* row indices (`U` in
+/// elimination replay order), so [`refactor`](Self::refactor) and
+/// [`solve_into`](Self::solve_into) index their vectors directly.
 #[derive(Debug, Clone)]
 pub struct SparseLu<S: Scalar = f64> {
     n: usize,
@@ -80,6 +81,12 @@ pub struct SparseLu<S: Scalar = f64> {
     /// Column pre-ordering: `cperm[k]` = original column eliminated at
     /// step `k`. `None` means natural order.
     cperm: Option<Vec<usize>>,
+    /// The nontrivial cycles of `cperm` (see [`cycle_walk`]), so a
+    /// solve can undo the column order in place.
+    cycles: Vec<usize>,
+    /// The dense refactor accumulator, by pivot step; all-zero
+    /// between calls.
+    work: Vec<S>,
 }
 
 impl<S: Scalar> SparseLu<S> {
@@ -140,6 +147,8 @@ impl<S: Scalar> SparseLu<S> {
             perm: vec![EMPTY; n],
             pinv: vec![EMPTY; n],
             cperm: col_order.map(<[usize]>::to_vec),
+            cycles: col_order.map_or_else(Vec::new, cycle_walk),
+            work: Vec::new(),
         };
         f.lp.push(0);
         f.up.push(0);
@@ -263,6 +272,12 @@ impl<S: Scalar> SparseLu<S> {
             f.lp.push(f.li.len());
             f.up.push(f.ui.len());
         }
+        // Every row is pivotal now: renumber L into pivot steps, and
+        // keep the (all-zero) accumulator for the refactors.
+        for r in &mut f.li {
+            *r = f.pinv[*r];
+        }
+        f.work = x;
         Ok(f)
     }
 
@@ -278,6 +293,14 @@ impl<S: Scalar> SparseLu<S> {
     /// invalid and the caller should fall back to a fresh full
     /// factorization, which re-pivots.
     ///
+    /// Every sum is formed in the order the fresh factorization formed
+    /// it, so refactoring the analyzed values reproduces its factors
+    /// bit for bit. The elimination runs over an accumulator allocated
+    /// once by the fresh factorization; each step zeroes the entries
+    /// it reads, so the accumulator is all-zero again on return from
+    /// every path — including a rejected pivot — and a refactor never
+    /// allocates.
+    ///
     /// # Errors
     ///
     /// [`NumericsError::Singular`] on a dead or unstable replayed
@@ -290,52 +313,50 @@ impl<S: Scalar> SparseLu<S> {
                 self.n, a.n
             )));
         }
-        let mut x = vec![S::zero(); self.n];
+        let (lp, li, up, ui) = (&self.lp[..], &self.li[..], &self.up[..], &self.ui[..]);
+        let (lx, ux) = (&mut self.lx[..], &mut self.ux[..]);
+        let x = &mut self.work[..];
+        let cperm = self.cperm.as_deref();
         for k in 0..self.n {
             // Original column eliminated at step `k`.
-            let j = self.cperm.as_ref().map_or(k, |q| q[k]);
-            for p in a.col_ptr[j]..a.col_ptr[j + 1] {
-                x[a.row_idx[p]] += a.values[p];
+            let j = cperm.map_or(k, |q| q[k]);
+            let (a0, a1) = (a.col_ptr[j], a.col_ptr[j + 1]);
+            for (&r, &v) in a.row_idx[a0..a1].iter().zip(&a.values[a0..a1]) {
+                x[self.pinv[r]] += v;
             }
-            // Replay the recorded elimination order.
-            for q in self.up[k]..self.up[k + 1] {
-                let s = self.ui[q];
-                let xk = x[self.perm[s]];
-                self.ux[q] = xk;
-                if xk != S::zero() {
-                    for p in self.lp[s]..self.lp[s + 1] {
-                        let r = self.li[p];
-                        let delta = self.lx[p] * xk;
+            // Replay the recorded elimination order. Topological order
+            // means no later entry updates `x[s]` once it is read.
+            let (u0, u1) = (up[k], up[k + 1]);
+            for (&s, uq) in ui[u0..u1].iter().zip(&mut ux[u0..u1]) {
+                let xs = std::mem::replace(&mut x[s], S::zero());
+                *uq = xs;
+                if xs != S::zero() {
+                    let (l0, l1) = (lp[s], lp[s + 1]);
+                    for (&r, &l) in li[l0..l1].iter().zip(&lx[l0..l1]) {
+                        let delta = l * xs;
                         x[r] -= delta;
                     }
                 }
             }
-            let pivot_row = self.perm[k];
-            let pivot = x[pivot_row];
-            // Stability guard: the replayed pivot must still dominate
+            let pivot = std::mem::replace(&mut x[k], S::zero());
+            let pm = pivot.modulus();
+            // Scale the L column, tracking its largest entry for the
+            // stability guard: the replayed pivot must still dominate
             // its column the way threshold pivoting would demand —
             // values that drift far from the analyzed ones (a wide AC
             // sweep's reactive stamps, a homotopy ramp) would
             // otherwise cause silent element growth.
-            let mut col_max = pivot.modulus();
-            for p in self.lp[k]..self.lp[k + 1] {
-                col_max = col_max.max(x[self.li[p]].modulus());
+            let mut col_max = pm;
+            let (l0, l1) = (lp[k], lp[k + 1]);
+            for (&r, l) in li[l0..l1].iter().zip(&mut lx[l0..l1]) {
+                let v = std::mem::replace(&mut x[r], S::zero());
+                col_max = col_max.max(v.modulus());
+                *l = v / pivot;
             }
-            let pm = pivot.modulus();
             if !(pm > 0.0) || !pm.is_finite() || pm < PIVOT_TAU * col_max {
                 return Err(NumericsError::Singular { index: j });
             }
             self.udiag[k] = pivot;
-            for p in self.lp[k]..self.lp[k + 1] {
-                let r = self.li[p];
-                self.lx[p] = x[r] / pivot;
-                x[r] = S::zero();
-            }
-            // Clear the U part of the accumulator.
-            for q in self.up[k]..self.up[k + 1] {
-                x[self.perm[self.ui[q]]] = S::zero();
-            }
-            x[pivot_row] = S::zero();
         }
         Ok(())
     }
@@ -362,50 +383,93 @@ impl<S: Scalar> SparseLu<S> {
     ///
     /// [`NumericsError::DimensionMismatch`] for a wrong-length `b`.
     pub fn solve(&self, b: &[S]) -> Result<Vec<S>> {
+        let mut x = vec![S::zero(); self.n];
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// [`solve`](Self::solve) into the caller's `x`, with no other
+    /// storage: both triangular solves run in pivot-step coordinates
+    /// in `x`, and the column pre-ordering is undone in place.
+    ///
+    /// # Errors
+    ///
+    /// [`NumericsError::DimensionMismatch`] for a wrong-length `b` or
+    /// `x`.
+    pub fn solve_into(&self, b: &[S], x: &mut [S]) -> Result<()> {
         let n = self.n;
-        if b.len() != n {
-            return Err(NumericsError::DimensionMismatch {
-                expected: n,
-                found: b.len(),
-            });
+        for len in [b.len(), x.len()] {
+            if len != n {
+                return Err(NumericsError::DimensionMismatch {
+                    expected: n,
+                    found: len,
+                });
+            }
         }
-        // Forward: L·y = P·b, accumulating in original-row coordinates.
-        let mut z: Vec<S> = b.to_vec();
-        let mut y = vec![S::zero(); n];
+        let (lp, li, lx) = (&self.lp[..], &self.li[..], &self.lx[..]);
+        let (up, ui, ux) = (&self.up[..], &self.ui[..], &self.ux[..]);
+        // Forward: L·y = P·b.
+        for (xk, &r) in x.iter_mut().zip(&self.perm) {
+            *xk = b[r];
+        }
         for k in 0..n {
-            let yk = z[self.perm[k]];
-            y[k] = yk;
+            let yk = x[k];
             if yk != S::zero() {
-                for p in self.lp[k]..self.lp[k + 1] {
-                    let delta = self.lx[p] * yk;
-                    z[self.li[p]] -= delta;
+                let (l0, l1) = (lp[k], lp[k + 1]);
+                for (&r, &l) in li[l0..l1].iter().zip(&lx[l0..l1]) {
+                    let delta = l * yk;
+                    x[r] -= delta;
                 }
             }
         }
-        // Backward: U·x = y, in pivot-step coordinates.
+        // Backward: U·z = y.
         for j in (0..n).rev() {
-            let xj = y[j] / self.udiag[j];
-            y[j] = xj;
+            let xj = x[j] / self.udiag[j];
+            x[j] = xj;
             if xj != S::zero() {
-                for q in self.up[j]..self.up[j + 1] {
-                    let delta = self.ux[q] * xj;
-                    y[self.ui[q]] -= delta;
+                let (u0, u1) = (up[j], up[j + 1]);
+                for (&r, &u) in ui[u0..u1].iter().zip(&ux[u0..u1]) {
+                    let delta = u * xj;
+                    x[r] -= delta;
                 }
             }
         }
         // Undo the column pre-ordering: step `k` solved for original
-        // unknown `cperm[k]`.
-        match &self.cperm {
-            None => Ok(y),
-            Some(q) => {
-                let mut out = vec![S::zero(); n];
-                for (k, &j) in q.iter().enumerate() {
-                    out[j] = y[k];
+        // unknown `cperm[k]`. Walk each cycle, carrying one value.
+        let mut walk = self.cycles.iter();
+        while let Some(&start) = walk.next() {
+            let mut carry = x[start];
+            for &k in walk.by_ref() {
+                std::mem::swap(&mut carry, &mut x[k]);
+                if k == start {
+                    break;
                 }
-                Ok(out)
             }
         }
+        Ok(())
     }
+}
+
+/// The nontrivial cycles of the permutation `q`, concatenated: each
+/// lists a step `s`, then `q[s]`, `q[q[s]]`, …, and repeats `s` to
+/// close. Walking it moves each value to its image with independent
+/// loads, where following `q` itself would chain them.
+fn cycle_walk(q: &[usize]) -> Vec<usize> {
+    let mut seen = vec![false; q.len()];
+    let mut walk = Vec::new();
+    for start in 0..q.len() {
+        if seen[start] || q[start] == start {
+            continue;
+        }
+        let mut k = start;
+        while !seen[k] {
+            seen[k] = true;
+            walk.push(k);
+            k = q[k];
+        }
+        walk.push(start);
+    }
+    walk
 }
 
 /// Owned CSC storage (builder for [`CscView`]).
@@ -615,6 +679,85 @@ mod tests {
         for (r, f) in x_back.iter().zip(&x_orig) {
             assert!((r - f).abs() < 1e-10);
         }
+    }
+
+    /// A 12×12 pattern whose trailing 2×2 block couples to earlier
+    /// columns, with values from `block` in that block.
+    fn coupled_pattern(block: [f64; 4], couple: f64) -> Vec<(usize, usize, f64)> {
+        let n = 12;
+        let mut t = Vec::new();
+        let mut rng = Lcg(5);
+        for i in 0..n - 2 {
+            t.push((i, i, 4.0 + rng.next_f64()));
+            if i + 1 < n - 2 {
+                t.push((i, i + 1, rng.next_f64()));
+                t.push((i + 1, i, rng.next_f64()));
+            }
+        }
+        for (k, &(i, j)) in [(10, 10), (10, 11), (11, 10), (11, 11)].iter().enumerate() {
+            t.push((i, j, block[k]));
+        }
+        for &i in &[2, 5, 8] {
+            t.push((10, i, couple));
+            t.push((i, 11, couple));
+        }
+        t
+    }
+
+    fn bits<S: Scalar>(x: &[S]) -> Vec<String> {
+        x.iter().map(|v| format!("{v:?}")).collect()
+    }
+
+    /// `refactor` replays the analyzed sums exactly, and leaves its
+    /// accumulator all-zero even when it rejects a pivot.
+    fn refactor_is_exact_and_leaves_a_clean_accumulator<S: Scalar>(lift: impl Fn(f64) -> S) {
+        let csc = |t: &[(usize, usize, f64)]| {
+            let t: Vec<_> = t.iter().map(|&(i, j, v)| (i, j, lift(v))).collect();
+            CscMatrix::from_triplets(12, &t)
+        };
+        let a = csc(&coupled_pattern([2.0, 1.0, 1.0, 2.0], 0.5));
+        // Column 0's pivot is zero while its L entry is not: dead at
+        // the first step in natural order.
+        let mut dead_first = coupled_pattern([2.0, 1.0, 1.0, 2.0], 0.5);
+        dead_first[0].2 = 0.0;
+        // Dead at a later step: the trailing block is exactly singular
+        // once the first of its columns is eliminated.
+        let dead_later = coupled_pattern([1.0, 1.0, 1.0, 1.0], 0.0);
+        let b: Vec<S> = (0..12).map(|i| lift(1.0 + i as f64 * 0.37)).collect();
+        let order = crate::ordering::amd_order(12, &a.col_ptr, &a.row_idx);
+        for ordered in [false, true] {
+            let fresh = || {
+                if ordered {
+                    SparseLu::factor_ordered(&a.view(), &order)
+                } else {
+                    SparseLu::factor(&a.view())
+                }
+                .unwrap()
+            };
+            let expected = bits(&fresh().solve(&b).unwrap());
+            let mut lu = fresh();
+            lu.refactor(&a.view()).unwrap();
+            assert_eq!(bits(&lu.solve(&b).unwrap()), expected, "ordered {ordered}");
+            for dead in [&dead_first, &dead_later] {
+                assert!(matches!(
+                    lu.refactor(&csc(dead).view()),
+                    Err(NumericsError::Singular { .. })
+                ));
+                assert!(lu.work.iter().all(|v| *v == S::zero()), "dirty accumulator");
+                lu.refactor(&a.view()).unwrap();
+                assert_eq!(bits(&lu.solve(&b).unwrap()), expected, "ordered {ordered}");
+            }
+        }
+    }
+
+    #[test]
+    fn real_refactor_is_exact_and_leaves_a_clean_accumulator() {
+        refactor_is_exact_and_leaves_a_clean_accumulator(|v| v);
+    }
+
+    #[test]
+    fn complex_refactor_is_exact_and_leaves_a_clean_accumulator() {
+        refactor_is_exact_and_leaves_a_clean_accumulator(|v| Complex64::new(v, 0.25 * v));
     }
 
     #[test]

@@ -144,6 +144,10 @@ pub struct Metrics {
     /// ordering-cache hits — a warm machine stops moving this
     /// counter).
     pub solver_order_us: AtomicU64,
+    /// Matrix stamps, summed over chunk deltas.
+    pub solver_stamps: AtomicU64,
+    /// Stamps the sparse replay tape could not serve.
+    pub solver_stamp_misses: AtomicU64,
 }
 
 /// Point-in-time gauges the server derives at scrape time.
@@ -397,6 +401,26 @@ impl Metrics {
             "mems_serve_solver_order_seconds_total {}\n",
             load(&self.solver_order_us) as f64 / 1e6
         ));
+        family(
+            &mut out,
+            "mems_serve_solver_stamps_total",
+            "counter",
+            "Matrix stamps assembled (sparse systems; dense ones report 0).",
+        );
+        out.push_str(&format!(
+            "mems_serve_solver_stamps_total {}\n",
+            load(&self.solver_stamps)
+        ));
+        family(
+            &mut out,
+            "mems_serve_solver_stamp_misses_total",
+            "counter",
+            "Stamps the sparse replay tape could not serve (coordinate-map lookups).",
+        );
+        out.push_str(&format!(
+            "mems_serve_solver_stamp_misses_total {}\n",
+            load(&self.solver_stamp_misses)
+        ));
 
         if let Some(s) = &g.store {
             family(
@@ -516,6 +540,8 @@ mod tests {
         m.rejected_busy.fetch_add(1, Ordering::Relaxed);
         m.chunk_seconds.observe_us(1_234);
         m.solver_factors.add("scalar", 5);
+        m.solver_stamps.fetch_add(120, Ordering::Relaxed);
+        m.solver_stamp_misses.fetch_add(9, Ordering::Relaxed);
         let g = Gauges {
             uptime_seconds: 1.5,
             queue_depth_chunks: 7,
@@ -567,6 +593,11 @@ mod tests {
         assert_eq!(
             sample(&body, "mems_serve_solver_factors_total{path=\"scalar\"}"),
             Some(5.0)
+        );
+        assert_eq!(sample(&body, "mems_serve_solver_stamps_total"), Some(120.0));
+        assert_eq!(
+            sample(&body, "mems_serve_solver_stamp_misses_total"),
+            Some(9.0)
         );
         assert_eq!(sample(&body, "mems_serve_chunk_seconds_count"), Some(1.0));
         assert_eq!(

@@ -321,7 +321,7 @@ fn initiate_shutdown(shared: &Shared, addr: SocketAddr) {
     let _ = TcpStream::connect(addr);
 }
 
-/// Folds the factor/refactor/fallback deltas between two
+/// Folds the factor/refactor/fallback/stamp deltas between two
 /// [`RunCtx::solver_snapshot`](mems_netlist::RunCtx::solver_snapshot)
 /// calls into the metrics counters, attributed to each system's
 /// current factor path. Saturating: a rebuilt system restarts its
@@ -335,20 +335,29 @@ fn record_solver_deltas(
         let past = before
             .iter()
             .find(|(d, _)| d == domain)
-            .map_or((0, 0, 0), |(_, s)| (s.factors, s.refactors, s.fallbacks));
+            .map_or_else(SolverStats::default, |(_, s)| *s);
         metrics
             .solver_factors
-            .add(now.factor_path, now.factors.saturating_sub(past.0));
-        metrics
-            .solver_refactors
-            .add(now.factor_path, now.refactors.saturating_sub(past.1));
-        metrics
-            .solver_fallbacks
-            .fetch_add(now.fallbacks.saturating_sub(past.2), Ordering::Relaxed);
+            .add(now.factor_path, now.factors.saturating_sub(past.factors));
+        metrics.solver_refactors.add(
+            now.factor_path,
+            now.refactors.saturating_sub(past.refactors),
+        );
+        for (counter, now, past) in [
+            (&metrics.solver_fallbacks, now.fallbacks, past.fallbacks),
+            (&metrics.solver_stamps, now.stamps, past.stamps),
+            (
+                &metrics.solver_stamp_misses,
+                now.stamp_misses,
+                past.stamp_misses,
+            ),
+        ] {
+            counter.fetch_add(now.saturating_sub(past), Ordering::Relaxed);
+        }
         // A fresh factorization is the only event that can have paid
         // for an ordering; `order_us` is already 0 when it came from
         // the machine-wide ordering cache.
-        if now.factors > past.0 {
+        if now.factors > past.factors {
             metrics
                 .solver_order_us
                 .fetch_add(now.order_us, Ordering::Relaxed);

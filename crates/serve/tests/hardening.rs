@@ -837,6 +837,8 @@ fn deleting_a_terminal_job_is_an_idempotent_no_op() {
 /// with the same MNA pattern (different values, so the artifact cache
 /// misses and the system is rebuilt from scratch) reports
 /// `order_us == 0` / `order_source == "cached"` in its job metadata.
+/// The sparse job's stamp counters reach its metadata and
+/// `/v1/metrics` too.
 #[test]
 fn resubmitted_pattern_skips_ordering() {
     let server = Server::start(ServeConfig {
@@ -873,6 +875,24 @@ fn resubmitted_pattern_skips_ordering() {
     let (warm_us, warm_source) = solver(warm);
     assert_eq!(warm_source, "cached", "same pattern must hit the cache");
     assert_eq!(warm_us, 0, "a cache hit costs no ordering time");
+
+    // The sparse job reports its stamp replay: the first assembly
+    // records the tape, the Newton iterations after it replay it.
+    let (_, body) = http(addr, "GET", &format!("/v1/jobs/{cold}"), "");
+    let doc = parsed(&body);
+    let count = |key: &str| {
+        doc.get("solver")
+            .and_then(|s| s.get(key))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("solver.{key} in {body}"))
+    };
+    let (stamps, misses) = (count("stamps"), count("stamp_misses"));
+    assert!(0 < misses && misses < stamps, "{body}");
+    let (_, body) = http(addr, "GET", "/v1/metrics", "");
+    let stamps_total = metric(&body, "mems_serve_solver_stamps_total");
+    let misses_total = metric(&body, "mems_serve_solver_stamp_misses_total");
+    assert!(stamps_total >= stamps as f64, "{body}");
+    assert!(0.0 < misses_total && misses_total < stamps_total, "{body}");
 
     server.shutdown();
     server.join();

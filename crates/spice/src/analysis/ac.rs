@@ -173,7 +173,8 @@ pub fn run_with_op_in(
         }
         sys.factor()
             .map_err(|e| SpiceError::Singular(format!("AC at {f} Hz: {e}")))?;
-        let x = sys.solve(&rhs)?;
+        let mut x = vec![Complex64::ZERO; n];
+        sys.solve_into(&rhs, &mut x)?;
         result.data.push(x);
     }
     Ok(result)

@@ -140,17 +140,19 @@ impl<'a, 'b> EvalEnv<DualReal> for RealEnv<'a, 'b> {
     }
 
     fn contribute(&mut self, branch: usize, value: DualReal) {
+        // `LoadCtx::through`, stamped as the gradient is walked.
         let info = self.branches[branch];
-        let a = self.dev_pins[info.pin_a];
-        let b = self.dev_pins[info.pin_b];
-        let di: Vec<(Option<usize>, f64)> = value
-            .g
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| **g != 0.0)
-            .map(|(slot, g)| (self.map_slot(slot), *g))
-            .collect();
-        self.ctx.through(a, b, value.v, &di);
+        let ra = self.ctx.node_unknown(self.dev_pins[info.pin_a]);
+        let rb = self.ctx.node_unknown(self.dev_pins[info.pin_b]);
+        self.ctx.residual(ra, value.v);
+        self.ctx.residual(rb, -value.v);
+        for (slot, &g) in value.g.iter().enumerate() {
+            if g != 0.0 {
+                let col = self.map_slot(slot);
+                self.ctx.stamp(ra, col, g);
+                self.ctx.stamp(rb, col, -g);
+            }
+        }
     }
 
     fn residual(&mut self, index: usize, value: DualReal) {

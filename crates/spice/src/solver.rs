@@ -76,9 +76,9 @@ impl SimOptions {
 }
 
 /// Reusable assembly storage (avoids reallocating each iteration —
-/// and, on the sparse backend, carries the sparsity pattern and
-/// symbolic factorization across Newton iterations, transient steps,
-/// analyses, and batch points with identical structure).
+/// and, on the sparse backend, carries the sparsity pattern, stamp
+/// tape and symbolic factorization across Newton iterations, transient
+/// steps, analyses, and batch points with identical structure).
 pub struct Workspace {
     /// System (Jacobian) matrix behind the backend-agnostic trait.
     pub sys: Box<dyn SystemMatrix<f64>>,
@@ -86,6 +86,10 @@ pub struct Workspace {
     pub resid: Vec<f64>,
     /// Row scales (sums of |terms| per row).
     pub row_scale: Vec<f64>,
+    /// Newton right-hand side `−F`.
+    rhs: Vec<f64>,
+    /// Newton update `Δ`, solved into in place.
+    delta: Vec<f64>,
     backend: MatrixBackend,
     ordering: FillOrdering,
 }
@@ -116,6 +120,8 @@ impl Workspace {
             sys: new_system(n, backend, ordering),
             resid: vec![0.0; n],
             row_scale: vec![0.0; n],
+            rhs: vec![0.0; n],
+            delta: vec![0.0; n],
             backend,
             ordering,
         }
@@ -225,8 +231,11 @@ pub fn newton(
                 worst_rows(layout, &ws.row_scale)
             ))
         })?;
-        let neg_f: Vec<f64> = ws.resid.iter().map(|f| -f).collect();
-        let mut delta = ws.sys.solve(&neg_f)?;
+        for (r, f) in ws.rhs.iter_mut().zip(&ws.resid) {
+            *r = -f;
+        }
+        ws.sys.solve_into(&ws.rhs, &mut ws.delta)?;
+        let delta = &mut ws.delta;
 
         // Optional damping.
         if opts.max_step > 0.0 {

@@ -8,8 +8,9 @@
 //! Two implementations:
 //!
 //! - [`DenseSystem`]: a [`DenseMatrix`] refactored from scratch each
-//!   [`factor`](SystemMatrix::factor) — the right default for the
-//!   paper-scale circuits of a few dozen unknowns.
+//!   [`factor`](SystemMatrix::factor), in place into factor storage
+//!   allocated once — the right default for the paper-scale circuits
+//!   of a few dozen unknowns.
 //! - [`SparseSystem`]: a growable sparsity pattern over
 //!   [`SparseLu`], with split symbolic/numeric factorization. The
 //!   pattern is discovered from the stamps themselves (a stamp at a
@@ -19,6 +20,22 @@
 //!   [`SparseLu::refactor`] — the hot path for Newton iterations,
 //!   transient steps, AC frequency points, and `.STEP`/`.MC` batch
 //!   points that share one topology.
+//!
+//! **Stamp replay.** Assembly stamps in the same order every Newton
+//! iteration, so the sparse backend records the slot each
+//! [`add`](SystemMatrix::add) resolved to on a tape, and
+//! [`clear`](SystemMatrix::clear) rewinds it. A later `add` costs one
+//! coordinate compare against the taped slot — the binding SPICE3
+//! makes once per device at setup, learned here instead of declared.
+//! A stamp that does not match (a device whose Jacobian entries come
+//! and go) falls back to the coordinate map and re-records the tape
+//! from that point. Every slot still receives its terms in the order
+//! they were stamped, so replay never changes a sum. With the
+//! in-place factorizations and [`SystemMatrix::solve_into`], a
+//! steady-state Newton iteration does no hashing and no heap
+//! allocation on either backend. [`SolverStats::stamps`] and
+//! [`SolverStats::stamp_misses`] report how much of the assembly the
+//! tape served.
 //!
 //! Backend selection is [`MatrixBackend`]: `Auto` switches to sparse
 //! at [`AUTO_SPARSE_THRESHOLD`] unknowns, and
@@ -147,6 +164,12 @@ pub struct SolverStats {
     pub last_factor_us: u64,
     /// Wall time of the last refactorization, microseconds.
     pub last_refactor_us: u64,
+    /// Stamps ([`SystemMatrix::add`] calls) since the system was
+    /// created (0 on the dense backend).
+    pub stamps: u64,
+    /// Stamps the replay tape could not serve, which went through the
+    /// coordinate map instead (0 on the dense backend).
+    pub stamp_misses: u64,
 }
 
 impl Default for SolverStats {
@@ -167,6 +190,8 @@ impl Default for SolverStats {
             fallbacks: 0,
             last_factor_us: 0,
             last_refactor_us: 0,
+            stamps: 0,
+            stamp_misses: 0,
         }
     }
 }
@@ -185,10 +210,14 @@ impl SolverStats {
 /// A square system matrix that devices stamp into and analyses solve
 /// through.
 ///
-/// The lifecycle per solve is `clear → add… → factor → solve…`;
+/// The lifecycle per solve is `clear → add… → factor → solve_into…`;
 /// implementations may cache whatever structure survives between
-/// cycles (the sparse backend keeps its sparsity pattern and symbolic
-/// factorization).
+/// cycles. The sparse backend keeps its sparsity pattern, symbolic
+/// factorization and stamp tape, so a cycle that stamps the
+/// coordinates of the previous one in the same order replays their
+/// slots; the dense backend keeps its factor storage. Once both are
+/// warm, a cycle through [`solve_into`](Self::solve_into) allocates
+/// nothing.
 pub trait SystemMatrix<S: Scalar>: Send {
     /// Matrix order.
     fn n(&self) -> usize;
@@ -209,12 +238,24 @@ pub trait SystemMatrix<S: Scalar>: Send {
     /// [`NumericsError::Singular`] for singular systems.
     fn factor(&mut self) -> Result<()>;
 
-    /// Solves `A·x = b` against the last [`factor`](Self::factor).
+    /// Solves `A·x = b` against the last [`factor`](Self::factor),
+    /// writing the solution into `x`.
     ///
     /// # Errors
     ///
     /// Dimension mismatches, or calling before a successful factor.
-    fn solve(&self, b: &[S]) -> Result<Vec<S>>;
+    fn solve_into(&self, b: &[S], x: &mut [S]) -> Result<()>;
+
+    /// [`solve_into`](Self::solve_into) a new vector.
+    ///
+    /// # Errors
+    ///
+    /// As [`solve_into`](Self::solve_into).
+    fn solve(&self, b: &[S]) -> Result<Vec<S>> {
+        let mut x = vec![S::zero(); self.n()];
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
 
     /// Which concrete backend this is, for reports and tests.
     fn backend(&self) -> MatrixBackend;
@@ -259,7 +300,11 @@ pub fn new_system_solver<S: Scalar + Send + Sync + 'static>(
 /// Dense backend: [`DenseMatrix`] + full pivoted LU per factor.
 pub struct DenseSystem<S: Scalar> {
     m: DenseMatrix<S>,
+    /// Factor storage, allocated by the first factor and refactored in
+    /// place by every later one.
     lu: Option<LuFactors<S>>,
+    /// `lu` holds the factors of the current values.
+    factored: bool,
     factors: u64,
     last_factor_us: u64,
 }
@@ -270,6 +315,7 @@ impl<S: Scalar> DenseSystem<S> {
         DenseSystem {
             m: DenseMatrix::zeros(n, n),
             lu: None,
+            factored: false,
             factors: 0,
             last_factor_us: 0,
         }
@@ -283,7 +329,7 @@ impl<S: Scalar + Send + 'static> SystemMatrix<S> for DenseSystem<S> {
 
     fn clear(&mut self) {
         self.m.fill_zero();
-        self.lu = None;
+        self.factored = false;
     }
 
     fn add(&mut self, row: usize, col: usize, v: S) {
@@ -295,17 +341,22 @@ impl<S: Scalar + Send + 'static> SystemMatrix<S> for DenseSystem<S> {
     }
 
     fn factor(&mut self) -> Result<()> {
+        self.factored = false;
         let t0 = Instant::now();
-        self.lu = Some(LuFactors::factor(&self.m)?);
+        match &mut self.lu {
+            Some(lu) => lu.factor_in_place(&self.m)?,
+            None => self.lu = Some(LuFactors::factor(&self.m)?),
+        }
+        self.factored = true;
         self.factors += 1;
         self.last_factor_us = t0.elapsed().as_micros() as u64;
         Ok(())
     }
 
-    fn solve(&self, b: &[S]) -> Result<Vec<S>> {
+    fn solve_into(&self, b: &[S], x: &mut [S]) -> Result<()> {
         match &self.lu {
-            Some(lu) => lu.solve(b),
-            None => Err(NumericsError::InvalidInput(
+            Some(lu) if self.factored => lu.solve_into(b, x),
+            _ => Err(NumericsError::InvalidInput(
                 "solve called before factor".into(),
             )),
         }
@@ -323,10 +374,10 @@ impl<S: Scalar + Send + 'static> SystemMatrix<S> for DenseSystem<S> {
         let n = self.m.rows();
         SolverStats {
             backend: "dense",
-            factor_path: if self.lu.is_some() { "dense" } else { "none" },
+            factor_path: if self.factored { "dense" } else { "none" },
             n,
             pattern_nnz: n * n,
-            factor_nnz: if self.lu.is_some() { n * n } else { 0 },
+            factor_nnz: if self.factored { n * n } else { 0 },
             factors: self.factors,
             last_factor_us: self.last_factor_us,
             ..SolverStats::default()
@@ -337,18 +388,28 @@ impl<S: Scalar + Send + 'static> SystemMatrix<S> for DenseSystem<S> {
 /// Sparse backend: growable stamp pattern + split symbolic/numeric LU.
 pub struct SparseSystem<S: Scalar> {
     n: usize,
-    /// `(row << 32 | col)` → slot in [`vals`](Self::vals).
+    /// `(row << 32 | col)` → slot in [`vals`](Self::vals): the
+    /// fallback for stamps the tape cannot serve. Keys come from
+    /// decks, so it keeps std's collision-resistant hasher.
     slots: HashMap<u64, usize>,
-    /// Slot → coordinate, in insertion order.
+    /// Slot → coordinate. Slots are numbered in CSC order (by column,
+    /// then row) as of the last pattern rebuild, and new coordinates
+    /// append until the next one.
     coords: Vec<(u32, u32)>,
-    /// Assembled values, by slot.
+    /// Assembled values, by slot: the factorization's CSC values
+    /// whenever the pattern is clean.
     vals: Vec<S>,
-    /// CSC image of the pattern (rebuilt when the pattern grows).
+    /// Slot of each stamp since [`clear`](SystemMatrix::clear), as
+    /// recorded by the last assembly that got this far.
+    tape: Vec<u32>,
+    /// Stamps since `clear`: the next stamp replays `tape[cursor]`.
+    cursor: usize,
+    /// Stamps before the last `clear`.
+    stat_stamps: u64,
+    stat_stamp_misses: u64,
+    /// CSC structure of the pattern (rebuilt when the pattern grows).
     col_ptr: Vec<usize>,
     row_idx: Vec<usize>,
-    csc_vals: Vec<S>,
-    /// Slot → position in the CSC value array.
-    slot_to_pos: Vec<usize>,
     pattern_dirty: bool,
     lu: Option<SparseLu<S>>,
     factored: bool,
@@ -382,10 +443,12 @@ impl<S: Scalar> SparseSystem<S> {
             slots: HashMap::new(),
             coords: Vec::new(),
             vals: Vec::new(),
+            tape: Vec::new(),
+            cursor: 0,
+            stat_stamps: 0,
+            stat_stamp_misses: 0,
             col_ptr: Vec::new(),
             row_idx: Vec::new(),
-            csc_vals: Vec::new(),
-            slot_to_pos: Vec::new(),
             pattern_dirty: true,
             lu: None,
             factored: false,
@@ -424,20 +487,61 @@ impl<S: Scalar> SparseSystem<S> {
         !self.pattern_dirty && self.lu.is_some()
     }
 
+    /// The tape's miss path: resolves the stamp through the map
+    /// (growing the pattern on a new coordinate) and re-records the
+    /// tape from here on.
+    #[cold]
+    fn add_untaped(&mut self, row: usize, col: usize, v: S) {
+        let key = ((row as u64) << 32) | col as u64;
+        let slot = match self.slots.get(&key) {
+            Some(&slot) => {
+                self.vals[slot] += v;
+                slot
+            }
+            None => {
+                let slot = self.vals.len();
+                self.slots.insert(key, slot);
+                self.coords.push((row as u32, col as u32));
+                self.vals.push(v);
+                // A new structural entry invalidates the symbolic
+                // analysis; the pattern only ever grows, so devices
+                // whose Jacobian entries come and go (HDL models with
+                // locally-zero derivatives) converge on a stable
+                // superset after the first few assemblies.
+                self.pattern_dirty = true;
+                slot
+            }
+        };
+        self.stat_stamp_misses += 1;
+        self.tape.truncate(self.cursor);
+        self.tape
+            .push(u32::try_from(slot).expect("fewer than 2^32 stamp slots"));
+        self.cursor += 1;
+    }
+
+    /// Renumbers the slots into CSC order, so that [`vals`](Self::vals)
+    /// is the factorization's input as it stands, and rebuilds the
+    /// column structure.
     fn rebuild_csc(&mut self) {
-        // Sort slots by (col, row) to build the CSC image, remembering
-        // where each slot landed.
         let mut order: Vec<usize> = (0..self.coords.len()).collect();
         order.sort_unstable_by_key(|&s| (self.coords[s].1, self.coords[s].0));
+        let mut renumber = vec![0u32; order.len()];
+        for (pos, &slot) in order.iter().enumerate() {
+            renumber[slot] = pos as u32;
+        }
+        self.coords = order.iter().map(|&slot| self.coords[slot]).collect();
+        self.vals = order.iter().map(|&slot| self.vals[slot]).collect();
+        for slot in self.slots.values_mut() {
+            *slot = renumber[*slot] as usize;
+        }
+        for slot in &mut self.tape {
+            *slot = renumber[*slot as usize];
+        }
         self.col_ptr = vec![0; self.n + 1];
         self.row_idx = Vec::with_capacity(order.len());
-        self.csc_vals = vec![S::zero(); order.len()];
-        self.slot_to_pos = vec![0; order.len()];
-        for (pos, &slot) in order.iter().enumerate() {
-            let (r, c) = self.coords[slot];
+        for &(r, c) in &self.coords {
             self.col_ptr[c as usize + 1] += 1;
             self.row_idx.push(r as usize);
-            self.slot_to_pos[slot] = pos;
         }
         for c in 0..self.n {
             self.col_ptr[c + 1] += self.col_ptr[c];
@@ -479,27 +583,22 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
 
     fn clear(&mut self) {
         self.vals.iter_mut().for_each(|v| *v = S::zero());
+        self.stat_stamps += self.cursor as u64;
+        self.cursor = 0;
         self.factored = false;
     }
 
     fn add(&mut self, row: usize, col: usize, v: S) {
         debug_assert!(row < self.n && col < self.n, "stamp out of bounds");
-        let key = ((row as u64) << 32) | col as u64;
-        match self.slots.get(&key) {
-            Some(&slot) => self.vals[slot] += v,
-            None => {
-                let slot = self.vals.len();
-                self.slots.insert(key, slot);
-                self.coords.push((row as u32, col as u32));
-                self.vals.push(v);
-                // A new structural entry invalidates the symbolic
-                // analysis; the pattern only ever grows, so devices
-                // whose Jacobian entries come and go (HDL models with
-                // locally-zero derivatives) converge on a stable
-                // superset after the first few assemblies.
-                self.pattern_dirty = true;
+        if let Some(&slot) = self.tape.get(self.cursor) {
+            let slot = slot as usize;
+            if self.coords[slot] == (row as u32, col as u32) {
+                self.vals[slot] += v;
+                self.cursor += 1;
+                return;
             }
         }
+        self.add_untaped(row, col, v);
     }
 
     fn all_finite(&self) -> bool {
@@ -511,14 +610,11 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
         if self.pattern_dirty {
             self.rebuild_csc();
         }
-        for (slot, &pos) in self.slot_to_pos.iter().enumerate() {
-            self.csc_vals[pos] = self.vals[slot];
-        }
         let view = CscView {
             n: self.n,
             col_ptr: &self.col_ptr,
             row_idx: &self.row_idx,
-            values: &self.csc_vals,
+            values: &self.vals,
         };
         let t0 = Instant::now();
         let order = self.col_order.as_deref().map(Vec::as_slice);
@@ -556,15 +652,10 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
         Ok(())
     }
 
-    fn solve(&self, b: &[S]) -> Result<Vec<S>> {
-        if !self.factored {
-            return Err(NumericsError::InvalidInput(
-                "solve called before factor".into(),
-            ));
-        }
+    fn solve_into(&self, b: &[S], x: &mut [S]) -> Result<()> {
         match &self.lu {
-            Some(lu) => lu.solve(b),
-            None => Err(NumericsError::InvalidInput(
+            Some(lu) if self.factored => lu.solve_into(b, x),
+            _ => Err(NumericsError::InvalidInput(
                 "solve called before factor".into(),
             )),
         }
@@ -603,6 +694,8 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
             fallbacks: self.stat_fallbacks,
             last_factor_us: self.stat_last_factor_us,
             last_refactor_us: self.stat_last_refactor_us,
+            stamps: self.stat_stamps + self.cursor as u64,
+            stamp_misses: self.stat_stamp_misses,
             ..SolverStats::default()
         }
     }
@@ -611,6 +704,7 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mems_numerics::Complex64;
 
     fn stamp_all<S: Scalar + 'static>(
         sys: &mut dyn SystemMatrix<S>,
@@ -779,6 +873,102 @@ mod tests {
         assert!((x[0] + 1.0).abs() < 1e-12, "{x:?}");
         assert!((x[1] - 2.0).abs() < 1e-12, "{x:?}");
         assert!((x[2] - 1.0).abs() < 1e-12, "{x:?}");
+    }
+
+    /// Stamps `base`, then `pass` twice, into one system, checking
+    /// after each `pass` that every entry equals, bit for bit, a fresh
+    /// system fed the same stamps, and that only the first `pass`
+    /// misses the tape.
+    fn replay_diverging_pass<S: Scalar + Send + Sync + 'static>(
+        base: &[(usize, usize, S)],
+        pass: &[(usize, usize, S)],
+    ) {
+        let n = 4;
+        let misses = |sys: &SparseSystem<S>| sys.solver_stats().stamp_misses;
+        let mut sys = SparseSystem::<S>::new(n);
+        stamp_all(&mut sys, base);
+        assert_eq!(
+            misses(&sys),
+            base.len() as u64,
+            "an empty tape serves nothing"
+        );
+        sys.factor().unwrap();
+        sys.clear();
+        stamp_all(&mut sys, base);
+        assert_eq!(misses(&sys), base.len() as u64, "the same order replays");
+        let mut expected_misses = base.len() as u64;
+        for round in 0..2 {
+            sys.clear();
+            stamp_all(&mut sys, pass);
+            let mut fresh = SparseSystem::<S>::new(n);
+            stamp_all(&mut fresh, pass);
+            for r in 0..n {
+                for c in 0..n {
+                    assert_eq!(
+                        format!("{:?}", sys.get(r, c)),
+                        format!("{:?}", fresh.get(r, c)),
+                        "round {round} ({r}, {c})"
+                    );
+                }
+            }
+            let now = misses(&sys);
+            if round == 0 {
+                assert!(now > expected_misses, "the diverging pass must miss");
+                expected_misses = now;
+            } else {
+                assert_eq!(now, expected_misses, "repeating the new order replays");
+            }
+            sys.factor().unwrap();
+        }
+        let stamps = (2 * base.len() + 2 * pass.len()) as u64;
+        assert_eq!(sys.solver_stats().stamps, stamps);
+    }
+
+    /// A stamp sequence with repeated coordinates, whose sums depend
+    /// on the order they are formed in.
+    fn tape_base() -> Vec<(usize, usize, f64)> {
+        vec![
+            (0, 0, 0.1),
+            (0, 1, -0.25),
+            (1, 1, 2.0),
+            (0, 0, 0.2),
+            (1, 0, 0.1),
+            (2, 2, 3.0),
+            (0, 0, 0.3),
+            (3, 3, 1.0),
+            (2, 3, -0.7),
+            (3, 2, 0.3),
+            (1, 1, 1e-17),
+        ]
+    }
+
+    #[test]
+    fn stamp_tape_survives_every_kind_of_divergence() {
+        let base = tape_base();
+        let mut reordered = base.clone();
+        reordered.reverse();
+        let mut extra = base.clone();
+        extra.insert(4, (3, 0, 0.9));
+        let mut missing = base.clone();
+        missing.remove(3);
+        for pass in [&reordered, &extra, &missing] {
+            replay_diverging_pass(&base, pass);
+            // The complex (AC) system replays the same way.
+            let lift = |t: &[(usize, usize, f64)]| -> Vec<(usize, usize, Complex64)> {
+                t.iter()
+                    .map(|&(r, c, v)| (r, c, Complex64::new(v, -0.5 * v)))
+                    .collect()
+            };
+            replay_diverging_pass(&lift(&base), &lift(pass));
+        }
+    }
+
+    #[test]
+    fn dense_systems_report_no_stamps() {
+        let mut sys = DenseSystem::<f64>::new(4);
+        stamp_all(&mut sys, &tape_base());
+        let st = sys.solver_stats();
+        assert_eq!((st.stamps, st.stamp_misses), (0, 0));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the physics to tight tolerances (the backends factor in different
 //! orders, so bit-equality is not expected — 1e-10 relative is).
 
-use mems::netlist::{run_deck, AnalysisOutcome, Deck};
+use mems::netlist::{run_deck, AnalysisOutcome, Deck, DeckRun};
 use mems::numerics::sparse_lu::{CscMatrix, SparseLu};
 use mems::numerics::NumericsError;
 use mems::spice::analysis::dcop;
@@ -35,14 +35,21 @@ fn with_backend(src: &str, sparse: bool) -> String {
     lines.join("\n")
 }
 
-fn run_variant(src: &str, sparse: bool) -> Vec<(String, AnalysisOutcome)> {
+fn run_backend(src: &str, sparse: bool) -> DeckRun {
     let src = with_backend(src, sparse);
     let deck = Deck::parse(&src).unwrap_or_else(|e| panic!("{}", e.render(&src)));
-    let run = run_deck(&deck).unwrap_or_else(|e| panic!("{}", e.render(&src)));
+    run_deck(&deck).unwrap_or_else(|e| panic!("{}", e.render(&src)))
+}
+
+fn outcomes(run: DeckRun) -> Vec<(String, AnalysisOutcome)> {
     run.outcomes
         .into_iter()
         .map(|(card, outcome)| (card.kind_name().to_string(), outcome))
         .collect()
+}
+
+fn run_variant(src: &str, sparse: bool) -> Vec<(String, AnalysisOutcome)> {
+    outcomes(run_backend(src, sparse))
 }
 
 /// Asserts two traces agree to `rel` relative to the trace scale.
@@ -64,11 +71,23 @@ fn assert_traces_agree(label: &str, a: &[f64], b: &[f64], rel: f64) {
 fn eletran_deck_backends_agree() {
     // Fixed-step transient so both backends take the identical step
     // sequence; the adaptive controller's accept/reject decisions
-    // could otherwise diverge on last-bit differences.
-    let src = load_deck("eletran_transient.cir").replace(".TRAN 0.2m 90m", ".TRAN 0.2m 30m fixed");
+    // could otherwise diverge on last-bit differences. It spans the
+    // deck's whole 90 ms, so the replayed share below is measured
+    // well past the pulse edge.
+    let src = load_deck("eletran_transient.cir").replace(".TRAN 0.2m 90m", ".TRAN 0.2m 90m fixed");
     assert!(src.contains("fixed"), "replacement failed: deck changed?");
     let dense = run_variant(&src, false);
-    let sparse = run_variant(&src, true);
+    let sparse_run = run_backend(&src, true);
+    // The force's dV entries are exactly 0 at the 0 V operating
+    // point, so they join the sparse pattern only when the pulse
+    // starts at 2 ms: the stamp tape must miss there and replay the
+    // rest.
+    let (name, st) = &sparse_run.solver[0];
+    assert_eq!(name, "real");
+    assert!(st.stamp_misses > 0, "{st:?}");
+    let replayed = 1.0 - st.stamp_misses as f64 / st.stamps as f64;
+    assert!(replayed > 0.99, "replayed share {replayed} ({st:?})");
+    let sparse = outcomes(sparse_run);
     assert_eq!(dense.len(), sparse.len());
     for ((_, d), (_, s)) in dense.iter().zip(&sparse) {
         match (d, s) {

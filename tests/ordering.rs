@@ -3,8 +3,9 @@
 //! the AMD and nested-dissection permutations must always be valid
 //! bijections, permuted factor/refactor solves must agree with
 //! natural-order solves to ≤ 1e-12 and with the dense backend to
-//! ≤ 1e-10 (in f64 and, for the AC path, in Complex64), and the
-//! dead-pivot → full re-pivot fallback must keep working under a
+//! ≤ 1e-10 (in f64 and, for the AC path, in Complex64), a refactor of
+//! the analyzed values must reproduce a fresh factor bit for bit, and
+//! the dead-pivot → full re-pivot fallback must keep working under a
 //! permutation.
 
 use mems::numerics::ordering::{amd_order, is_permutation, nd_order, FillOrdering};
@@ -179,7 +180,8 @@ proptest! {
     /// The f64 instantiation (the DC and transient path): natural, AMD
     /// and ND sparse solves, and the sparse backend's factor and
     /// refactor, agree with the dense backend to ≤ 1e-10 on random
-    /// symmetric and unsymmetric systems.
+    /// symmetric and unsymmetric systems, and an AMD refactor of the
+    /// analyzed values equals the fresh factor bit for bit.
     #[test]
     fn sparse_solves_match_dense(
         seed in 0i64..1_000_000,
@@ -211,6 +213,13 @@ proptest! {
             .iter()
             .map(|&(i, j, v)| (i, j, v * 1.25 + if i == j { 0.5 } else { 0.0 }))
             .collect();
+        // Refactoring the analyzed values replays their sums exactly,
+        // after a refactor of other values whether it was kept or
+        // rejected.
+        let mut lu = SparseLu::factor_ordered(&csc.view(), &amd).unwrap();
+        let _ = lu.refactor(&CscMatrix::from_triplets(n, &drifted).view());
+        lu.refactor(&csc.view()).unwrap();
+        prop_assert_eq!(format!("{:?}", lu.solve(&b).unwrap()), format!("{:?}", solves[1].1));
         let mut sys = SparseSystem::<f64>::with_ordering(n, FillOrdering::Auto);
         for (pass, t) in [t, drifted].iter().enumerate() {
             sys.clear();
@@ -231,7 +240,8 @@ proptest! {
     /// The Complex64 instantiation (the AC path): natural, AMD and ND
     /// sparse solves, and the sparse backend's factor and refactor,
     /// agree with the dense backend to ≤ 1e-10 on random complex
-    /// systems.
+    /// systems, and an AMD refactor of the analyzed values equals the
+    /// fresh factor bit for bit.
     #[test]
     fn complex_sparse_solves_match_dense(
         seed in 0i64..1_000_000,
@@ -274,6 +284,13 @@ proptest! {
             .iter()
             .map(|&(i, j, v)| (i, j, v * 1.25 + if i == j { 0.5 } else { 0.0 }))
             .collect();
+        // Refactoring the analyzed values replays their sums exactly,
+        // after a refactor of other values whether it was kept or
+        // rejected.
+        let mut lu = SparseLu::factor_ordered(&csc.view(), &amd).unwrap();
+        let _ = lu.refactor(&CscMatrix::from_triplets(n, &complexify(&drifted)).view());
+        lu.refactor(&csc.view()).unwrap();
+        prop_assert_eq!(format!("{:?}", lu.solve(&b).unwrap()), format!("{:?}", solves[1].1));
         let mut sys = SparseSystem::<Complex64>::with_ordering(n, FillOrdering::Auto);
         for (pass, t) in [t, complexify(&drifted)].iter().enumerate() {
             sys.clear();
