@@ -11,6 +11,12 @@
 //!
 //! The tracked number keeps the cache honest: BENCH_*.json records
 //! the cold/warm ratio instead of quoting it in prose.
+//!
+//! Both open a `Connection: close` socket per request, so neither can
+//! see a stall that only a reused connection hits (a response split
+//! over several writes waiting on the client's delayed ACK). The
+//! **keepalive** series covers that: [`KEEPALIVE_JOBS`] submit →
+//! full-stream round trips on one kept-alive connection.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mems_serve::{ServeConfig, Server};
@@ -25,6 +31,69 @@ const SWEEP_DECK: &str = "serve roundtrip divider\n\
     .op\n\
     .print op v(out)\n\
     .step param rload 500 2000 100\n";
+
+/// Round trips per `keepalive` iteration.
+const KEEPALIVE_JOBS: usize = 10;
+
+/// One kept-alive client connection: each request leaves in one
+/// write and each response is read to the end of its framing, so the
+/// socket is reused for the next.
+struct KeepAlive(BufReader<TcpStream>);
+
+impl KeepAlive {
+    fn connect(addr: SocketAddr) -> Self {
+        KeepAlive(BufReader::new(TcpStream::connect(addr).expect("connect")))
+    }
+
+    /// Sends one request and returns the (de-chunked) response body.
+    fn request(&mut self, method: &str, path: &str, body: &str) -> String {
+        let req = format!(
+            "{method} {path} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        self.0.get_mut().write_all(req.as_bytes()).expect("write");
+        let mut line = String::new();
+        self.0.read_line(&mut line).expect("status");
+        assert!(line.contains("200") || line.contains("201"), "{line}");
+        let (mut length, mut chunked) = (0usize, false);
+        loop {
+            let mut line = String::new();
+            self.0.read_line(&mut line).expect("header");
+            let line = line.trim_end_matches(['\r', '\n']).to_ascii_lowercase();
+            if line.is_empty() {
+                break;
+            }
+            if let Some(v) = line.strip_prefix("content-length:") {
+                length = v.trim().parse().expect("length");
+            }
+            chunked |= line == "transfer-encoding: chunked";
+        }
+        let body = if chunked {
+            mems_serve::http::read_chunked_body(&mut self.0).expect("chunked body")
+        } else {
+            let mut body = vec![0u8; length];
+            self.0.read_exact(&mut body).expect("body");
+            body
+        };
+        String::from_utf8(body).expect("utf8")
+    }
+
+    /// Submits `deck` and reads its results stream to the tail.
+    fn submit_and_stream(&mut self, deck: &str) {
+        let created = self.request("POST", "/v1/jobs", deck);
+        let id = job_id(&created);
+        let results = self.request("GET", &format!("/v1/jobs/{id}/results"), "");
+        assert!(results.ends_with("\"state\":\"done\"}"), "{results}");
+    }
+}
+
+fn job_id(created: &str) -> u64 {
+    created
+        .split_once("\"id\":")
+        .and_then(|(_, rest)| rest.split(',').next())
+        .and_then(|n| n.parse().ok())
+        .expect("job id")
+}
 
 /// One-shot HTTP request; returns the response body.
 fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> String {
@@ -62,12 +131,7 @@ fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> String {
 /// moment it exists, so this measures true submit→first-result
 /// latency, not a poll interval.
 fn submit_to_first_result(addr: SocketAddr, deck: &str) {
-    let created = http(addr, "POST", "/v1/jobs", deck);
-    let id: u64 = created
-        .split_once("\"id\":")
-        .and_then(|(_, rest)| rest.split(',').next())
-        .and_then(|n| n.parse().ok())
-        .expect("job id");
+    let id = job_id(&http(addr, "POST", "/v1/jobs", deck));
 
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
@@ -127,6 +191,14 @@ fn bench_roundtrip(c: &mut Criterion) {
     submit_to_first_result(addr, SWEEP_DECK);
     group.bench_function("warm_submit_to_first_result", |b| {
         b.iter(|| submit_to_first_result(addr, SWEEP_DECK))
+    });
+    let mut conn = KeepAlive::connect(addr);
+    group.bench_function("keepalive_submit_to_stream_x10", |b| {
+        b.iter(|| {
+            for _ in 0..KEEPALIVE_JOBS {
+                conn.submit_and_stream(SWEEP_DECK);
+            }
+        })
     });
     group.finish();
 

@@ -20,6 +20,7 @@
 use crate::ast::{AnalysisCard, Deck, McDist, StepValues};
 use crate::elab::{
     run_elaborated_ctx, sim_options, AnalysisOutcome, DeckRun, Elaborator, ParamEnv, RunCtx,
+    MAX_POINTS,
 };
 use crate::error::{NetlistError, Result};
 use mems_numerics::stats::{self, TraceStats};
@@ -110,10 +111,6 @@ pub struct PointResult {
     pub outcome: std::result::Result<Vec<Metric>, String>,
 }
 
-/// Bound on an `.MC` point count and on the `.STEP` × `.MC` cross
-/// product.
-const MAX_POINTS: usize = 1_000_000;
-
 /// The failure message recorded for points a [`CancelToken`] stopped
 /// before they ran (and matched on by the CLI's partial-batch
 /// reporting).
@@ -202,8 +199,10 @@ pub fn batch_points_with(elab: &Elaborator<'_>) -> Result<Vec<BatchPoint>> {
                         stop.eval(&nominal)?,
                         step.eval(&nominal)?,
                     );
-                    crate::elab::linear_points(v0, v1, dv)
-                        .ok_or_else(|| NetlistError::elab_at("bad `.STEP` range", card.span))?
+                    let (count, values) = crate::elab::linear_range(v0, v1, dv)
+                        .ok_or_else(|| NetlistError::elab_at("bad `.STEP` range", card.span))?;
+                    crate::elab::within_point_limit(".STEP", count, card.span)?;
+                    values.collect()
                 }
                 StepValues::List(exprs) => {
                     let mut out = Vec::with_capacity(exprs.len());
@@ -223,7 +222,7 @@ pub fn batch_points_with(elab: &Elaborator<'_>) -> Result<Vec<BatchPoint>> {
             let n = card.n.eval(&nominal)?.round();
             if !(1.0..=MAX_POINTS as f64).contains(&n) {
                 return Err(NetlistError::elab_at(
-                    format!("`.MC` point count must be in 1..=1e6, got {n}"),
+                    format!("`.MC` point count must be in 1..={MAX_POINTS}, got {n}"),
                     card.span,
                 ));
             }
@@ -236,7 +235,7 @@ pub fn batch_points_with(elab: &Elaborator<'_>) -> Result<Vec<BatchPoint>> {
                     return Err(NetlistError::elab_at(
                         format!(
                             "`.STEP` × `.MC` would run {} × {n} = {total} points; \
-                             a batch may run at most 1e6",
+                             a batch may run at most {MAX_POINTS}",
                             values.len()
                         ),
                         card.span,
@@ -705,6 +704,17 @@ R2 out 0 {rbot}
         let r = err.render(src);
         assert!(r.contains("1001 × 1000 = 1001000 points"), "{r}");
         assert!(r.contains("line 7"), "{r}");
+    }
+
+    #[test]
+    fn step_range_past_the_limit_names_its_count() {
+        // It used to read "bad `.STEP` range", like a malformed one.
+        let src = "st\n.param r=1k\nVs in 0 1\nR1 in 0 {r}\n.op\n.step param r 1 2000000 1\n";
+        let r = batch_points(&Deck::parse(src).unwrap())
+            .unwrap_err()
+            .render(src);
+        assert!(r.contains("`.STEP` would produce 2000000 points"), "{r}");
+        assert!(r.contains("line 6"), "{r}");
     }
 
     #[test]

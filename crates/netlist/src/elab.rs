@@ -44,6 +44,12 @@ use std::collections::HashMap;
 /// Parameter environment: lower-cased name → value.
 pub type ParamEnv = HashMap<String, f64>;
 
+/// Most output points one analysis card may produce, and most points
+/// one `.STEP`/`.MC` batch may run. Both are counted before anything
+/// is allocated, so a deck asking for more is a spanned diagnostic,
+/// not an out-of-memory abort.
+pub const MAX_POINTS: usize = 1_000_000;
+
 /// Evaluates the deck's `.PARAM` chain under `overrides` (override
 /// wins over the defining expression; later definitions may reference
 /// earlier ones).
@@ -146,7 +152,108 @@ impl<'d> Elaborator<'d> {
         };
         let mut stack = Vec::new();
         elab.flatten_body(&deck.devices, 0, "", &HashMap::new(), &mut stack)?;
+        // Analysis cards are checked at nominal parameters here, so
+        // `mems check` and a served submit refuse what `mems run`
+        // would; each run checks them again at its own point.
+        let nominal = param_env(deck, &ParamEnv::new())?;
+        for card in &deck.analyses {
+            elab.plan(card, &nominal)?;
+        }
         Ok(elab)
+    }
+
+    /// Evaluates `card` under `env` and checks it before anything
+    /// runs: a well-formed range, a `.DC` target the deck declares,
+    /// and an output point count — ⌈tstop/tstep⌉ + 1 for `.TRAN`, the
+    /// frequency count for `.AC`, the value count for `.DC` — of at
+    /// most [`MAX_POINTS`], counted before anything is allocated.
+    fn plan<'c>(&self, card: &'c AnalysisCard, env: &ParamEnv) -> Result<Plan<'c>> {
+        match card {
+            AnalysisCard::Op { .. } => Ok(Plan::Op),
+            AnalysisCard::Dc {
+                sweep,
+                start,
+                stop,
+                step,
+                span,
+            } => {
+                match sweep {
+                    DcSweepVar::Source(src) if !self.has_source(src) => {
+                        return Err(NetlistError::elab_at(
+                            format!("`.DC` sweeps unknown source `{src}`"),
+                            *span,
+                        ));
+                    }
+                    DcSweepVar::Param(p) if !self.declares_param(p) => {
+                        return Err(NetlistError::elab_at(
+                            format!("`.DC PARAM` sweeps undeclared parameter `{p}`"),
+                            *span,
+                        ));
+                    }
+                    _ => {}
+                }
+                let (v0, v1, dv) = (start.eval(env)?, stop.eval(env)?, step.eval(env)?);
+                let (count, values) = linear_range(v0, v1, dv)
+                    .ok_or_else(|| NetlistError::elab_at("bad `.DC` range", *span))?;
+                within_point_limit(".DC", count, *span)?;
+                Ok(Plan::Dc {
+                    sweep,
+                    values: values.collect(),
+                })
+            }
+            AnalysisCard::Ac { sweep, span } => {
+                let fs = match sweep {
+                    AcSweepSpec::Decade { n, fstart, fstop } => FreqSweep::Decade {
+                        start: fstart.eval(env)?,
+                        stop: fstop.eval(env)?,
+                        points_per_decade: n.eval(env)?.round().max(1.0) as usize,
+                    },
+                    AcSweepSpec::Linear { n, fstart, fstop } => FreqSweep::Linear {
+                        start: fstart.eval(env)?,
+                        stop: fstop.eval(env)?,
+                        points: n.eval(env)?.round().max(2.0) as usize,
+                    },
+                    AcSweepSpec::List(fs) => {
+                        let mut out = Vec::with_capacity(fs.len());
+                        for f in fs {
+                            out.push(f.eval(env)?);
+                        }
+                        FreqSweep::List(out)
+                    }
+                };
+                let count = fs
+                    .point_count()
+                    .map_err(|e| NetlistError::elab_at(e.to_string(), *span))?;
+                within_point_limit(".AC", count as f64, *span)?;
+                Ok(Plan::Ac(fs))
+            }
+            AnalysisCard::Tran {
+                tstep,
+                tstop,
+                fixed,
+                span,
+            } => {
+                let (h, t1) = (tstep.eval(env)?, tstop.eval(env)?);
+                if !(h > 0.0 && t1 > 0.0 && h < t1) {
+                    return Err(NetlistError::elab_at(
+                        format!("bad `.TRAN` times (tstep {h:.3e}, tstop {t1:.3e})"),
+                        *span,
+                    ));
+                }
+                within_point_limit(".TRAN", (t1 / h).ceil() + 1.0, *span)?;
+                Ok(Plan::Tran(if *fixed {
+                    TranOptions::fixed_step(t1, h)
+                } else {
+                    // `tstep` is both the initial and the maximum step
+                    // (SPICE's `tmax` defaulting), so deck authors
+                    // control output resolution directly.
+                    let mut o = TranOptions::new(t1);
+                    o.h_init = Some(h);
+                    o.h_max = Some(h);
+                    o
+                }))
+            }
+        }
     }
 
     /// Flattens one body (the top level or a subcircuit's card list)
@@ -925,32 +1032,17 @@ pub fn run_elaborated_ctx(
     }
     let mut outcomes = Vec::new();
     for card in &deck.analyses {
-        let outcome = match card {
-            AnalysisCard::Op { .. } => {
+        let outcome = match elab.plan(card, &env)? {
+            Plan::Op => {
                 let (mut ckt, _) = elab.build(overrides, None)?;
                 let guess = ctx.op_guess.clone();
                 let ws = ctx.workspace();
                 let op = dcop::solve_in(&mut ckt, &sim, guess.as_deref(), ws)?;
                 AnalysisOutcome::Op(op)
             }
-            AnalysisCard::Dc {
-                sweep: var,
-                start,
-                stop,
-                step,
-                span,
-            } => {
-                let (v0, v1, dv) = (start.eval(&env)?, stop.eval(&env)?, step.eval(&env)?);
-                let values = linear_points(v0, v1, dv)
-                    .ok_or_else(|| NetlistError::elab_at("bad `.DC` range", *span))?;
-                let (var_name, result) = match var {
+            Plan::Dc { sweep, values } => {
+                let (var_name, result) = match sweep {
                     DcSweepVar::Source(src) => {
-                        if !elab.has_source(src) {
-                            return Err(NetlistError::elab_at(
-                                format!("`.DC` sweeps unknown source `{src}`"),
-                                *span,
-                            ));
-                        }
                         let result = dc_sweep_in(
                             |v| build_circuit(elab, overrides, Some((src.as_str(), v))),
                             &values,
@@ -960,12 +1052,6 @@ pub fn run_elaborated_ctx(
                         (format!("v({src})"), result)
                     }
                     DcSweepVar::Param(p) => {
-                        if !elab.declares_param(p) {
-                            return Err(NetlistError::elab_at(
-                                format!("`.DC PARAM` sweeps undeclared parameter `{p}`"),
-                                *span,
-                            ));
-                        }
                         let result = dc_sweep_in(
                             |v| {
                                 let mut o = overrides.clone();
@@ -984,29 +1070,7 @@ pub fn run_elaborated_ctx(
                     result,
                 }
             }
-            AnalysisCard::Ac {
-                sweep: spec,
-                span: _,
-            } => {
-                let fs = match spec {
-                    AcSweepSpec::Decade { n, fstart, fstop } => FreqSweep::Decade {
-                        start: fstart.eval(&env)?,
-                        stop: fstop.eval(&env)?,
-                        points_per_decade: n.eval(&env)?.round().max(1.0) as usize,
-                    },
-                    AcSweepSpec::Linear { n, fstart, fstop } => FreqSweep::Linear {
-                        start: fstart.eval(&env)?,
-                        stop: fstop.eval(&env)?,
-                        points: n.eval(&env)?.round().max(2.0) as usize,
-                    },
-                    AcSweepSpec::List(fs) => {
-                        let mut out = Vec::with_capacity(fs.len());
-                        for f in fs {
-                            out.push(f.eval(&env)?);
-                        }
-                        FreqSweep::List(out)
-                    }
-                };
+            Plan::Ac(fs) => {
                 let (mut ckt, _) = elab.build(overrides, None)?;
                 // Same reuse shape as the other analyses: operating
                 // point through the shared real workspace (with the
@@ -1019,30 +1083,7 @@ pub fn run_elaborated_ctx(
                 let ac = run_ac_with_op_in(&mut ckt, &freqs, &op, sys)?;
                 AnalysisOutcome::Ac(ac)
             }
-            AnalysisCard::Tran {
-                tstep,
-                tstop,
-                fixed,
-                span,
-            } => {
-                let (h, t1) = (tstep.eval(&env)?, tstop.eval(&env)?);
-                if !(h > 0.0 && t1 > 0.0 && h < t1) {
-                    return Err(NetlistError::elab_at(
-                        format!("bad `.TRAN` times (tstep {h:.3e}, tstop {t1:.3e})"),
-                        *span,
-                    ));
-                }
-                let opts = if *fixed {
-                    TranOptions::fixed_step(t1, h)
-                } else {
-                    // `tstep` is both the initial and the maximum step
-                    // (SPICE's `tmax` defaulting), so deck authors
-                    // control output resolution directly.
-                    let mut o = TranOptions::new(t1);
-                    o.h_init = Some(h);
-                    o.h_max = Some(h);
-                    o
-                };
+            Plan::Tran(opts) => {
                 let (mut ckt, _) = elab.build(overrides, None)?;
                 let guess = ctx.op_guess.clone();
                 let ws = ctx.workspace();
@@ -1084,8 +1125,45 @@ fn build_circuit(
         .map_err(|e| mems_spice::SpiceError::Build(e.to_string()))
 }
 
-/// Inclusive linear range with sign-checked step.
-pub(crate) fn linear_points(start: f64, stop: f64, step: f64) -> Option<Vec<f64>> {
+/// An analysis card evaluated under one parameter environment and
+/// checked (see [`Elaborator::plan`]).
+enum Plan<'c> {
+    Op,
+    Dc {
+        sweep: &'c DcSweepVar,
+        values: Vec<f64>,
+    },
+    Ac(FreqSweep),
+    Tran(TranOptions),
+}
+
+/// Refuses the card at `span` (`.TRAN`, `.STEP`, …) when it asks for
+/// more than [`MAX_POINTS`] points; `count` is a float because a
+/// hostile card can ask for more points than any integer type holds.
+pub(crate) fn within_point_limit(card: &str, count: f64, span: Span) -> Result<()> {
+    if count <= MAX_POINTS as f64 {
+        return Ok(());
+    }
+    let count = if count < 1e15 {
+        format!("{count:.0}")
+    } else {
+        format!("{count:.3e}")
+    };
+    Err(NetlistError::elab_at(
+        format!("`{card}` would produce {count} points; the limit is {MAX_POINTS}"),
+        span,
+    ))
+}
+
+/// The inclusive linear range `start..=stop` with sign-checked step:
+/// its point count and, lazily, its values; `None` when it is
+/// malformed. Nothing is allocated, so a caller can bound the count
+/// first.
+pub(crate) fn linear_range(
+    start: f64,
+    stop: f64,
+    step: f64,
+) -> Option<(f64, impl Iterator<Item = f64>)> {
     if step == 0.0 || !step.is_finite() || !start.is_finite() || !stop.is_finite() {
         return None;
     }
@@ -1094,11 +1172,11 @@ pub(crate) fn linear_points(start: f64, stop: f64, step: f64) -> Option<Vec<f64>
     } else {
         -step
     };
-    let n = ((stop - start) / step).round() as i64;
-    if !(0..=1_000_000).contains(&n) {
-        return None;
-    }
-    Some((0..=n).map(|i| start + step * i as f64).collect())
+    let count = ((stop - start) / step).round() + 1.0;
+    Some((
+        count,
+        (0..count as usize).map(move |i| start + step * i as f64),
+    ))
 }
 
 #[cfg(test)]
@@ -1115,6 +1193,48 @@ mod tests {
         assert_send::<Deck>();
         assert_sync::<Deck>();
         assert_send::<RunCtx>();
+    }
+
+    /// The RC deck of every bad-analysis test, with `card` on line 5.
+    fn rc_deck(card: &str) -> String {
+        format!("tr\nV1 1 0 PULSE(0 1 0 1n 1n 1n 2n)\nR1 1 2 1k\nC1 2 0 1p\n{card}\n.end\n")
+    }
+
+    #[test]
+    fn analysis_cards_are_checked_at_elaboration() {
+        // Each card used to elaborate and then fail, or exhaust
+        // memory, only once it ran.
+        for (card, expect) in [
+            (".tran 1e-18 1", "`.TRAN` would produce 1.000e18 points"),
+            (
+                ".ac dec 1e12 1 1e9",
+                "`.AC` would produce 9000000000001 points",
+            ),
+            (".dc V1 0 1 1e-15", "`.DC` would produce 1.000e15 points"),
+            (".tran 1n 1e-300", "bad `.TRAN` times"),
+            (".ac lin 2 0 0", "bad linear sweep"),
+            (".dc V9 0 1 0.1", "`.DC` sweeps unknown source `v9`"),
+        ] {
+            let src = rc_deck(card);
+            let deck = Deck::parse(&src).unwrap();
+            let err = Elaborator::new(&deck).err().expect(card);
+            let r = err.render(&src);
+            assert!(r.contains(expect) && r.contains("(line 5, col 1)"), "{r}");
+        }
+        // The limit is inclusive: 10⁶ output points still elaborate.
+        let deck = Deck::parse(&rc_deck(".dc V1 1 1000000 1")).unwrap();
+        assert!(Elaborator::new(&deck).is_ok());
+    }
+
+    #[test]
+    fn every_run_checks_its_own_point() {
+        // Nominal `tstep` is fine; the point's override asks for 10⁷
+        // output points and is refused before anything runs.
+        let deck = Deck::parse("tr\n.param h=1m\nV1 1 0 1\nR1 1 0 1k\n.tran {h} 10m\n").unwrap();
+        let elab = Elaborator::new(&deck).unwrap();
+        let overrides: ParamEnv = [("h".to_string(), 1e-9)].into();
+        let err = run_elaborated(&elab, &overrides).unwrap_err();
+        assert!(err.to_string().contains("would produce"), "{err}");
     }
 
     fn divider_deck() -> Deck {

@@ -370,130 +370,158 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
+/// Appends a response head — status line, the given header lines,
+/// `extra_headers` and the blank line — to `out`.
+fn push_head(out: &mut Vec<u8>, status: u16, headers: &str, extra_headers: &[(&str, &str)]) {
+    out.extend_from_slice(format!("HTTP/1.1 {status} {}\r\n{headers}", reason(status)).as_bytes());
+    for (name, value) in extra_headers {
+        out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
+    }
+    out.extend_from_slice(b"\r\n");
+}
+
 /// Writes a complete response with fixed length, the given content
-/// type, and optional extra headers (e.g. `Retry-After`).
+/// type, and optional extra headers (e.g. `Retry-After`). Head and
+/// body leave in one write, so a response is one segment on the wire
+/// and never waits on the client's delayed ACK for a second one.
 ///
 /// # Errors
 ///
 /// Propagates socket write failures.
-pub fn respond_typed(
-    stream: &mut TcpStream,
+pub fn respond_typed<W: Write + ?Sized>(
+    sink: &mut W,
     status: u16,
     content_type: &str,
     extra_headers: &[(&str, &str)],
     body: &str,
 ) -> std::io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
-        reason(status),
+    let headers = format!(
+        "Content-Type: {content_type}\r\nContent-Length: {}\r\n",
         body.len()
     );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    let mut out = Vec::with_capacity(headers.len() + body.len() + 128);
+    push_head(&mut out, status, &headers, extra_headers);
+    out.extend_from_slice(body.as_bytes());
+    sink.write_all(&out)?;
+    sink.flush()
 }
 
 /// Writes a JSON response with fixed length and optional extra
-/// headers.
+/// headers, in one write (see [`respond_typed`]).
 ///
 /// # Errors
 ///
 /// Propagates socket write failures.
-pub fn respond(
-    stream: &mut TcpStream,
+pub fn respond<W: Write + ?Sized>(
+    sink: &mut W,
     status: u16,
     extra_headers: &[(&str, &str)],
     body: &str,
 ) -> std::io::Result<()> {
-    respond_typed(stream, status, "application/json", extra_headers, body)
+    respond_typed(sink, status, "application/json", extra_headers, body)
 }
 
 /// An in-flight streaming response body.
 ///
 /// In `framed` mode (HTTP/1.1 clients) the body uses chunked transfer
-/// coding, every [`write_chunk`](ChunkedWriter::write_chunk) lands on
-/// the wire immediately, and the connection stays reusable after
+/// coding and the connection stays reusable after
 /// [`finish`](ChunkedWriter::finish). For HTTP/1.0 clients — which
 /// predate chunked coding — the body is raw and delimited by
 /// connection close, so the caller must hang up after `finish`.
+///
+/// Each frame reaches the wire with one write, the moment it is
+/// written: a chunk's size line, data and CRLF go together, the
+/// response head goes with the first chunk, and the zero-length
+/// terminator goes with the last. A streamed record is therefore one
+/// segment, and a frame never waits behind a delayed ACK for an
+/// earlier piece of itself.
 pub struct ChunkedWriter<'a, W: Write + ?Sized = TcpStream> {
     sink: &'a mut W,
     framed: bool,
+    /// The next write: the pending head (until the first chunk
+    /// leaves), then one frame at a time.
+    frame: Vec<u8>,
 }
 
-/// Starts a streaming JSON response: writes the head (with
+/// Starts a streaming JSON response: prepares the head (with
 /// `Transfer-Encoding: chunked` when `framed`, `Connection: close`
-/// otherwise) and returns the body writer.
-///
-/// # Errors
-///
-/// Propagates socket write failures.
+/// otherwise), which leaves with the first chunk, and returns the
+/// body writer.
 pub fn respond_chunked<'a, W: Write + ?Sized>(
     sink: &'a mut W,
     status: u16,
     extra_headers: &[(&str, &str)],
     framed: bool,
-) -> std::io::Result<ChunkedWriter<'a, W>> {
-    let mut head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\n",
-        reason(status)
-    );
-    head.push_str(if framed {
+) -> ChunkedWriter<'a, W> {
+    let framing = if framed {
         "Transfer-Encoding: chunked\r\n"
     } else {
         "Connection: close\r\n"
-    });
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+    };
+    let mut frame = Vec::with_capacity(256);
+    push_head(
+        &mut frame,
+        status,
+        &format!("Content-Type: application/json\r\n{framing}"),
+        extra_headers,
+    );
+    ChunkedWriter {
+        sink,
+        framed,
+        frame,
     }
-    head.push_str("\r\n");
-    sink.write_all(head.as_bytes())?;
-    sink.flush()?;
-    Ok(ChunkedWriter { sink, framed })
 }
 
 impl<W: Write + ?Sized> ChunkedWriter<'_, W> {
-    /// Writes one body chunk and flushes it onto the wire — the unit
-    /// of streaming progress. Empty payloads are skipped: an empty
-    /// chunk would terminate the chunked body early.
+    /// Appends `data` as one chunk (size line, data, CRLF) to the
+    /// pending frame. Empty payloads are skipped: an empty chunk would
+    /// terminate the chunked body early.
+    fn push_chunk(&mut self, data: &[u8]) {
+        if data.is_empty() {
+            return;
+        }
+        if self.framed {
+            self.frame
+                .extend_from_slice(format!("{:x}\r\n", data.len()).as_bytes());
+            self.frame.extend_from_slice(data);
+            self.frame.extend_from_slice(b"\r\n");
+        } else {
+            self.frame.extend_from_slice(data);
+        }
+    }
+
+    /// Writes the pending frame with one write and flushes it.
+    fn send(&mut self) -> std::io::Result<()> {
+        if !self.frame.is_empty() {
+            self.sink.write_all(&self.frame)?;
+            self.frame.clear();
+        }
+        self.sink.flush()
+    }
+
+    /// Writes one body chunk and puts it on the wire — the unit of
+    /// streaming progress.
     ///
     /// # Errors
     ///
     /// Propagates socket write failures.
     pub fn write_chunk(&mut self, data: &[u8]) -> std::io::Result<()> {
-        if data.is_empty() {
-            return Ok(());
-        }
-        if self.framed {
-            write!(self.sink, "{:x}\r\n", data.len())?;
-            self.sink.write_all(data)?;
-            self.sink.write_all(b"\r\n")?;
-        } else {
-            self.sink.write_all(data)?;
-        }
-        self.sink.flush()
+        self.push_chunk(data);
+        self.send()
     }
 
-    /// Terminates the body (the zero-length chunk in framed mode).
+    /// Writes the last chunk, `tail`, and terminates the body (the
+    /// zero-length chunk in framed mode) with the same write.
     ///
     /// # Errors
     ///
     /// Propagates socket write failures.
-    pub fn finish(self) -> std::io::Result<()> {
+    pub fn finish(mut self, tail: &[u8]) -> std::io::Result<()> {
+        self.push_chunk(tail);
         if self.framed {
-            self.sink.write_all(b"0\r\n\r\n")?;
+            self.frame.extend_from_slice(b"0\r\n\r\n");
         }
-        self.sink.flush()
+        self.send()
     }
 }
 
@@ -750,12 +778,11 @@ mod tests {
     #[test]
     fn chunked_writer_frames_and_dechunks() {
         let mut wire: Vec<u8> = Vec::new();
-        let mut w = respond_chunked(&mut wire, 200, &[("X-Job", "7")], true).unwrap();
+        let mut w = respond_chunked(&mut wire, 200, &[("X-Job", "7")], true);
         w.write_chunk(b"{\"points\":[").unwrap();
         w.write_chunk(b"").unwrap(); // skipped, not a terminator
         w.write_chunk("0123456789abcdef+".as_bytes()).unwrap(); // 17 bytes: 2-digit hex size
-        w.write_chunk(b"]}").unwrap();
-        w.finish().unwrap();
+        w.finish(b"]}").unwrap();
 
         let text = String::from_utf8(wire.clone()).unwrap();
         let head_end = text.find("\r\n\r\n").expect("head terminator") + 4;
@@ -773,13 +800,89 @@ mod tests {
     #[test]
     fn unframed_mode_streams_raw_bytes_for_http10() {
         let mut wire: Vec<u8> = Vec::new();
-        let mut w = respond_chunked(&mut wire, 200, &[], false).unwrap();
+        let mut w = respond_chunked(&mut wire, 200, &[], false);
         w.write_chunk(b"abc").unwrap();
-        w.write_chunk(b"def").unwrap();
-        w.finish().unwrap();
+        w.finish(b"def").unwrap();
         let text = String::from_utf8(wire).unwrap();
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\nabcdef"));
+    }
+
+    /// A `Write` sink that keeps every `write` call apart, so a test
+    /// sees where the write boundaries fall as well as the bytes.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn fixed_length_response_is_one_write() {
+        let mut sink = Writes::default();
+        respond(
+            &mut sink,
+            429,
+            &[("Retry-After", "1")],
+            "{\"error\":\"busy\"}",
+        )
+        .unwrap();
+        assert_eq!(sink.0.len(), 1, "head and body leave together");
+        assert_eq!(
+            sink.0.concat(),
+            b"HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n\
+              Content-Length: 16\r\nRetry-After: 1\r\n\r\n{\"error\":\"busy\"}"
+        );
+    }
+
+    /// A results stream as `stream_results` writes it: prelude, three
+    /// records, tail.
+    fn stream_three_records(framed: bool) -> Writes {
+        let mut sink = Writes::default();
+        let mut w = respond_chunked(&mut sink, 200, &[], framed);
+        w.write_chunk(b"{\"id\":7,\"from\":0,\"total\":3,\"points\":[")
+            .unwrap();
+        for record in [&b"{\"index\":0}"[..], b",{\"index\":1}", b",{\"index\":2}"] {
+            w.write_chunk(record).unwrap();
+        }
+        w.finish(b"],\"next\":3,\"state\":\"done\"}").unwrap();
+        sink
+    }
+
+    #[test]
+    fn each_chunk_frame_is_one_write() {
+        // Head + prelude, one write per record, tail + terminator; the
+        // bytes are exactly what three writes per chunk used to send.
+        let sink = stream_three_records(true);
+        assert_eq!(sink.0.len(), 1 + 3 + 1);
+        assert_eq!(
+            sink.0.concat(),
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+              Transfer-Encoding: chunked\r\n\r\n\
+              25\r\n{\"id\":7,\"from\":0,\"total\":3,\"points\":[\r\n\
+              b\r\n{\"index\":0}\r\nc\r\n,{\"index\":1}\r\nc\r\n,{\"index\":2}\r\n\
+              1a\r\n],\"next\":3,\"state\":\"done\"}\r\n0\r\n\r\n"
+        );
+    }
+
+    #[test]
+    fn unframed_stream_is_one_write_per_record_too() {
+        let sink = stream_three_records(false);
+        assert_eq!(sink.0.len(), 1 + 3 + 1);
+        assert_eq!(
+            sink.0.concat(),
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+              Connection: close\r\n\r\n\
+              {\"id\":7,\"from\":0,\"total\":3,\"points\":[\
+              {\"index\":0},{\"index\":1},{\"index\":2}],\"next\":3,\"state\":\"done\"}"
+        );
     }
 
     proptest! {
@@ -794,7 +897,7 @@ mod tests {
             let payload: Vec<u8> = bytes[..len].iter().map(|&b| b as u8).collect();
             let mut wire: Vec<u8> = Vec::new();
             {
-                let mut w = respond_chunked(&mut wire, 200, &[], true).unwrap();
+                let mut w = respond_chunked(&mut wire, 200, &[], true);
                 let mut at = 0;
                 let mut cut = cuts.iter().cycle();
                 while at < payload.len() {
@@ -802,7 +905,7 @@ mod tests {
                     w.write_chunk(&payload[at..at + take]).unwrap();
                     at += take;
                 }
-                w.finish().unwrap();
+                w.finish(b"").unwrap();
             }
             let head_end = wire.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
             let mut body = &wire[head_end..];

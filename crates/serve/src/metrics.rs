@@ -132,6 +132,8 @@ pub struct Metrics {
     pub points_completed: AtomicU64,
     /// Points cancellation skipped.
     pub points_skipped: AtomicU64,
+    /// Points whose run panicked; each became a failed record.
+    pub panics: AtomicU64,
     /// Wall time of each retired scheduler chunk.
     pub chunk_seconds: Histogram,
     /// Fresh factorizations by factor path, summed over chunk deltas.
@@ -318,6 +320,13 @@ impl Metrics {
             "mems_serve_points_total{{outcome=\"skipped\"}} {}\n",
             load(&self.points_skipped)
         ));
+        family(
+            &mut out,
+            "mems_serve_panics_total",
+            "counter",
+            "Points whose run panicked; each became a failed record.",
+        );
+        out.push_str(&format!("mems_serve_panics_total {}\n", load(&self.panics)));
 
         family(
             &mut out,

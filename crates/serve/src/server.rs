@@ -13,11 +13,12 @@ use crate::store::{JobStore, RealIo, StoreIo, StoredMeta};
 use mems_netlist::report::{diagnostics_json, Diagnostic};
 use mems_netlist::{
     extract_metrics, run_elaborated_ctx, warm_start_chain, Elaborator, FsResolver, IncludeResolver,
-    NoIncludes, ParamEnv, PointResult, SolverStats,
+    Metric, NoIncludes, ParamEnv, PointResult, RunCtx, SolverStats,
 };
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -392,6 +393,28 @@ fn retire_jobs(shared: &Shared) {
         .fetch_add(excess as u64, Ordering::Relaxed);
 }
 
+/// Runs one served point on `ctx` with its panics contained, so a
+/// panic fails that point and not the worker thread: the failure reads
+/// `internal error: <panic message>`, `mems_serve_panics_total` counts
+/// it, and `ctx`, possibly half updated, is replaced by a fresh
+/// context instead of going back to the pool.
+fn run_point(
+    metrics: &Metrics,
+    ctx: &mut RunCtx,
+    run: impl FnOnce(&mut RunCtx) -> Result<Vec<Metric>, String>,
+) -> Result<Vec<Metric>, String> {
+    std::panic::catch_unwind(AssertUnwindSafe(|| run(ctx))).unwrap_or_else(|payload| {
+        metrics.panics.fetch_add(1, Ordering::Relaxed);
+        *ctx = RunCtx::default();
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        Err(format!("internal error: {message}"))
+    })
+}
+
 /// Runs one scheduler chunk on a checked-out cache context.
 fn run_chunk(shared: &Shared, chunk: &Chunk) {
     let job = &chunk.job;
@@ -419,22 +442,20 @@ fn run_chunk(shared: &Shared, chunk: &Chunk) {
                     .as_ref()
                     .and_then(|g| g.get(index).cloned().flatten());
                 let env: ParamEnv = point.overrides.iter().cloned().collect();
-                let outcome = match run_elaborated_ctx(&elab, &env, &mut ctx) {
-                    Ok(run) => {
-                        // Keep the busiest system's snapshot (stats
-                        // accumulate over the pooled context, so the
-                        // last point's view covers the whole chunk).
-                        if let Some((_, st)) = run
-                            .solver
-                            .iter()
-                            .max_by_key(|(_, st)| st.factors + st.refactors)
-                        {
-                            meta.solver = Some(*st);
-                        }
-                        Ok(extract_metrics(&entry.deck, &run))
+                let outcome = run_point(&shared.metrics, &mut ctx, |ctx| {
+                    let run = run_elaborated_ctx(&elab, &env, ctx).map_err(|e| e.to_string())?;
+                    // Keep the busiest system's snapshot (stats
+                    // accumulate over the pooled context, so the last
+                    // point's view covers the whole chunk).
+                    if let Some((_, st)) = run
+                        .solver
+                        .iter()
+                        .max_by_key(|(_, st)| st.factors + st.refactors)
+                    {
+                        meta.solver = Some(*st);
                     }
-                    Err(e) => Err(e.to_string()),
-                };
+                    Ok(extract_metrics(&entry.deck, &run))
+                });
                 let rendered = job.record(
                     index,
                     &PointResult {
@@ -507,6 +528,10 @@ fn run_chunk(shared: &Shared, chunk: &Chunk) {
 /// timeout — an idle or stalled peer is dropped, not held forever).
 fn handle_connection(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(shared.read_timeout));
+    // Every response frame is already one write. Left on, Nagle
+    // would still hold a frame while an earlier one is unacknowledged,
+    // which the client's delayed ACK stretches to ~40 ms.
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -622,7 +647,7 @@ fn stream_results(
         }
     };
 
-    let mut w = respond_chunked(stream, 200, &[], framed)?;
+    let mut w = respond_chunked(stream, 200, &[], framed);
     w.write_chunk(
         format!(
             "{{\"id\":{},\"from\":{},\"total\":{},\"points\":[",
@@ -651,10 +676,7 @@ fn stream_results(
     // The tail carries the cursor and the state — which is only
     // honest *after* the records: a blocking stream outlives the
     // submit-time state.
-    w.write_chunk(
-        format!("],\"next\":{},\"state\":\"{}\"}}", next, job.state().name()).as_bytes(),
-    )?;
-    w.finish()?;
+    w.finish(format!("],\"next\":{},\"state\":\"{}\"}}", next, job.state().name()).as_bytes())?;
     Ok(!framed)
 }
 
@@ -678,7 +700,7 @@ fn stream_stored_results(
             }
         }
     }
-    let mut w = respond_chunked(stream, 200, &[], framed)?;
+    let mut w = respond_chunked(stream, 200, &[], framed);
     w.write_chunk(
         format!(
             "{{\"id\":{},\"from\":{},\"total\":{},\"points\":[",
@@ -696,8 +718,7 @@ fn stream_stored_results(
         w.write_chunk(&chunk)?;
         next += 1;
     }
-    w.write_chunk(format!("],\"next\":{},\"state\":\"{}\"}}", next, meta.state).as_bytes())?;
-    w.finish()?;
+    w.finish(format!("],\"next\":{},\"state\":\"{}\"}}", next, meta.state).as_bytes())?;
     Ok(!framed)
 }
 
@@ -923,4 +944,44 @@ fn submission(req: &Request) -> Result<(String, String), String> {
         .or_else(|| req.query("client").map(str::to_string))
         .unwrap_or_else(|| "anon".to_string());
     Ok((source, client))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mems_netlist::report::point_json;
+    use mems_netlist::BatchPoint;
+
+    #[test]
+    fn a_panicking_point_becomes_a_failed_record() {
+        let metrics = Metrics::default();
+        let mut ctx = RunCtx::default();
+        ctx.op_guess = Some(vec![1.0]);
+        let outcome = run_point(&metrics, &mut ctx, |ctx| {
+            ctx.op_guess = Some(vec![f64::NAN]);
+            panic!("forced at point {}", 3)
+        });
+        let record = point_json(&PointResult {
+            point: BatchPoint {
+                index: 3,
+                overrides: vec![("k".to_string(), 2.0)],
+            },
+            outcome,
+        });
+        assert_eq!(
+            record,
+            "{\"index\":3,\"params\":{\"k\":2.000000000000e0},\"status\":\"fail\",\
+             \"error\":\"internal error: forced at point 3\"}"
+        );
+        assert!(ctx.op_guess.is_none(), "the half-updated context was kept");
+        assert_eq!(metrics.panics.load(Ordering::Relaxed), 1);
+        assert!(metrics
+            .render(&Gauges::default())
+            .contains("\nmems_serve_panics_total 1\n"));
+
+        // A point that returns, failed or not, passes through uncounted.
+        let failed = run_point(&metrics, &mut ctx, |_| Err("singular".to_string()));
+        assert_eq!(failed, Err("singular".to_string()));
+        assert_eq!(metrics.panics.load(Ordering::Relaxed), 1);
+    }
 }

@@ -370,6 +370,123 @@ fn oversized_step_times_mc_product_is_diagnosed_not_fatal() {
 }
 
 #[test]
+fn oversized_analysis_is_diagnosed_not_fatal() {
+    // `mems run` on this deck aborted on a 2 GB allocation; posted to
+    // the server, the abort took the whole daemon down.
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let deck = "tr\nV1 1 0 PULSE(0 1 0 1n 1n 1n 2n)\nR1 1 2 1k\nC1 2 0 1p\n\
+                .tran 1e-18 1\n.print tran v(2)\n.end\n";
+
+    let (status, body) = http(addr, "POST", "/v1/check", deck);
+    assert_eq!(status, 200, "{body}");
+    let doc = parsed(&body);
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(false)), "{body}");
+    let diag = match doc.get("diagnostics") {
+        Some(Json::Arr(items)) if items.len() == 1 => items[0].clone(),
+        other => panic!("expected one diagnostic: {other:?}"),
+    };
+    let message = diag.get("message").and_then(Json::as_str).expect("message");
+    assert!(message.contains("would produce"), "{message}");
+    let line = diag.get("span").and_then(|s| s.get("line"));
+    assert_eq!(line.and_then(Json::as_u64), Some(5), "{body}");
+
+    let (status, body) = http(addr, "POST", "/v1/jobs", deck);
+    assert_eq!(status, 400, "{body}");
+
+    let (status, body) = http(addr, "GET", "/v1/health", "");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(parsed(&body).get("ok"), Some(&Json::Bool(true)), "{body}");
+
+    server.shutdown();
+    server.join();
+}
+
+/// Sends one request on a kept-alive connection, in one write, and
+/// reads its response: a fixed-length body to its `Content-Length`, a
+/// chunked one to its terminator.
+fn exchange(
+    reader: &mut BufReader<TcpStream>,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> (u16, String) {
+    let req = format!(
+        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    reader.get_mut().write_all(req.as_bytes()).expect("write");
+    let (status, headers) = read_head(reader);
+    let header = |name: &str| {
+        headers
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.clone())
+    };
+    let body = if header("transfer-encoding").as_deref() == Some("chunked") {
+        read_chunked_body(reader).expect("chunked body")
+    } else {
+        let length: usize = header("content-length")
+            .expect("a kept-alive response is framed")
+            .parse()
+            .expect("numeric length");
+        let mut body = vec![0u8; length];
+        reader.read_exact(&mut body).expect("body");
+        body
+    };
+    (status, String::from_utf8(body).expect("utf8 body"))
+}
+
+#[test]
+fn keep_alive_round_trips_do_not_stall() {
+    // Each response used to leave in two or three writes; with Nagle
+    // on, every later write waited for the client's delayed ACK of the
+    // first (~40 ms a response), so 20 health checks took 0.83 s.
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let deck = "divider\nVs in 0 6\nR1 in out 1k\nR2 out 0 2k\n.op\n.print op v(out)\n";
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+
+    let t0 = Instant::now();
+    for _ in 0..20 {
+        let (status, body) = exchange(&mut reader, "GET", "/v1/health", "");
+        assert_eq!(status, 200, "{body}");
+    }
+    for _ in 0..10 {
+        let (status, body) = exchange(&mut reader, "POST", "/v1/jobs", deck);
+        assert_eq!(status, 201, "{body}");
+        let id = job_id(&body);
+        let (status, body) = exchange(&mut reader, "GET", &format!("/v1/jobs/{id}/results"), "");
+        assert_eq!(status, 200, "{body}");
+        assert!(
+            body.contains("\"op:v(out)\":3.99999999")
+                && body.ends_with("\"next\":1,\"state\":\"done\"}"),
+            "{body}"
+        );
+    }
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(400),
+        "20 health checks and 10 submit → stream round trips took {took:?}"
+    );
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn connection_cap_answers_503() {
     let server = Server::start(ServeConfig {
         workers: 0,

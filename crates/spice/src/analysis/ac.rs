@@ -36,24 +36,75 @@ pub enum FreqSweep {
 }
 
 impl FreqSweep {
-    /// Expands the sweep into a frequency list.
+    /// How many frequencies [`frequencies`](Self::frequencies)
+    /// returns, counted without expanding the sweep (saturating at
+    /// `usize::MAX`), so a caller can bound it first.
     ///
     /// # Errors
     ///
-    /// Returns [`SpiceError::BadOptions`] for non-positive log sweeps
-    /// or empty lists.
-    pub fn frequencies(&self) -> Result<Vec<f64>> {
+    /// Returns [`SpiceError::BadOptions`] for non-positive or
+    /// non-finite log sweeps, empty or reversed linear sweeps, and
+    /// empty lists.
+    pub fn point_count(&self) -> Result<usize> {
         match self {
             FreqSweep::Decade {
                 start,
                 stop,
                 points_per_decade,
             } => {
-                if *start <= 0.0 || *stop < *start || *points_per_decade == 0 {
+                if !(*start > 0.0 && start <= stop && stop.is_finite()) || *points_per_decade == 0 {
                     return Err(SpiceError::BadOptions(format!(
                         "bad decade sweep [{start}, {stop}] x{points_per_decade}"
                     )));
                 }
+                // The expansion keeps grid points 0..=n while they stay
+                // within `stop`, then appends `stop` itself unless the
+                // last kept point already is it.
+                let ppd = *points_per_decade as f64;
+                let n = ((stop / start).log10() * ppd).ceil();
+                let grid = |i: f64| start * 10f64.powf(i / ppd);
+                let kept = if grid(n) > stop * (1.0 + 1e-12) {
+                    n
+                } else {
+                    n + 1.0
+                };
+                let appends_stop = (grid(kept - 1.0) - stop).abs() > stop * 1e-9;
+                Ok((if appends_stop { kept + 1.0 } else { kept }) as usize)
+            }
+            FreqSweep::Linear {
+                start,
+                stop,
+                points,
+            } => {
+                if *points < 2 || !(start < stop && start.is_finite() && stop.is_finite()) {
+                    return Err(SpiceError::BadOptions(format!(
+                        "bad linear sweep [{start}, {stop}] x{points}"
+                    )));
+                }
+                Ok(*points)
+            }
+            FreqSweep::List(fs) => {
+                if fs.is_empty() {
+                    return Err(SpiceError::BadOptions("empty frequency list".into()));
+                }
+                Ok(fs.len())
+            }
+        }
+    }
+
+    /// Expands the sweep into a frequency list.
+    ///
+    /// # Errors
+    ///
+    /// As [`point_count`](Self::point_count).
+    pub fn frequencies(&self) -> Result<Vec<f64>> {
+        self.point_count()?;
+        Ok(match self {
+            FreqSweep::Decade {
+                start,
+                stop,
+                points_per_decade,
+            } => {
                 let mut out = Vec::new();
                 let decades = (stop / start).log10();
                 let n = (decades * *points_per_decade as f64).ceil() as usize;
@@ -67,29 +118,17 @@ impl FreqSweep {
                 if out.last().is_none_or(|f| (f - stop).abs() > stop * 1e-9) {
                     out.push(*stop);
                 }
-                Ok(out)
+                out
             }
             FreqSweep::Linear {
                 start,
                 stop,
                 points,
-            } => {
-                if *points < 2 || stop <= start {
-                    return Err(SpiceError::BadOptions(format!(
-                        "bad linear sweep [{start}, {stop}] x{points}"
-                    )));
-                }
-                Ok((0..*points)
-                    .map(|i| start + (stop - start) * i as f64 / (*points as f64 - 1.0))
-                    .collect())
-            }
-            FreqSweep::List(fs) => {
-                if fs.is_empty() {
-                    return Err(SpiceError::BadOptions("empty frequency list".into()));
-                }
-                Ok(fs.clone())
-            }
-        }
+            } => (0..*points)
+                .map(|i| start + (stop - start) * i as f64 / (*points as f64 - 1.0))
+                .collect(),
+            FreqSweep::List(fs) => fs.clone(),
+        })
     }
 }
 
@@ -187,6 +226,68 @@ mod tests {
     use crate::devices::passive::{Capacitor, Inductor, Resistor};
     use crate::devices::sources::{AcSpec, VoltageSource};
     use crate::wave::Waveform;
+
+    #[test]
+    fn point_count_matches_the_expansion() {
+        let mut sweeps = vec![
+            FreqSweep::List(vec![1.0, 5.0]),
+            FreqSweep::Linear {
+                start: 0.0,
+                stop: 10.0,
+                points: 7,
+            },
+        ];
+        // Round decade spans and a deterministic scatter of odd ones.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut uniform = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for (start, stop, ppd) in [(1.0, 1.0, 3), (1.0, 1e3, 10), (20.0, 2e3, 30)] {
+            sweeps.push(FreqSweep::Decade {
+                start,
+                stop,
+                points_per_decade: ppd,
+            });
+        }
+        for _ in 0..500 {
+            let start = 10f64.powf(6.0 * uniform() - 3.0);
+            sweeps.push(FreqSweep::Decade {
+                start,
+                stop: start * 10f64.powf(5.0 * uniform()),
+                points_per_decade: 1 + (200.0 * uniform()) as usize,
+            });
+        }
+        for sweep in &sweeps {
+            let fs = sweep.frequencies().unwrap();
+            assert_eq!(sweep.point_count().unwrap(), fs.len(), "{sweep:?}");
+        }
+        // Counted, never expanded: a sweep that could not be held in
+        // memory is still a number.
+        let huge = FreqSweep::Decade {
+            start: 1.0,
+            stop: 1e9,
+            points_per_decade: 1_000_000_000_000,
+        };
+        assert!(huge.point_count().unwrap() > 8_000_000_000_000);
+        for bad in [
+            FreqSweep::Linear {
+                start: 0.0,
+                stop: 0.0,
+                points: 2,
+            },
+            FreqSweep::Decade {
+                start: 1.0,
+                stop: f64::INFINITY,
+                points_per_decade: 3,
+            },
+        ] {
+            assert!(bad.point_count().is_err(), "{bad:?}");
+            assert!(bad.frequencies().is_err(), "{bad:?}");
+        }
+    }
 
     #[test]
     fn sweep_expansion() {

@@ -16,7 +16,10 @@
 #   7. a server SIGKILLed with --data-dir set, restarted on the same
 #      directory, still serves the finished sweep's results
 #      byte-for-byte and recovers the mid-flight batch as
-#      failed/interrupted with its durable prefix intact.
+#      failed/interrupted with its durable prefix intact;
+#   and, first, that 20 health checks on one kept-alive connection
+#   finish in under 0.4 s (a response waiting on delayed ACKs costs
+#   ~40 ms each).
 #
 # Usage: tools/serve-smoke.sh [path-to-mems-binary]
 set -euo pipefail
@@ -61,6 +64,15 @@ wait_done() { # job-id -> final status document
   echo "error: job $id never finished: $doc" >&2
   return 1
 }
+
+echo "== 0. 20 health checks on one kept-alive connection finish in < 0.4 s"
+T0=$(date +%s%N)
+CONNECTS=$(curl -sf -w '%{num_connects}\n' -o "$WORK/health_#1.json" "$BASE/v1/health?n=[1-20]" \
+  | awk '{ n += $1 } END { print n }')
+MS=$(( ($(date +%s%N) - T0) / 1000000 ))
+[ "$CONNECTS" = 1 ] || { echo "error: 20 health checks opened $CONNECTS connections" >&2; exit 1; }
+[ "$MS" -lt 400 ] || { echo "error: 20 kept-alive health checks took $MS ms" >&2; exit 1; }
+echo "   20 kept-alive health checks: $MS ms"
 
 echo "== 1. submit eletran deck (plain run) + resonator .STEP sweep"
 ELETRAN=$(curl -sf -X POST --data-binary @examples/decks/eletran_transient.cir "$BASE/v1/jobs")
