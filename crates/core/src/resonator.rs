@@ -60,9 +60,9 @@ impl MechanicalResonator {
     /// Propagates circuit-building failures.
     pub fn build(&self, circuit: &mut Circuit, name: &str, vel: NodeId) -> Result<()> {
         let gnd = circuit.ground();
-        circuit.add(Mass::new(&format!("{name}_m"), vel, gnd, self.mass))?;
-        circuit.add(Spring::new(&format!("{name}_k"), vel, gnd, self.stiffness))?;
-        circuit.add(Damper::new(&format!("{name}_a"), vel, gnd, self.damping))?;
+        circuit.add(Mass::new(format!("{name}_m"), vel, gnd, self.mass))?;
+        circuit.add(Spring::new(format!("{name}_k"), vel, gnd, self.stiffness))?;
+        circuit.add(Damper::new(format!("{name}_a"), vel, gnd, self.damping))?;
         Ok(())
     }
 }

@@ -83,13 +83,13 @@ impl LinearizedTransducer {
         mech: NodeId,
     ) -> Result<()> {
         let gnd = circuit.ground();
-        circuit.add(Capacitor::new(&format!("{name}_c0"), elec, gnd, self.c0))?;
+        circuit.add(Capacitor::new(format!("{name}_c0"), elec, gnd, self.c0))?;
         match self.kind {
             LinearizedKind::Secant => {
                 // i₁ = Γ·(velocity) on the electrical side,
                 // F = +Γ·v delivered to the mechanical node.
                 circuit.add(Gyrator::new(
-                    &format!("{name}_gy"),
+                    format!("{name}_gy"),
                     elec,
                     gnd,
                     mech,
@@ -101,13 +101,13 @@ impl LinearizedTransducer {
                 // Deviation node: v_dev = v − v₀.
                 let dev = circuit.node(&format!("{name}_dev"), mems_hdl::Nature::Electrical)?;
                 circuit.add(VoltageSource::new(
-                    &format!("{name}_vbias"),
+                    format!("{name}_vbias"),
                     elec,
                     dev,
                     Waveform::Dc(self.v0),
                 ))?;
                 circuit.add(Gyrator::new(
-                    &format!("{name}_gy"),
+                    format!("{name}_gy"),
                     dev,
                     gnd,
                     mech,
@@ -117,14 +117,14 @@ impl LinearizedTransducer {
                 // Bias force |F₀| pushing the node positive (the
                 // Listing-1 convention's settled direction).
                 circuit.add(CurrentSource::new(
-                    &format!("{name}_f0"),
+                    format!("{name}_f0"),
                     gnd,
                     mech,
                     Waveform::Dc(-self.f0),
                 ))?;
                 // Electrostatic spring.
                 if self.k_e > 0.0 {
-                    circuit.add(Spring::new(&format!("{name}_ke"), mech, gnd, self.k_e))?;
+                    circuit.add(Spring::new(format!("{name}_ke"), mech, gnd, self.k_e))?;
                 }
             }
         }

@@ -97,7 +97,11 @@ impl HdlModel {
     /// Returns [`HdlError::Elab`] for unknown/missing generics, table
     /// breakpoints that do not form a strictly increasing axis, or
     /// failures in the `init` program.
-    pub fn instantiate(&self, name: &str, generics: &[(&str, f64)]) -> Result<Instance> {
+    pub fn instantiate(
+        &self,
+        name: impl Into<Arc<str>>,
+        generics: &[(&str, f64)],
+    ) -> Result<Instance> {
         let bound = self.bind_generics(generics)?;
         let init_values = self.init_values(&bound)?;
         let tables = self.fold_tables(&bound, &init_values)?;
@@ -113,7 +117,7 @@ impl HdlModel {
         Ok(Instance {
             model: Arc::clone(&self.compiled),
             bytecode: Arc::clone(&self.bytecode),
-            name: name.to_string(),
+            name: name.into(),
             generics: bound,
             init_values,
             tables,
@@ -229,7 +233,7 @@ impl From<CompiledModel> for HdlModel {
 pub struct Instance {
     model: Arc<CompiledModel>,
     bytecode: Arc<BytecodeModel>,
-    name: String,
+    name: Arc<str>,
     generics: Vec<f64>,
     init_values: Vec<Option<f64>>,
     tables: Vec<Pwl1>,

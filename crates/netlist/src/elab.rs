@@ -1,15 +1,21 @@
 //! Elaboration: deck AST → [`mems_spice::Circuit`], plus analysis
 //! dispatch for the deck's analysis cards.
 //!
-//! Hierarchy is resolved here: [`Elaborator::new`] flattens the
-//! deck's `.SUBCKT` instances **once** into a list of flattened cards
-//! — each carrying its hierarchical instance path (`x1.r1`), its
-//! resolved global node names (`x1.mid`; ports map to the caller's
-//! nodes, ground is shared), and the index of its parameter scope.
-//! [`Elaborator::build`] — the one way a circuit is made — then only
-//! re-evaluates the scope environments and constructs the devices per
-//! `.STEP`/`.MC`/`.DC` point, so hierarchical decks batch exactly like
-//! flat ones.
+//! Names are resolved once per deck. [`Elaborator::new`] flattens the
+//! deck's `.SUBCKT` instances **once** into a list of flattened cards,
+//! each carrying its hierarchical instance path (`x1.r1`), the index
+//! of its parameter scope, and the ids of its nodes. Each body's node
+//! references are resolved to slots once per definition: ports map to
+//! the caller's ids, ground is shared, and an instance's private nodes
+//! get fresh ids and one name each (`x1.mid`). The ids are then
+//! numbered the way a circuit creates nodes — declarations first,
+//! then each card's nodes at first use — their natures fixed, and the
+//! deck checks that need no parameter values made: nature conflicts,
+//! pin counts and duplicate instance paths. [`Elaborator::build`] —
+//! the one way a circuit is made — then only re-evaluates the scope
+//! environments and constructs the devices per `.STEP`/`.MC`/`.DC`
+//! point, over the shared node table and instance paths, so
+//! hierarchical decks batch exactly like flat ones.
 //!
 //! Node natures flow from three sources: explicit `.NODE`
 //! declarations (top-level or inside subcircuit bodies), mechanical
@@ -18,7 +24,7 @@
 
 use crate::ast::*;
 use crate::error::{NetlistError, Result};
-use crate::expr::{eval_scopes, join_path, NumExpr, ScopeBinding, ScopeInfo, ScopeParam};
+use crate::expr::{eval_scopes, join_into, NumExpr, ScopeBinding, ScopeInfo, ScopeParam};
 use mems_hdl::model::HdlModel;
 use mems_hdl::span::Span;
 use mems_hdl::Nature;
@@ -28,7 +34,7 @@ use mems_spice::analysis::ac::{run_with_op_in as run_ac_with_op_in, FreqSweep};
 use mems_spice::analysis::dcop;
 use mems_spice::analysis::sweep::{dc_sweep_in, SweepResult};
 use mems_spice::analysis::transient::{run_in as run_tran_in, TranOptions};
-use mems_spice::circuit::Circuit;
+use mems_spice::circuit::{Circuit, NodeId, NodeTable};
 use mems_spice::devices::{
     AcSpec, Capacitor, Cccs, Ccvs, CurrentSource, Damper, Gyrator, HdlDevice, IdealTransformer,
     Inductor, Mass, ProductVccs, Resistor, Spring, Vccs, Vcvs, VoltageSource,
@@ -39,7 +45,10 @@ use mems_spice::solver::Workspace;
 use mems_spice::system::{new_system, FillOrdering, SolverStats, SystemMatrix};
 use mems_spice::wave::Waveform;
 use mems_spice::MatrixBackend;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::ops::Range;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// Parameter environment: lower-cased name → value.
 pub type ParamEnv = HashMap<String, f64>;
@@ -70,88 +79,440 @@ pub fn param_env(deck: &Deck, overrides: &ParamEnv) -> Result<ParamEnv> {
 }
 
 /// One flattened device: the source card, the scope its expressions
-/// evaluate in, its hierarchical instance name, and its resolved
-/// global node names (positionally matching the card's nodes).
+/// evaluate in, and its hierarchical instance path, shared with every
+/// device built from it. Its node ids follow the previous cards' in
+/// [`Elaborator::nodes`], one per entry of [`card_nodes`].
 struct FlatCard<'d> {
     card: &'d DeviceCard,
     scope: usize,
-    path: String,
-    nodes: Vec<String>,
+    path: Arc<str>,
 }
 
-/// A `.NODE` declaration with instance-resolved node names.
+/// Where a node reference inside a body points: ground, the body's
+/// `i`-th port, or its `i`-th private node.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Ground,
+    Port(usize),
+    Private(usize),
+}
+
+/// The node references of one body (the top level or a `.SUBCKT`),
+/// resolved to slots once per definition. Instances then map slots to
+/// ids: ports to the caller's ids, private nodes to fresh ones.
+struct BodyNodes<'d> {
+    /// Private node names, in first-use order.
+    private: Vec<&'d str>,
+    /// Slots of every `.NODE` declaration's nodes, in body order.
+    decls: Vec<Slot>,
+    /// Slots of every card's [`card_nodes`], in body order.
+    cards: Vec<Slot>,
+}
+
+impl<'d> BodyNodes<'d> {
+    fn new(ports: &[String], decls: &'d [NodeDecl], devices: &'d [DeviceCard]) -> Self {
+        let mut private_index: HashMap<&'d str, usize> = HashMap::new();
+        let mut private = Vec::new();
+        let mut slot = |name: &'d str| {
+            if name == "0" || name == "gnd" {
+                return Slot::Ground;
+            }
+            // A repeated port name binds its last position.
+            if let Some(i) = ports.iter().rposition(|p| p == name) {
+                return Slot::Port(i);
+            }
+            Slot::Private(*private_index.entry(name).or_insert_with(|| {
+                private.push(name);
+                private.len() - 1
+            }))
+        };
+        let decls = decls
+            .iter()
+            .flat_map(|d| d.nodes.iter().map(String::as_str))
+            .map(&mut slot)
+            .collect();
+        let cards = devices.iter().flat_map(card_nodes).map(&mut slot).collect();
+        BodyNodes {
+            private,
+            decls,
+            cards,
+        }
+    }
+}
+
+/// A `.NODE` declaration with flattened node ids (a range of
+/// [`Flattener::decl_nodes`]).
 struct FlatNodeDecl {
     nature: Nature,
-    nodes: Vec<String>,
+    nodes: Range<usize>,
     span: Span,
 }
 
-/// Resolves a body node name inside an instance: ground stays shared,
-/// ports map to the caller's nodes, anything else is private to the
-/// instance and gets its hierarchical name.
-fn resolve_node(name: &str, port_map: &HashMap<String, String>, prefix: &str) -> String {
-    if name == "0" || name == "gnd" {
-        return "0".to_string();
-    }
-    if let Some(outer) = port_map.get(name) {
-        return outer.clone();
-    }
-    join_path(prefix, name)
+/// The state of [`Elaborator::new`]'s walk over the hierarchy. Nodes
+/// get provisional ids here, in the order the walk first meets them
+/// (0 is ground); [`Flattener::number`] renumbers them the way a
+/// circuit creates them.
+struct Flattener<'d> {
+    deck: &'d Deck,
+    models: HashMap<String, HdlModel>,
+    scopes: Vec<ScopeInfo<'d>>,
+    flat: Vec<FlatCard<'d>>,
+    /// Provisional ids of every flat card's nodes, concatenated.
+    card_nodes: Vec<usize>,
+    decls: Vec<FlatNodeDecl>,
+    /// Provisional ids of every declaration's nodes, concatenated.
+    decl_nodes: Vec<usize>,
+    /// Flattened node names by provisional id, and their index.
+    names: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, usize>,
+    /// Resolved bodies, by `.SUBCKT` position in the deck.
+    bodies: Vec<Option<Rc<BodyNodes<'d>>>>,
+    /// Scratch buffer for joined paths.
+    buf: String,
 }
 
-/// A deck with its hierarchy flattened and its HDL entities compiled,
-/// ready to build circuits.
+impl<'d> Flattener<'d> {
+    /// The provisional id of the flattened node `prefix.name`; a new
+    /// name is stored once.
+    fn intern(&mut self, prefix: &str, name: &str) -> usize {
+        join_into(&mut self.buf, prefix, name);
+        if let Some(&id) = self.index.get(self.buf.as_str()) {
+            return id;
+        }
+        let name: Arc<str> = Arc::from(self.buf.as_str());
+        let id = self.names.len();
+        self.index.insert(Arc::clone(&name), id);
+        self.names.push(name);
+        id
+    }
+
+    /// The resolved body of the deck's `index`-th `.SUBCKT`.
+    fn body(&mut self, index: usize) -> Rc<BodyNodes<'d>> {
+        let def = &self.deck.subckts[index];
+        let body = self.bodies[index].get_or_insert_with(|| {
+            Rc::new(BodyNodes::new(&def.ports, &def.node_decls, &def.devices))
+        });
+        Rc::clone(body)
+    }
+
+    /// Flattens one body under the given scope and instance-path
+    /// prefix; `ports` holds the caller's ids for the body's ports.
+    fn flatten_body(
+        &mut self,
+        body: &BodyNodes<'d>,
+        (decls, devices): (&'d [NodeDecl], &'d [DeviceCard]),
+        scope: usize,
+        prefix: &str,
+        ports: &[usize],
+        stack: &mut Vec<&'d str>,
+    ) -> Result<()> {
+        let private: Vec<usize> = body
+            .private
+            .iter()
+            .map(|name| self.intern(prefix, name))
+            .collect();
+        let id = |slot: Slot| match slot {
+            Slot::Ground => 0,
+            Slot::Port(i) => ports[i],
+            Slot::Private(i) => private[i],
+        };
+        let mut slots = body.decls.iter();
+        for decl in decls {
+            let start = self.decl_nodes.len();
+            self.decl_nodes
+                .extend(slots.by_ref().take(decl.nodes.len()).map(|&s| id(s)));
+            self.decls.push(FlatNodeDecl {
+                nature: decl.nature,
+                nodes: start..self.decl_nodes.len(),
+                span: decl.span,
+            });
+        }
+        let deck = self.deck;
+        let mut slots = body.cards.iter();
+        for card in devices {
+            let card_slots = slots.by_ref().take(card_nodes(card).count());
+            join_into(&mut self.buf, prefix, card.name());
+            let path: Arc<str> = Arc::from(self.buf.as_str());
+            if let DeviceCard::Call {
+                nodes,
+                callee,
+                callee_span,
+                args,
+                span,
+                ..
+            } = card
+            {
+                if let Some(index) = deck.subckts.iter().position(|s| &s.name == callee) {
+                    let def = &deck.subckts[index];
+                    if stack.iter().any(|s| s == callee) {
+                        return Err(NetlistError::elab_at(
+                            format!(
+                                "recursive subcircuit instantiation: {} → {callee}",
+                                stack.join(" → ")
+                            ),
+                            *callee_span,
+                        ));
+                    }
+                    if nodes.len() != def.ports.len() {
+                        return Err(NetlistError::elab_at(
+                            format!(
+                                "subcircuit `{callee}` has {} ports but {} nodes are connected",
+                                def.ports.len(),
+                                nodes.len()
+                            ),
+                            *span,
+                        ));
+                    }
+                    for (aname, aexpr) in args {
+                        if !def.formals.iter().any(|f| &f.name == aname) {
+                            return Err(NetlistError::elab_at(
+                                format!("subcircuit `{callee}` has no parameter `{aname}`"),
+                                aexpr.span,
+                            ));
+                        }
+                    }
+                    let mut params: Vec<ScopeParam<'d>> = def
+                        .formals
+                        .iter()
+                        .map(|f| ScopeParam {
+                            name: &f.name,
+                            binding: ScopeBinding::Formal {
+                                arg: args.iter().find(|(n, _)| n == &f.name).map(|(_, e)| e),
+                                default: f.default.as_ref(),
+                            },
+                            span: f.span,
+                        })
+                        .collect();
+                    params.extend(def.params.iter().map(|p| ScopeParam {
+                        name: &p.name,
+                        binding: ScopeBinding::Local(&p.value),
+                        span: p.span,
+                    }));
+                    let inner_scope = self.scopes.len();
+                    self.scopes.push(ScopeInfo {
+                        parent: scope,
+                        path: Arc::clone(&path),
+                        params,
+                    });
+                    let inner_ports: Vec<usize> = card_slots.map(|&s| id(s)).collect();
+                    let inner = self.body(index);
+                    stack.push(callee);
+                    self.flatten_body(
+                        &inner,
+                        (&def.node_decls, &def.devices),
+                        inner_scope,
+                        &path,
+                        &inner_ports,
+                        stack,
+                    )?;
+                    stack.pop();
+                    continue;
+                }
+                self.ensure_model(callee, *callee_span)?;
+            }
+            self.card_nodes.extend(card_slots.map(|&s| id(s)));
+            self.flat.push(FlatCard { card, scope, path });
+        }
+        Ok(())
+    }
+
+    /// Compiles `entity` from the deck's HDL blocks, caching it.
+    fn ensure_model(&mut self, entity: &str, span: Span) -> Result<()> {
+        if self.models.contains_key(entity) {
+            return Ok(());
+        }
+        let block = self
+            .deck
+            .hdl_blocks
+            .iter()
+            .find(|b| declares_entity(&b.text, entity))
+            .ok_or_else(|| {
+                NetlistError::elab_at(
+                    format!(
+                        "no `.SUBCKT` definition and no `.HDL` block or `.INCLUDE` \
+                         declares entity `{entity}`"
+                    ),
+                    span,
+                )
+            })?;
+        let model = HdlModel::compile(&block.text, entity, None)
+            .map_err(|e| NetlistError::Hdl(e.render(&block.text)))?;
+        self.models.insert(entity.to_string(), model);
+        Ok(())
+    }
+
+    /// Numbers the flattened nodes the way a circuit creates them —
+    /// first every `.NODE` declaration's nodes, in flattening order,
+    /// then each card's nodes at first use, in card order — and fixes
+    /// their natures: a declared node keeps its declared nature, a
+    /// node a card creates gets that card's default nature (mechanical
+    /// for M/K/D, electrical otherwise), and HDL pins demand their
+    /// entity's nature. Returns the node table and every card's node
+    /// ids.
+    ///
+    /// # Errors
+    ///
+    /// A nature conflict, at the declaration or HDL card that meets
+    /// it; a pin-count mismatch and a duplicate instance path, at the
+    /// card.
+    fn number(&self) -> Result<(NodeTable, Vec<NodeId>)> {
+        let mut table = NodeTable::new();
+        let mut ids: Vec<Option<NodeId>> = vec![None; self.names.len()];
+        for decl in &self.decls {
+            for &p in &self.decl_nodes[decl.nodes.clone()] {
+                let id = table
+                    .node(Arc::clone(&self.names[p]), decl.nature)
+                    .map_err(|e| NetlistError::elab_at(e.to_string(), decl.span))?;
+                ids[p] = Some(id);
+            }
+        }
+        let mut out = Vec::with_capacity(self.card_nodes.len());
+        let mut paths =
+            paths_may_collide(self.deck).then(|| HashSet::with_capacity(self.flat.len()));
+        let mut refs = self.card_nodes.iter();
+        for fc in &self.flat {
+            let span = fc.card.span();
+            let at = |e: mems_spice::SpiceError| NetlistError::elab_at(e.to_string(), span);
+            let n = card_nodes(fc.card).count();
+            let pins = match fc.card {
+                DeviceCard::Call { callee, .. } => {
+                    let pins = &self.models[callee.as_str()].compiled().pins;
+                    if pins.len() != n {
+                        return Err(NetlistError::elab_at(
+                            format!(
+                                "entity `{callee}` has {} pins but {n} nodes are connected",
+                                pins.len(),
+                            ),
+                            span,
+                        ));
+                    }
+                    pins.as_slice()
+                }
+                _ => &[],
+            };
+            let default = match fc.card {
+                DeviceCard::Passive {
+                    kind: PassiveKind::Mass | PassiveKind::Spring | PassiveKind::Damper,
+                    ..
+                } => Nature::MechanicalTranslation,
+                _ => Nature::Electrical,
+            };
+            for (k, &p) in refs.by_ref().take(n).enumerate() {
+                let name = || Arc::clone(&self.names[p]);
+                // HDL pins are strict; other cards take a node as it
+                // is (sources and couplers are nature-agnostic: a `V`
+                // card on a mechanical node is a velocity source) and
+                // only give a new one their default nature.
+                let id = match (pins.get(k), ids[p]) {
+                    (Some(pin), _) => table.node(name(), pin.nature).map_err(at)?,
+                    (None, Some(id)) => id,
+                    (None, None) => table.node(name(), default).map_err(at)?,
+                };
+                ids[p] = Some(id);
+                out.push(id);
+            }
+            if paths.as_mut().is_some_and(|p| !p.insert(&*fc.path)) {
+                return Err(at(mems_spice::SpiceError::Build(format!(
+                    "duplicate device name `{}`",
+                    fc.path
+                ))));
+            }
+        }
+        Ok((table, out))
+    }
+}
+
+/// Whether two flattened instance paths could be equal. A path joins
+/// the names of the instances above a device and the device's own
+/// name with `.`; when no name holds a `.` and no body repeats a card
+/// name, distinct devices have distinct paths, so only other decks
+/// pay for comparing every path.
+fn paths_may_collide(deck: &Deck) -> bool {
+    let bodies = std::iter::once(&deck.devices).chain(deck.subckts.iter().map(|s| &s.devices));
+    let mut seen = HashSet::new();
+    for body in bodies {
+        seen.clear();
+        for card in body {
+            if card.name().contains('.') || !seen.insert(card.name()) {
+                return true;
+            }
+        }
+    }
+    false
+}
+
+/// A deck with its hierarchy flattened, its nodes numbered and its HDL
+/// entities compiled, ready to build circuits.
 pub struct Elaborator<'d> {
     deck: &'d Deck,
     models: HashMap<String, HdlModel>,
     scopes: Vec<ScopeInfo<'d>>,
     flat: Vec<FlatCard<'d>>,
-    flat_node_decls: Vec<FlatNodeDecl>,
+    /// Node ids of every flat card's nodes, concatenated in card order.
+    nodes: Vec<NodeId>,
+    /// Names, natures and index of every node; each built circuit
+    /// shares it.
+    table: Arc<NodeTable>,
 }
 
 impl<'d> Elaborator<'d> {
-    /// Flattens the deck's `.SUBCKT` hierarchy and compiles every HDL
+    /// Flattens the deck's `.SUBCKT` hierarchy, compiles every HDL
     /// entity any (possibly nested) `X` card references, searching the
-    /// inline `.HDL` blocks and `.INCLUDE`d sources in order.
+    /// inline `.HDL` blocks and `.INCLUDE`d sources in order, and
+    /// resolves every node name once: the nodes are numbered and their
+    /// natures fixed here, for every circuit [`Elaborator::build`]
+    /// makes.
     ///
     /// # Errors
     ///
     /// [`NetlistError::Elab`] pointing at the `X` card for unknown
-    /// callees, port-arity mismatches, unknown parameter overrides,
-    /// and recursive subcircuit instantiation; [`NetlistError::Hdl`]
-    /// (with the HDL compiler's own rendered excerpt) for models that
-    /// fail to compile.
+    /// callees, port- and pin-arity mismatches, unknown parameter
+    /// overrides, and recursive subcircuit instantiation; at the card
+    /// for a duplicate instance path; at the `.NODE` or HDL card for a
+    /// node-nature conflict; at the analysis card for a malformed or
+    /// oversized analysis. [`NetlistError::Hdl`] (with the HDL
+    /// compiler's own rendered excerpt) for models that fail to
+    /// compile.
     pub fn new(deck: &'d Deck) -> Result<Self> {
         let root = ScopeInfo {
             parent: 0,
-            path: String::new(),
+            path: Arc::from(""),
             params: deck
                 .params
                 .iter()
                 .map(|p| ScopeParam {
-                    name: p.name.clone(),
+                    name: &p.name,
                     binding: ScopeBinding::Local(&p.value),
                     span: p.span,
                 })
                 .collect(),
         };
-        let mut elab = Elaborator {
+        let ground: Arc<str> = Arc::from("0");
+        let mut flat = Flattener {
             deck,
             models: HashMap::new(),
             scopes: vec![root],
             flat: Vec::new(),
-            flat_node_decls: deck
-                .node_decls
-                .iter()
-                .map(|d| FlatNodeDecl {
-                    nature: d.nature,
-                    nodes: d.nodes.clone(),
-                    span: d.span,
-                })
-                .collect(),
+            card_nodes: Vec::new(),
+            decls: Vec::new(),
+            decl_nodes: Vec::new(),
+            index: HashMap::from([(Arc::clone(&ground), 0)]),
+            names: vec![ground],
+            bodies: vec![None; deck.subckts.len()],
+            buf: String::new(),
         };
-        let mut stack = Vec::new();
-        elab.flatten_body(&deck.devices, 0, "", &HashMap::new(), &mut stack)?;
+        let top = BodyNodes::new(&[], &deck.node_decls, &deck.devices);
+        let decks = (deck.node_decls.as_slice(), deck.devices.as_slice());
+        flat.flatten_body(&top, decks, 0, "", &[], &mut Vec::new())?;
+        let (table, nodes) = flat.number()?;
+        let elab = Elaborator {
+            deck,
+            models: flat.models,
+            scopes: flat.scopes,
+            flat: flat.flat,
+            nodes,
+            table: Arc::new(table),
+        };
         // Analysis cards are checked at nominal parameters here, so
         // `mems check` and a served submit refuse what `mems run`
         // would; each run checks them again at its own point.
@@ -256,141 +617,6 @@ impl<'d> Elaborator<'d> {
         }
     }
 
-    /// Flattens one body (the top level or a subcircuit's card list)
-    /// under the given scope, instance-path prefix, and port→outer
-    /// node map.
-    fn flatten_body(
-        &mut self,
-        devices: &'d [DeviceCard],
-        scope: usize,
-        prefix: &str,
-        port_map: &HashMap<String, String>,
-        stack: &mut Vec<String>,
-    ) -> Result<()> {
-        let deck = self.deck;
-        for card in devices {
-            let path = join_path(prefix, card.name());
-            if let DeviceCard::Call {
-                nodes,
-                callee,
-                callee_span,
-                args,
-                span,
-                ..
-            } = card
-            {
-                if let Some(def) = deck.subckt(callee) {
-                    if stack.iter().any(|s| s == callee) {
-                        return Err(NetlistError::elab_at(
-                            format!(
-                                "recursive subcircuit instantiation: {} → {callee}",
-                                stack.join(" → ")
-                            ),
-                            *callee_span,
-                        ));
-                    }
-                    if nodes.len() != def.ports.len() {
-                        return Err(NetlistError::elab_at(
-                            format!(
-                                "subcircuit `{callee}` has {} ports but {} nodes are connected",
-                                def.ports.len(),
-                                nodes.len()
-                            ),
-                            *span,
-                        ));
-                    }
-                    for (aname, aexpr) in args {
-                        if !def.formals.iter().any(|f| &f.name == aname) {
-                            return Err(NetlistError::elab_at(
-                                format!("subcircuit `{callee}` has no parameter `{aname}`"),
-                                aexpr.span,
-                            ));
-                        }
-                    }
-                    let mut params: Vec<ScopeParam<'d>> = def
-                        .formals
-                        .iter()
-                        .map(|f| ScopeParam {
-                            name: f.name.clone(),
-                            binding: ScopeBinding::Formal {
-                                arg: args.iter().find(|(n, _)| n == &f.name).map(|(_, e)| e),
-                                default: f.default.as_ref(),
-                            },
-                            span: f.span,
-                        })
-                        .collect();
-                    params.extend(def.params.iter().map(|p| ScopeParam {
-                        name: p.name.clone(),
-                        binding: ScopeBinding::Local(&p.value),
-                        span: p.span,
-                    }));
-                    let inner_scope = self.scopes.len();
-                    self.scopes.push(ScopeInfo {
-                        parent: scope,
-                        path: path.clone(),
-                        params,
-                    });
-                    let mut inner_map = HashMap::with_capacity(def.ports.len());
-                    for (port, outer) in def.ports.iter().zip(nodes) {
-                        inner_map.insert(port.clone(), resolve_node(outer, port_map, prefix));
-                    }
-                    for decl in &def.node_decls {
-                        self.flat_node_decls.push(FlatNodeDecl {
-                            nature: decl.nature,
-                            nodes: decl
-                                .nodes
-                                .iter()
-                                .map(|n| resolve_node(n, &inner_map, &path))
-                                .collect(),
-                            span: decl.span,
-                        });
-                    }
-                    stack.push(callee.clone());
-                    self.flatten_body(&def.devices, inner_scope, &path, &inner_map, stack)?;
-                    stack.pop();
-                    continue;
-                }
-                self.ensure_model(callee, *callee_span)?;
-            }
-            let resolved = card_node_names(card)
-                .into_iter()
-                .map(|n| resolve_node(n, port_map, prefix))
-                .collect();
-            self.flat.push(FlatCard {
-                card,
-                scope,
-                path,
-                nodes: resolved,
-            });
-        }
-        Ok(())
-    }
-
-    /// Compiles `entity` from the deck's HDL blocks, caching it.
-    fn ensure_model(&mut self, entity: &str, span: Span) -> Result<()> {
-        if self.models.contains_key(entity) {
-            return Ok(());
-        }
-        let block = self
-            .deck
-            .hdl_blocks
-            .iter()
-            .find(|b| declares_entity(&b.text, entity))
-            .ok_or_else(|| {
-                NetlistError::elab_at(
-                    format!(
-                        "no `.SUBCKT` definition and no `.HDL` block or `.INCLUDE` \
-                         declares entity `{entity}`"
-                    ),
-                    span,
-                )
-            })?;
-        let model = HdlModel::compile(&block.text, entity, None)
-            .map_err(|e| NetlistError::Hdl(e.render(&block.text)))?;
-        self.models.insert(entity.to_string(), model);
-        Ok(())
-    }
-
     /// The deck being elaborated.
     pub fn deck(&self) -> &Deck {
         self.deck
@@ -415,8 +641,8 @@ impl<'d> Elaborator<'d> {
         let mut out = ParamEnv::new();
         for (scope, env) in self.scopes.iter().zip(&envs) {
             for p in &scope.params {
-                if let Some(v) = env.get(&p.name) {
-                    out.insert(scope.qualified(&p.name), *v);
+                if let Some(v) = env.get(p.name) {
+                    out.insert(scope.qualified(p.name), *v);
                 }
             }
         }
@@ -428,7 +654,7 @@ impl<'d> Elaborator<'d> {
     pub fn declares_param(&self, key: &str) -> bool {
         self.scopes
             .iter()
-            .any(|s| s.params.iter().any(|p| s.qualified(&p.name) == key))
+            .any(|s| s.params.iter().any(|p| s.qualified(p.name) == key))
     }
 
     /// Whether `name` is the (hierarchical) path of an independent
@@ -436,35 +662,32 @@ impl<'d> Elaborator<'d> {
     pub fn has_source(&self, name: &str) -> bool {
         self.flat
             .iter()
-            .any(|fc| matches!(fc.card, DeviceCard::Source { .. }) && fc.path == name)
+            .any(|fc| matches!(fc.card, DeviceCard::Source { .. }) && *fc.path == *name)
     }
 
     /// Builds the circuit under `overrides`, optionally forcing one
     /// independent source (by hierarchical path) to a DC level (the
     /// `.DC` source sweep). Returns the circuit and the root (deck
-    /// scope) parameter environment.
+    /// scope) parameter environment. The circuit shares the
+    /// elaborator's node table and its devices share the instance
+    /// paths: no name is made or looked up here.
     ///
     /// # Errors
     ///
-    /// Expression, node-nature, and circuit-construction failures, all
-    /// attributed to their cards.
+    /// Expression and device-construction failures, attributed to
+    /// their cards.
     pub fn build(
         &self,
         overrides: &ParamEnv,
         source_dc: Option<(&str, f64)>,
     ) -> Result<(Circuit, ParamEnv)> {
         let mut envs = self.scope_envs(overrides)?;
-        let mut ckt = Circuit::new();
-
-        for decl in &self.flat_node_decls {
-            for n in &decl.nodes {
-                ckt.node(n, decl.nature)
-                    .map_err(|e| NetlistError::elab_at(e.to_string(), decl.span))?;
-            }
-        }
-
+        let mut ckt = Circuit::with_nodes(Arc::clone(&self.table), self.flat.len());
+        let mut nodes = self.nodes.as_slice();
         for fc in &self.flat {
-            self.build_device(&mut ckt, fc, &envs[fc.scope], source_dc)?;
+            let (ids, rest) = nodes.split_at(card_nodes(fc.card).count());
+            nodes = rest;
+            self.build_device(&mut ckt, fc, ids, &envs[fc.scope], source_dc)?;
         }
         Ok((ckt, envs.swap_remove(0)))
     }
@@ -473,23 +696,14 @@ impl<'d> Elaborator<'d> {
         &self,
         ckt: &mut Circuit,
         fc: &FlatCard<'_>,
+        ids: &[NodeId],
         env: &ParamEnv,
         source_dc: Option<(&str, f64)>,
     ) -> Result<()> {
         let card = fc.card;
-        let name = fc.path.as_str();
+        let name = Arc::clone(&fc.path);
         let span = card.span();
         let ev = |e: &NumExpr| e.eval(env);
-        // Nature defaulting: an existing node keeps its declared
-        // nature (sources and couplers are nature-agnostic — a `V`
-        // card on a mechanical node is a velocity source); the card's
-        // default nature applies only when it creates the node.
-        let node = |ckt: &mut Circuit, name: &str, nature: Nature| match ckt.find_node(name) {
-            Some(id) => Ok(id),
-            None => ckt
-                .node(name, nature)
-                .map_err(|e| NetlistError::elab_at(e.to_string(), span)),
-        };
         let add = |ckt: &mut Circuit, dev: Box<dyn mems_spice::device::Device>| {
             ckt.add_boxed(dev)
                 .map_err(|e| NetlistError::elab_at(e.to_string(), span))
@@ -497,17 +711,7 @@ impl<'d> Elaborator<'d> {
         match card {
             DeviceCard::Passive { kind, value, .. } => {
                 let v = ev(value)?;
-                let mech = matches!(
-                    kind,
-                    PassiveKind::Mass | PassiveKind::Spring | PassiveKind::Damper
-                );
-                let nature = if mech {
-                    Nature::MechanicalTranslation
-                } else {
-                    Nature::Electrical
-                };
-                let na = node(ckt, &fc.nodes[0], nature)?;
-                let nb = node(ckt, &fc.nodes[1], nature)?;
+                let (na, nb) = (ids[0], ids[1]);
                 check_positive(*kind, v, value)?;
                 let dev: Box<dyn mems_spice::device::Device> = match kind {
                     PassiveKind::Resistor => Box::new(Resistor::new(name, na, nb, v)),
@@ -520,10 +724,9 @@ impl<'d> Elaborator<'d> {
                 add(ckt, dev)
             }
             DeviceCard::Source { kind, wave, ac, .. } => {
-                let na = node(ckt, &fc.nodes[0], Nature::Electrical)?;
-                let nb = node(ckt, &fc.nodes[1], Nature::Electrical)?;
+                let (na, nb) = (ids[0], ids[1]);
                 let waveform = match source_dc {
-                    Some((target, level)) if target == name => Waveform::Dc(level),
+                    Some((target, level)) if target == &*name => Waveform::Dc(level),
                     _ => self.build_wave(wave, env, span)?,
                 };
                 let ac_spec = match ac {
@@ -553,10 +756,7 @@ impl<'d> Elaborator<'d> {
             }
             DeviceCard::Controlled { kind, value, .. } => {
                 let v = ev(value)?;
-                let op = node(ckt, &fc.nodes[0], Nature::Electrical)?;
-                let on = node(ckt, &fc.nodes[1], Nature::Electrical)?;
-                let cp = node(ckt, &fc.nodes[2], Nature::Electrical)?;
-                let cn = node(ckt, &fc.nodes[3], Nature::Electrical)?;
+                let (op, on, cp, cn) = (ids[0], ids[1], ids[2], ids[3]);
                 let dev: Box<dyn mems_spice::device::Device> = match kind {
                     ControlledKind::Vcvs => Box::new(Vcvs::new(name, op, on, cp, cn, v)),
                     ControlledKind::Vccs => Box::new(Vccs::new(name, op, on, cp, cn, v)),
@@ -567,10 +767,6 @@ impl<'d> Elaborator<'d> {
             }
             DeviceCard::Product { value, .. } => {
                 let v = ev(value)?;
-                let mut ids = [mems_spice::circuit::NodeId::GROUND; 6];
-                for (i, n) in fc.nodes.iter().enumerate() {
-                    ids[i] = node(ckt, n, Nature::Electrical)?;
-                }
                 add(
                     ckt,
                     Box::new(ProductVccs::new(
@@ -580,10 +776,7 @@ impl<'d> Elaborator<'d> {
             }
             DeviceCard::TwoPort { kind, value, .. } => {
                 let v = ev(value)?;
-                let p1 = node(ckt, &fc.nodes[0], Nature::Electrical)?;
-                let n1 = node(ckt, &fc.nodes[1], Nature::Electrical)?;
-                let p2 = node(ckt, &fc.nodes[2], Nature::Electrical)?;
-                let n2 = node(ckt, &fc.nodes[3], Nature::Electrical)?;
+                let (p1, n1, p2, n2) = (ids[0], ids[1], ids[2], ids[3]);
                 let dev: Box<dyn mems_spice::device::Device> = match kind {
                     TwoPortKind::Transformer => {
                         Box::new(IdealTransformer::new(name, p1, n1, p2, n2, v))
@@ -592,45 +785,14 @@ impl<'d> Elaborator<'d> {
                 };
                 add(ckt, dev)
             }
-            DeviceCard::Call {
-                callee,
-                callee_span,
-                args,
-                ..
-            } => {
-                let model = self.models.get(callee).ok_or_else(|| {
-                    NetlistError::elab_at(
-                        format!("entity `{callee}` was not compiled"),
-                        *callee_span,
-                    )
-                })?;
-                let pins = &model.compiled().pins;
-                if fc.nodes.len() != pins.len() {
-                    return Err(NetlistError::elab_at(
-                        format!(
-                            "entity `{callee}` has {} pins but {} nodes are connected",
-                            pins.len(),
-                            fc.nodes.len()
-                        ),
-                        span,
-                    ));
-                }
-                // Strict here: the entity's pin declarations are the
-                // ground truth for connected node natures.
-                let mut ids = Vec::with_capacity(fc.nodes.len());
-                for (n, pin) in fc.nodes.iter().zip(pins) {
-                    ids.push(
-                        ckt.node(n, pin.nature)
-                            .map_err(|e| NetlistError::elab_at(e.to_string(), span))?,
-                    );
-                }
-                let mut bound: Vec<(String, f64)> = Vec::with_capacity(args.len());
+            DeviceCard::Call { callee, args, .. } => {
+                // `new` compiled every entity a flat card calls.
+                let model = &self.models[callee.as_str()];
+                let mut generics: Vec<(&str, f64)> = Vec::with_capacity(args.len());
                 for (gname, gexpr) in args {
-                    bound.push((gname.clone(), gexpr.eval(env)?));
+                    generics.push((gname, gexpr.eval(env)?));
                 }
-                let bound_refs: Vec<(&str, f64)> =
-                    bound.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-                let dev = HdlDevice::new(name, model, &bound_refs, &ids)
+                let dev = HdlDevice::new(name, model, &generics, ids)
                     .map_err(|e| NetlistError::elab_at(e.to_string(), span))?;
                 add(ckt, Box::new(dev))
             }
@@ -732,19 +894,15 @@ impl<'d> Elaborator<'d> {
     }
 }
 
-/// The node names a card references, in positional order (the shape
-/// [`FlatCard::nodes`] mirrors after hierarchy resolution).
-fn card_node_names(card: &DeviceCard) -> Vec<&str> {
-    match card {
-        DeviceCard::Passive { a, b, .. } | DeviceCard::Source { a, b, .. } => {
-            vec![a.as_str(), b.as_str()]
-        }
-        DeviceCard::Controlled { nodes, .. } | DeviceCard::TwoPort { nodes, .. } => {
-            nodes.iter().map(String::as_str).collect()
-        }
-        DeviceCard::Product { nodes, .. } => nodes.iter().map(String::as_str).collect(),
-        DeviceCard::Call { nodes, .. } => nodes.iter().map(String::as_str).collect(),
-    }
+/// The node names a card references, in positional order.
+fn card_nodes(card: &DeviceCard) -> impl Iterator<Item = &str> {
+    let (pair, list): (Option<[&String; 2]>, &[String]) = match card {
+        DeviceCard::Passive { a, b, .. } | DeviceCard::Source { a, b, .. } => (Some([a, b]), &[]),
+        DeviceCard::Controlled { nodes, .. } | DeviceCard::TwoPort { nodes, .. } => (None, nodes),
+        DeviceCard::Product { nodes, .. } => (None, nodes),
+        DeviceCard::Call { nodes, .. } => (None, nodes),
+    };
+    pair.into_iter().flatten().chain(list).map(String::as_str)
 }
 
 /// Rejects non-physical element values with a spanned diagnostic
@@ -1342,11 +1500,73 @@ mod tests {
              .op\n",
         )
         .unwrap();
-        let err = run_deck(&deck).unwrap_err();
+        // `Elaborator::new` refuses it, so `mems check` does too.
+        let err = Elaborator::new(&deck).err().expect("nature conflict");
+        let r = err.render(&deck.source);
         assert!(
-            err.to_string().contains("already exists with nature"),
-            "{err}"
+            r.contains("circuit error: node `tip` already exists with nature electrical"),
+            "{r}"
         );
+        assert!(r.contains("(line 17, col 1)"), "{r}");
+        assert_eq!(run_deck(&deck).unwrap_err().to_string(), err.to_string());
+    }
+
+    /// Two devices with one instance path are refused by
+    /// `Elaborator::new`, at the second card.
+    #[test]
+    fn duplicate_instance_paths_are_caught() {
+        for (src, message, at) in [
+            (
+                "t\nV1 1 0 1\nR1 1 0 1k\nR1 1 0 2k\n.op\n",
+                "duplicate device name `r1`",
+                "(line 4, col 1)",
+            ),
+            (
+                "t\n.subckt cell a b\nR1 a b 1k\nR1 a 0 2k\n.ends\nV1 in 0 1\nX1 in 0 cell\n.op\n",
+                "duplicate device name `x1.r1`",
+                "(line 4, col 1)",
+            ),
+            // A dotted instance name meets a nested path.
+            (
+                "t\n.subckt leaf a\nR1 a 0 1k\n.ends\n.subckt mid a\nXb a leaf\n.ends\n\
+                 V1 in 0 1\nXa in mid\nXa.xb in leaf\n.op\n",
+                "duplicate device name `xa.xb.r1`",
+                "(line 3, col 1)",
+            ),
+        ] {
+            let deck = Deck::parse(src).unwrap();
+            let err = Elaborator::new(&deck).err().expect(src);
+            let r = err.render(src);
+            assert!(r.contains(&format!("circuit error: {message}")), "{r}");
+            assert!(r.contains(at), "{r}");
+        }
+        // One name on two instances whose devices differ is no clash.
+        let deck = Deck::parse(
+            "t\n.subckt pa a\nRa a 0 1k\n.ends\n.subckt pb a\nRb a 0 1k\n.ends\n\
+             V1 in 0 1\nX1 in pa\nX1 in pb\n.op\n",
+        )
+        .unwrap();
+        assert!(Elaborator::new(&deck).is_ok());
+    }
+
+    /// Declared nodes are numbered first, then each card's nodes at
+    /// first use, whatever order the hierarchy is walked in.
+    #[test]
+    fn nodes_number_declarations_first() {
+        let deck = Deck::parse(
+            "t\nR1 a 0 1k\n.subckt s p\n.node mechanical1 m\nKk m 0 1\nR2 p q 1\nR3 q 0 1\n.ends\n\
+             X1 a s\nR4 b 0 1k\n.op\n",
+        )
+        .unwrap();
+        let elab = Elaborator::new(&deck).unwrap();
+        let (mut ckt, _) = elab.build(&ParamEnv::new(), None).unwrap();
+        let layout = ckt.layout();
+        assert_eq!(
+            layout.labels,
+            ["v(x1.m)", "v(a)", "v(x1.q)", "v(b)", "i(x1.kk,0)"]
+        );
+        let m = ckt.find_node("x1.m").unwrap();
+        assert_eq!(ckt.node_nature(m), Nature::MechanicalTranslation);
     }
 
     #[test]

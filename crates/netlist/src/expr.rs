@@ -11,6 +11,7 @@ use crate::error::{NetlistError, Result};
 use crate::token::{parse_number, Token, TokenKind};
 use mems_hdl::span::Span;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Vacuum permittivity [F/m] — the paper's `e0`.
 pub const EPS0: f64 = 8.8542e-12;
@@ -178,7 +179,7 @@ pub enum ScopeBinding<'d> {
 #[derive(Debug, Clone)]
 pub struct ScopeParam<'d> {
     /// Lower-cased name (unqualified).
-    pub name: String,
+    pub name: &'d str,
     /// Value source.
     pub binding: ScopeBinding<'d>,
     /// Span to blame for evaluation failures.
@@ -195,7 +196,7 @@ pub struct ScopeInfo<'d> {
     /// Index of the enclosing scope (0 for the root itself).
     pub parent: usize,
     /// Hierarchical instance path ("" for the root).
-    pub path: String,
+    pub path: Arc<str>,
     /// Parameters declared *in this scope*, in evaluation order
     /// (formals first, then body `.PARAM`s).
     pub params: Vec<ScopeParam<'d>>,
@@ -205,11 +206,19 @@ pub struct ScopeInfo<'d> {
 /// rule behind instance paths (`x1.r1`), private node names
 /// (`x1.mid`), and parameter override keys (`x1.k`).
 pub fn join_path(prefix: &str, name: &str) -> String {
-    if prefix.is_empty() {
-        name.to_string()
-    } else {
-        format!("{prefix}.{name}")
+    let mut path = String::with_capacity(prefix.len() + 1 + name.len());
+    join_into(&mut path, prefix, name);
+    path
+}
+
+/// [`join_path`] into a reused buffer, which it clears first.
+pub fn join_into(buf: &mut String, prefix: &str, name: &str) {
+    buf.clear();
+    if !prefix.is_empty() {
+        buf.push_str(prefix);
+        buf.push('.');
     }
+    buf.push_str(name);
 }
 
 impl ScopeInfo<'_> {
@@ -241,13 +250,19 @@ pub fn eval_scopes<'d>(
 ) -> Result<Vec<HashMap<String, f64>>> {
     let mut envs: Vec<HashMap<String, f64>> = Vec::with_capacity(scopes.len());
     for (i, scope) in scopes.iter().enumerate() {
-        let mut env = if i == 0 {
-            HashMap::new()
-        } else {
-            envs[scope.parent].clone()
-        };
+        let parent = envs.get(scope.parent).filter(|_| i > 0);
+        let mut env = HashMap::with_capacity(parent.map_or(0, HashMap::len) + scope.params.len());
+        if let Some(parent) = parent {
+            env.extend(parent.iter().map(|(k, v)| (k.clone(), *v)));
+        }
         for p in &scope.params {
-            let v = match overrides.get(&scope.qualified(&p.name)) {
+            // Most runs override nothing: skip the qualified key.
+            let over = if overrides.is_empty() {
+                None
+            } else {
+                overrides.get(&scope.qualified(p.name))
+            };
+            let v = match over {
                 Some(o) => *o,
                 None => match &p.binding {
                     ScopeBinding::Local(e) => e.eval(&env)?,
@@ -270,7 +285,7 @@ pub fn eval_scopes<'d>(
                     }
                 },
             };
-            env.insert(p.name.clone(), v);
+            env.insert(p.name.to_string(), v);
         }
         envs.push(env);
     }

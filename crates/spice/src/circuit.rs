@@ -4,11 +4,20 @@
 //! Unknown ordering: all non-ground nodes first (in creation order),
 //! then each device's internal unknowns (branch currents, HDL
 //! `UNKNOWN` objects) in device order.
+//!
+//! Node names live in a [`NodeTable`] behind an `Arc`, so every
+//! circuit built from one elaborated deck shares one table: a build
+//! creates no node and resolves no name. [`Circuit::node`] still
+//! grows a hand-built circuit's table, copying it first if it is
+//! shared. Device names are not indexed: [`Circuit::device_index`]
+//! scans, and duplicate names are refused where names enter from
+//! outside the program, when a deck is elaborated.
 
 use crate::device::Device;
 use crate::error::{Result, SpiceError};
 use mems_hdl::Nature;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Handle to a circuit node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,19 +43,105 @@ pub enum UnknownKind {
     Internal,
 }
 
+/// Node names, natures and the name → id index of a circuit. Ids
+/// number nodes in creation order; id 0 is ground, named `0` and
+/// also found as `gnd`. Each name is one allocation, shared by the
+/// list and the index.
+#[derive(Debug, Clone)]
+pub struct NodeTable {
+    names: Vec<Arc<str>>,
+    natures: Vec<Nature>,
+    index: HashMap<Arc<str>, NodeId>,
+}
+
+impl Default for NodeTable {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl NodeTable {
+    /// A table holding only ground.
+    pub fn new() -> Self {
+        let ground: Arc<str> = Arc::from("0");
+        let mut index = HashMap::new();
+        index.insert(Arc::clone(&ground), NodeId::GROUND);
+        index.insert(Arc::from("gnd"), NodeId::GROUND);
+        NodeTable {
+            names: vec![ground],
+            natures: vec![Nature::Electrical],
+            index,
+        }
+    }
+
+    /// Creates (or returns) a named node of the given nature. A name
+    /// passed as `Arc<str>` is stored without a copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpiceError::Build`] when the name exists with a
+    /// different nature.
+    pub fn node(
+        &mut self,
+        name: impl AsRef<str> + Into<Arc<str>>,
+        nature: Nature,
+    ) -> Result<NodeId> {
+        if let Some(id) = self.existing(name.as_ref(), nature)? {
+            return Ok(id);
+        }
+        let id = NodeId(self.names.len());
+        let name = name.into();
+        self.index.insert(Arc::clone(&name), id);
+        self.names.push(name);
+        self.natures.push(nature);
+        Ok(id)
+    }
+
+    /// The id of `name` when it exists and `nature` agrees with it
+    /// (ground agrees with every nature).
+    fn existing(&self, name: &str, nature: Nature) -> Result<Option<NodeId>> {
+        match self.index.get(name) {
+            Some(&id) if !id.is_ground() && self.natures[id.0] != nature => {
+                Err(SpiceError::Build(format!(
+                    "node `{name}` already exists with nature {}",
+                    self.natures[id.0]
+                )))
+            }
+            found => Ok(found.copied()),
+        }
+    }
+
+    /// Looks up a node by name.
+    pub(crate) fn find(&self, name: &str) -> Option<NodeId> {
+        self.index.get(name).copied()
+    }
+
+    /// Node name.
+    pub(crate) fn name(&self, id: NodeId) -> &str {
+        &self.names[id.0]
+    }
+
+    /// Node nature (ground reports electrical).
+    pub(crate) fn nature(&self, id: NodeId) -> Nature {
+        self.natures[id.0]
+    }
+
+    /// Number of nodes including ground.
+    pub(crate) fn n_nodes(&self) -> usize {
+        self.names.len()
+    }
+}
+
 /// A circuit: nodes plus devices.
 pub struct Circuit {
-    node_names: Vec<String>,
-    node_natures: Vec<Nature>,
-    name_to_node: HashMap<String, NodeId>,
+    nodes: Arc<NodeTable>,
     devices: Vec<Box<dyn Device>>,
-    device_names: HashMap<String, usize>,
 }
 
 impl std::fmt::Debug for Circuit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Circuit")
-            .field("nodes", &self.node_names)
+            .field("nodes", &self.nodes.names)
             .field("devices", &self.devices.len())
             .finish()
     }
@@ -61,16 +156,16 @@ impl Default for Circuit {
 impl Circuit {
     /// Creates an empty circuit with a ground node named `0`.
     pub fn new() -> Self {
-        let mut c = Circuit {
-            node_names: vec!["0".to_string()],
-            node_natures: vec![Nature::Electrical],
-            name_to_node: HashMap::new(),
-            devices: Vec::new(),
-            device_names: HashMap::new(),
-        };
-        c.name_to_node.insert("0".into(), NodeId::GROUND);
-        c.name_to_node.insert("gnd".into(), NodeId::GROUND);
-        c
+        Self::with_nodes(Arc::new(NodeTable::new()), 0)
+    }
+
+    /// An empty circuit over a shared node table, with room for
+    /// `devices` devices.
+    pub fn with_nodes(nodes: Arc<NodeTable>, devices: usize) -> Self {
+        Circuit {
+            nodes,
+            devices: Vec::with_capacity(devices),
+        }
     }
 
     /// The ground node.
@@ -78,27 +173,18 @@ impl Circuit {
         NodeId::GROUND
     }
 
-    /// Creates (or returns) a named node of the given nature.
+    /// Creates (or returns) a named node of the given nature. A new
+    /// node copies a shared table first.
     ///
     /// # Errors
     ///
     /// Returns [`SpiceError::Build`] when the name exists with a
     /// different nature.
     pub fn node(&mut self, name: &str, nature: Nature) -> Result<NodeId> {
-        if let Some(&id) = self.name_to_node.get(name) {
-            if !id.is_ground() && self.node_natures[id.0] != nature {
-                return Err(SpiceError::Build(format!(
-                    "node `{name}` already exists with nature {}",
-                    self.node_natures[id.0]
-                )));
-            }
+        if let Some(id) = self.nodes.existing(name, nature)? {
             return Ok(id);
         }
-        let id = NodeId(self.node_names.len());
-        self.node_names.push(name.to_string());
-        self.node_natures.push(nature);
-        self.name_to_node.insert(name.to_string(), id);
-        Ok(id)
+        Arc::make_mut(&mut self.nodes).node(name, nature)
     }
 
     /// Shorthand for an electrical node.
@@ -113,30 +199,30 @@ impl Circuit {
 
     /// Looks up a node by name.
     pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.name_to_node.get(name).copied()
+        self.nodes.find(name)
     }
 
     /// Node name.
     pub fn node_name(&self, id: NodeId) -> &str {
-        &self.node_names[id.0]
+        self.nodes.name(id)
     }
 
     /// Node nature (ground reports electrical).
     pub fn node_nature(&self, id: NodeId) -> Nature {
-        self.node_natures[id.0]
+        self.nodes.nature(id)
     }
 
     /// Number of nodes including ground.
     pub fn n_nodes(&self) -> usize {
-        self.node_names.len()
+        self.nodes.n_nodes()
     }
 
     /// Adds a device.
     ///
     /// # Errors
     ///
-    /// Returns [`SpiceError::Build`] for duplicate instance names or
-    /// pins referencing other circuits' nodes.
+    /// Returns [`SpiceError::Build`] for pins referencing nodes this
+    /// circuit does not have.
     pub fn add(&mut self, device: impl Device + 'static) -> Result<()> {
         self.add_boxed(Box::new(device))
     }
@@ -147,19 +233,15 @@ impl Circuit {
     ///
     /// Same as [`Circuit::add`].
     pub fn add_boxed(&mut self, device: Box<dyn Device>) -> Result<()> {
-        let name = device.name().to_string();
-        if self.device_names.contains_key(&name) {
-            return Err(SpiceError::Build(format!("duplicate device name `{name}`")));
-        }
         for pin in device.pins() {
-            if pin.0 >= self.node_names.len() {
+            if pin.0 >= self.nodes.n_nodes() {
                 return Err(SpiceError::Build(format!(
-                    "device `{name}` references unknown node id {}",
+                    "device `{}` references unknown node id {}",
+                    device.name(),
                     pin.0
                 )));
             }
         }
-        self.device_names.insert(name, self.devices.len());
         self.devices.push(device);
         Ok(())
     }
@@ -174,21 +256,21 @@ impl Circuit {
         &mut self.devices
     }
 
-    /// Finds a device index by instance name.
+    /// Finds the index of the first device named `name`, by a scan.
     pub fn device_index(&self, name: &str) -> Option<usize> {
-        self.device_names.get(name).copied()
+        self.devices.iter().position(|d| d.name() == name)
     }
 
     /// Computes the unknown layout, assigning internal-unknown bases
     /// to devices. Called by every analysis before solving.
     pub fn layout(&mut self) -> UnknownLayout {
-        let n_nodes = self.node_names.len();
+        let n_nodes = self.nodes.n_nodes();
         let mut kinds: Vec<UnknownKind> = Vec::with_capacity(n_nodes);
         for i in 1..n_nodes {
-            kinds.push(UnknownKind::NodeAcross(self.node_natures[i]));
+            kinds.push(UnknownKind::NodeAcross(self.nodes.natures[i]));
         }
         let mut labels: Vec<String> = (1..n_nodes)
-            .map(|i| format!("v({})", self.node_names[i]))
+            .map(|i| format!("v({})", self.nodes.names[i]))
             .collect();
         let mut next = n_nodes - 1;
         for dev in &mut self.devices {
@@ -301,13 +383,34 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_device_names_rejected() {
+    fn device_index_scans_names() {
         let mut c = Circuit::new();
         let a = c.enode("a").unwrap();
         let g = c.ground();
         c.add(Resistor::new("r1", a, g, 1.0)).unwrap();
-        assert!(c.add(Resistor::new("r1", a, g, 2.0)).is_err());
-        assert_eq!(c.device_index("r1"), Some(0));
+        c.add(Resistor::new("r2", a, g, 2.0)).unwrap();
+        assert_eq!(c.device_index("r2"), Some(1));
         assert!(c.device_index("zz").is_none());
+    }
+
+    #[test]
+    fn shared_node_tables_copy_on_write() {
+        let mut table = NodeTable::new();
+        let a = table.node("a", Nature::Electrical).unwrap();
+        let table = Arc::new(table);
+        let mut c1 = Circuit::with_nodes(Arc::clone(&table), 0);
+        let c2 = Circuit::with_nodes(Arc::clone(&table), 0);
+        // Finding an existing node leaves the table shared.
+        assert_eq!(c1.enode("a").unwrap(), a);
+        assert!(Arc::ptr_eq(&c1.nodes, &table));
+        assert!(c1.mnode("a").is_err());
+        // A new node copies it: the other circuit does not see it.
+        let b = c1.mnode("b").unwrap();
+        assert!(!Arc::ptr_eq(&c1.nodes, &table));
+        assert_eq!(c1.node_nature(b), Nature::MechanicalTranslation);
+        assert_eq!(c2.n_nodes(), 2);
+        assert!(c2.find_node("b").is_none());
+        let mut d = Circuit::with_nodes(table, 0);
+        assert!(d.add(Resistor::new("r1", b, a, 1.0)).is_err());
     }
 }

@@ -247,7 +247,8 @@ pub struct CommitKind {
 /// on another (batch workers, the `mems serve` artifact cache), so
 /// every device must be transferable across threads.
 pub trait Device: Send {
-    /// Instance name (unique within a circuit).
+    /// Instance name. Elaborated decks keep it unique; a circuit does
+    /// not check.
     fn name(&self) -> &str;
 
     /// Connected nodes.

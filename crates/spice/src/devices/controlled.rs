@@ -7,20 +7,28 @@ use crate::circuit::{NodeId, UnknownLayout};
 use crate::device::{AcLoadCtx, CommitKind, Device, LoadCtx};
 use crate::error::{Result, SpiceError};
 use mems_numerics::Complex64;
+use std::sync::Arc;
 
 /// Voltage-controlled current source: `i(out) = gm·(v_cp − v_cn)`.
 #[derive(Debug, Clone)]
 pub struct Vccs {
-    name: String,
+    name: Arc<str>,
     pins: [NodeId; 4],
     gm: f64,
 }
 
 impl Vccs {
     /// `out_p → out_n` current controlled by `(cp, cn)` across value.
-    pub fn new(name: &str, out_p: NodeId, out_n: NodeId, cp: NodeId, cn: NodeId, gm: f64) -> Self {
+    pub fn new(
+        name: impl Into<Arc<str>>,
+        out_p: NodeId,
+        out_n: NodeId,
+        cp: NodeId,
+        cn: NodeId,
+        gm: f64,
+    ) -> Self {
         Vccs {
-            name: name.to_string(),
+            name: name.into(),
             pins: [out_p, out_n, cp, cn],
             gm,
         }
@@ -66,7 +74,7 @@ impl Device for Vccs {
 /// Voltage-controlled voltage source: `v(out) = gain·(v_cp − v_cn)`.
 #[derive(Debug, Clone)]
 pub struct Vcvs {
-    name: String,
+    name: Arc<str>,
     pins: [NodeId; 4],
     gain: f64,
     base: usize,
@@ -75,7 +83,7 @@ pub struct Vcvs {
 impl Vcvs {
     /// `v(out_p, out_n) = gain·v(cp, cn)`.
     pub fn new(
-        name: &str,
+        name: impl Into<Arc<str>>,
         out_p: NodeId,
         out_n: NodeId,
         cp: NodeId,
@@ -83,7 +91,7 @@ impl Vcvs {
         gain: f64,
     ) -> Self {
         Vcvs {
-            name: name.to_string(),
+            name: name.into(),
             pins: [out_p, out_n, cp, cn],
             gain,
             base: usize::MAX,
@@ -153,7 +161,7 @@ impl Device for Vcvs {
 /// the sense branch is a zero-volt source inserted by this device.
 #[derive(Debug, Clone)]
 pub struct Cccs {
-    name: String,
+    name: Arc<str>,
     pins: [NodeId; 4],
     gain: f64,
     base: usize,
@@ -164,7 +172,7 @@ impl Cccs {
     /// flowing from `sense_p` to `sense_n` through this device's
     /// internal zero-volt sense branch.
     pub fn new(
-        name: &str,
+        name: impl Into<Arc<str>>,
         out_p: NodeId,
         out_n: NodeId,
         sense_p: NodeId,
@@ -172,7 +180,7 @@ impl Cccs {
         gain: f64,
     ) -> Self {
         Cccs {
-            name: name.to_string(),
+            name: name.into(),
             pins: [out_p, out_n, sense_p, sense_n],
             gain,
             base: usize::MAX,
@@ -235,7 +243,7 @@ impl Device for Cccs {
 /// Current-controlled voltage source: `v(out) = r·i(sense)`.
 #[derive(Debug, Clone)]
 pub struct Ccvs {
-    name: String,
+    name: Arc<str>,
     pins: [NodeId; 4],
     r: f64,
     base: usize,
@@ -244,7 +252,7 @@ pub struct Ccvs {
 impl Ccvs {
     /// `v(out_p, out_n) = r · i(sense_p → sense_n)`.
     pub fn new(
-        name: &str,
+        name: impl Into<Arc<str>>,
         out_p: NodeId,
         out_n: NodeId,
         sense_p: NodeId,
@@ -252,7 +260,7 @@ impl Ccvs {
         r: f64,
     ) -> Self {
         Ccvs {
-            name: name.to_string(),
+            name: name.into(),
             pins: [out_p, out_n, sense_p, sense_n],
             r,
             base: usize::MAX,
@@ -328,7 +336,7 @@ impl Device for Ccvs {
 /// suggests for improving linearized equivalent circuits.
 #[derive(Debug, Clone)]
 pub struct ProductVccs {
-    name: String,
+    name: Arc<str>,
     pins: [NodeId; 6],
     k: f64,
 }
@@ -338,7 +346,7 @@ impl ProductVccs {
     // Six pins + name + coefficient: inherent to a three-port device.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        name: &str,
+        name: impl Into<Arc<str>>,
         out_p: NodeId,
         out_n: NodeId,
         c1p: NodeId,
@@ -348,7 +356,7 @@ impl ProductVccs {
         k: f64,
     ) -> Self {
         ProductVccs {
-            name: name.to_string(),
+            name: name.into(),
             pins: [out_p, out_n, c1p, c1n, c2p, c2n],
             k,
         }
@@ -380,7 +388,7 @@ impl Device for ProductVccs {
         let i = self.k * v1 * v2;
         if !i.is_finite() {
             return Err(SpiceError::Device {
-                device: self.name.clone(),
+                device: self.name.to_string(),
                 detail: "non-finite output current".into(),
             });
         }

@@ -10,11 +10,12 @@ use crate::circuit::{NodeId, UnknownLayout};
 use crate::device::{AcLoadCtx, CommitKind, Device, LoadCtx};
 use crate::error::{Result, SpiceError};
 use mems_numerics::Complex64;
+use std::sync::Arc;
 
 /// Ideal transformer: `v1 = n·v2`, `i2 = −n·i1` (power conserving).
 #[derive(Debug, Clone)]
 pub struct IdealTransformer {
-    name: String,
+    name: Arc<str>,
     pins: [NodeId; 4],
     ratio: f64,
     base: usize,
@@ -23,9 +24,16 @@ pub struct IdealTransformer {
 impl IdealTransformer {
     /// Primary `(p1, n1)`, secondary `(p2, n2)`, turns ratio
     /// `n = v1/v2`.
-    pub fn new(name: &str, p1: NodeId, n1: NodeId, p2: NodeId, n2: NodeId, ratio: f64) -> Self {
+    pub fn new(
+        name: impl Into<Arc<str>>,
+        p1: NodeId,
+        n1: NodeId,
+        p2: NodeId,
+        n2: NodeId,
+        ratio: f64,
+    ) -> Self {
         IdealTransformer {
-            name: name.to_string(),
+            name: name.into(),
             pins: [p1, n1, p2, n2],
             ratio,
             base: usize::MAX,
@@ -58,7 +66,7 @@ impl Device for IdealTransformer {
     fn load(&mut self, ctx: &mut LoadCtx<'_>) -> Result<()> {
         if self.base == usize::MAX {
             return Err(SpiceError::Device {
-                device: self.name.clone(),
+                device: self.name.to_string(),
                 detail: "layout() was not run before load".into(),
             });
         }
@@ -105,16 +113,23 @@ impl Device for IdealTransformer {
 /// Ideal gyrator: `i1 = g·v2`, `i2 = −g·v1` (power conserving).
 #[derive(Debug, Clone)]
 pub struct Gyrator {
-    name: String,
+    name: Arc<str>,
     pins: [NodeId; 4],
     g: f64,
 }
 
 impl Gyrator {
     /// Port 1 `(p1, n1)`, port 2 `(p2, n2)`, gyration conductance `g`.
-    pub fn new(name: &str, p1: NodeId, n1: NodeId, p2: NodeId, n2: NodeId, g: f64) -> Self {
+    pub fn new(
+        name: impl Into<Arc<str>>,
+        p1: NodeId,
+        n1: NodeId,
+        p2: NodeId,
+        n2: NodeId,
+        g: f64,
+    ) -> Self {
         Gyrator {
-            name: name.to_string(),
+            name: name.into(),
             pins: [p1, n1, p2, n2],
             g,
         }

@@ -14,6 +14,7 @@ use mems_hdl::compile::BranchInfo;
 use mems_hdl::eval::{DualComplex, DualReal, EvalEnv};
 use mems_hdl::model::{HdlModel, Instance};
 use mems_numerics::Complex64;
+use std::sync::Arc;
 
 /// A behavioral device wrapping an elaborated HDL-A instance.
 pub struct HdlDevice {
@@ -47,7 +48,7 @@ impl HdlDevice {
     /// Returns [`SpiceError::Build`] for a pin-count mismatch and
     /// propagates elaboration failures.
     pub fn new(
-        name: &str,
+        name: impl Into<Arc<str>>,
         model: &HdlModel,
         generics: &[(&str, f64)],
         nodes: &[NodeId],
@@ -61,8 +62,9 @@ impl HdlDevice {
                 nodes.len()
             )));
         }
+        let name = name.into();
         let instance = model
-            .instantiate(name, generics)
+            .instantiate(Arc::clone(&name), generics)
             .map_err(|e| SpiceError::Device {
                 device: name.to_string(),
                 detail: e.to_string(),

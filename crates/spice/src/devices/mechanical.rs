@@ -10,6 +10,7 @@ use crate::circuit::{NodeId, UnknownLayout};
 use crate::device::{AcLoadCtx, CommitKind, Device, LoadCtx};
 use crate::devices::passive::{Capacitor, Inductor, Resistor};
 use crate::error::Result;
+use std::sync::Arc;
 
 /// A point mass attached to a velocity node (second terminal is the
 /// inertial reference, i.e. ground): force `F = m·dv/dt`.
@@ -22,7 +23,7 @@ pub struct Mass {
 impl Mass {
     /// Creates a mass of `m` kilograms on velocity node `v`,
     /// referenced to `reference` (normally ground).
-    pub fn new(name: &str, v: NodeId, reference: NodeId, m: f64) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, v: NodeId, reference: NodeId, m: f64) -> Self {
         Mass {
             inner: Capacitor::new(name, v, reference, m),
             mass: m,
@@ -65,7 +66,7 @@ pub struct Spring {
 
 impl Spring {
     /// Creates a spring of stiffness `k` [N/m].
-    pub fn new(name: &str, a: NodeId, b: NodeId, k: f64) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, a: NodeId, b: NodeId, k: f64) -> Self {
         Spring {
             inner: Inductor::new(name, a, b, 1.0 / k),
             stiffness: k,
@@ -116,7 +117,7 @@ pub struct Damper {
 
 impl Damper {
     /// Creates a damper with coefficient `alpha` [N·s/m].
-    pub fn new(name: &str, a: NodeId, b: NodeId, alpha: f64) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, a: NodeId, b: NodeId, alpha: f64) -> Self {
         Damper {
             inner: Resistor::new(name, a, b, 1.0 / alpha),
             damping: alpha,

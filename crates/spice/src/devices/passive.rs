@@ -5,11 +5,12 @@ use crate::device::{AcLoadCtx, CommitKind, Device, LoadCtx, LoadKind};
 use crate::error::{Result, SpiceError};
 use mems_numerics::ode::DiffFormula;
 use mems_numerics::Complex64;
+use std::sync::Arc;
 
 /// Linear resistor `i = (v_a − v_b)/R`.
 #[derive(Debug, Clone)]
 pub struct Resistor {
-    name: String,
+    name: Arc<str>,
     pins: [NodeId; 2],
     resistance: f64,
 }
@@ -20,13 +21,14 @@ impl Resistor {
     /// # Panics
     ///
     /// Panics on zero/non-finite resistance (programming error).
-    pub fn new(name: &str, a: NodeId, b: NodeId, resistance: f64) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, a: NodeId, b: NodeId, resistance: f64) -> Self {
+        let name = name.into();
         assert!(
             resistance != 0.0 && resistance.is_finite(),
             "resistor `{name}` needs a nonzero finite resistance"
         );
         Resistor {
-            name: name.to_string(),
+            name,
             pins: [a, b],
             resistance,
         }
@@ -65,7 +67,7 @@ impl Device for Resistor {
 /// Linear capacitor `i = C·d(v_a − v_b)/dt`.
 #[derive(Debug, Clone)]
 pub struct Capacitor {
-    name: String,
+    name: Arc<str>,
     pins: [NodeId; 2],
     capacitance: f64,
     /// Committed voltage and its derivative (for TR history).
@@ -84,13 +86,14 @@ impl Capacitor {
     /// # Panics
     ///
     /// Panics on non-positive/non-finite capacitance.
-    pub fn new(name: &str, a: NodeId, b: NodeId, capacitance: f64) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, a: NodeId, b: NodeId, capacitance: f64) -> Self {
+        let name = name.into();
         assert!(
             capacitance > 0.0 && capacitance.is_finite(),
             "capacitor `{name}` needs a positive capacitance"
         );
         Capacitor {
-            name: name.to_string(),
+            name,
             pins: [a, b],
             capacitance,
             v_prev: 0.0,
@@ -182,7 +185,7 @@ impl Device for Capacitor {
 /// unknown (MNA group 2).
 #[derive(Debug, Clone)]
 pub struct Inductor {
-    name: String,
+    name: Arc<str>,
     pins: [NodeId; 2],
     inductance: f64,
     base: usize,
@@ -200,13 +203,14 @@ impl Inductor {
     /// # Panics
     ///
     /// Panics on non-positive/non-finite inductance.
-    pub fn new(name: &str, a: NodeId, b: NodeId, inductance: f64) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, a: NodeId, b: NodeId, inductance: f64) -> Self {
+        let name = name.into();
         assert!(
             inductance > 0.0 && inductance.is_finite(),
             "inductor `{name}` needs a positive inductance"
         );
         Inductor {
-            name: name.to_string(),
+            name,
             pins: [a, b],
             inductance,
             base: usize::MAX,
@@ -250,7 +254,7 @@ impl Device for Inductor {
     fn load(&mut self, ctx: &mut LoadCtx<'_>) -> Result<()> {
         if self.base == usize::MAX {
             return Err(SpiceError::Device {
-                device: self.name.clone(),
+                device: self.name.to_string(),
                 detail: "layout() was not run before load".into(),
             });
         }

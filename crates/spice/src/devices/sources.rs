@@ -5,6 +5,7 @@ use crate::device::{AcLoadCtx, CommitKind, Device, LoadCtx};
 use crate::error::{Result, SpiceError};
 use crate::wave::Waveform;
 use mems_numerics::Complex64;
+use std::sync::Arc;
 
 /// Small-signal stimulus specification (magnitude, phase in degrees).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,7 +36,7 @@ impl AcSpec {
 /// analogy).
 #[derive(Debug, Clone)]
 pub struct VoltageSource {
-    name: String,
+    name: Arc<str>,
     pins: [NodeId; 2],
     wave: Waveform,
     ac: Option<AcSpec>,
@@ -44,9 +45,9 @@ pub struct VoltageSource {
 
 impl VoltageSource {
     /// Creates a source forcing `v_a − v_b = wave(t)`.
-    pub fn new(name: &str, a: NodeId, b: NodeId, wave: Waveform) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, a: NodeId, b: NodeId, wave: Waveform) -> Self {
         VoltageSource {
-            name: name.to_string(),
+            name: name.into(),
             pins: [a, b],
             wave,
             ac: None,
@@ -91,7 +92,7 @@ impl Device for VoltageSource {
     fn load(&mut self, ctx: &mut LoadCtx<'_>) -> Result<()> {
         if self.base == usize::MAX {
             return Err(SpiceError::Device {
-                device: self.name.clone(),
+                device: self.name.to_string(),
                 detail: "layout() was not run before load".into(),
             });
         }
@@ -134,7 +135,7 @@ impl Device for VoltageSource {
 /// to pin `b`.
 #[derive(Debug, Clone)]
 pub struct CurrentSource {
-    name: String,
+    name: Arc<str>,
     pins: [NodeId; 2],
     wave: Waveform,
     ac: Option<AcSpec>,
@@ -142,9 +143,9 @@ pub struct CurrentSource {
 
 impl CurrentSource {
     /// Creates a source forcing current `wave(t)` from `a` to `b`.
-    pub fn new(name: &str, a: NodeId, b: NodeId, wave: Waveform) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, a: NodeId, b: NodeId, wave: Waveform) -> Self {
         CurrentSource {
-            name: name.to_string(),
+            name: name.into(),
             pins: [a, b],
             wave,
             ac: None,

@@ -203,7 +203,8 @@ pub struct NewtonOutcome {
 ///
 /// # Errors
 ///
-/// - [`SpiceError::NoConvergence`] when the budget is exhausted;
+/// - [`SpiceError::NoConvergence`] when the budget is exhausted or an
+///   update or residual is not finite;
 /// - [`SpiceError::Singular`] from the linear solver;
 /// - device errors from assembly.
 pub fn newton(
@@ -248,6 +249,18 @@ pub fn newton(
 
         let mut converged = true;
         for k in 0..n {
+            // A NaN passes no `>` test below, so a non-finite update or
+            // residual would read as converged.
+            if !(delta[k].is_finite() && ws.resid[k].is_finite()) {
+                return Err(SpiceError::NoConvergence {
+                    analysis: "newton".into(),
+                    detail: format!(
+                        "non-finite update or residual at {} in iteration {}",
+                        layout.labels[k],
+                        it + 1
+                    ),
+                });
+            }
             let x_new = x[k] + delta[k];
             let tol = opts.reltol * x[k].abs().max(x_new.abs()) + opts.abstol(layout.kinds[k]);
             if delta[k].abs() > tol {
@@ -281,11 +294,7 @@ pub fn newton(
 
 fn worst_rows(layout: &UnknownLayout, row_scale: &[f64]) -> String {
     let mut idx: Vec<usize> = (0..row_scale.len()).collect();
-    idx.sort_by(|&a, &b| {
-        row_scale[a]
-            .partial_cmp(&row_scale[b])
-            .expect("finite scales")
-    });
+    idx.sort_by(|&a, &b| row_scale[a].total_cmp(&row_scale[b]));
     idx.iter()
         .take(3)
         .map(|&i| layout.labels[i].as_str())
@@ -296,7 +305,8 @@ fn worst_rows(layout: &UnknownLayout, row_scale: &[f64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::circuit::Circuit;
+    use crate::circuit::{Circuit, NodeId};
+    use crate::device::{Device, LoadCtx};
     use crate::devices::controlled::ProductVccs;
     use crate::devices::passive::Resistor;
     use crate::devices::sources::{CurrentSource, VoltageSource};
@@ -391,6 +401,69 @@ mod tests {
         .unwrap();
         assert!((out.x[0] - 2.0).abs() < 1e-9, "v = {}", out.x[0]);
         assert!(out.iterations < 20);
+    }
+
+    /// Stamps a finite conductance from its node to ground and a NaN
+    /// residual: an evaluation that went wrong without an error.
+    struct NanResidual {
+        pins: [NodeId; 1],
+    }
+
+    impl Device for NanResidual {
+        fn name(&self) -> &str {
+            "nan"
+        }
+
+        fn pins(&self) -> &[NodeId] {
+            &self.pins
+        }
+
+        fn load(&mut self, ctx: &mut LoadCtx<'_>) -> Result<()> {
+            let row = ctx.node_unknown(self.pins[0]);
+            ctx.stamp(row, row, 1.0);
+            ctx.residual(row, f64::NAN);
+            Ok(())
+        }
+
+        fn load_ac(&mut self, _ctx: &mut crate::device::AcLoadCtx<'_>) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn nan_residual_is_not_convergence() {
+        let mut c = Circuit::new();
+        let a = c.enode("a").unwrap();
+        c.add(NanResidual { pins: [a] }).unwrap();
+        let layout = c.layout();
+        let mut ws = Workspace::new(layout.n_unknowns);
+        let opts = SimOptions::default();
+        let out = newton(&mut c, &layout, dc_kind(), 0.0, &opts, &[0.0], &mut ws);
+        match out {
+            Err(SpiceError::NoConvergence { detail, .. }) => {
+                assert!(
+                    detail.contains("non-finite update or residual at v(a)"),
+                    "{detail}"
+                );
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn nan_row_scale_on_a_singular_matrix_is_reported() {
+        let mut c = Circuit::new();
+        let a = c.enode("a").unwrap();
+        let _floating = c.enode("b").unwrap();
+        c.add(NanResidual { pins: [a] }).unwrap();
+        let layout = c.layout();
+        let mut ws = Workspace::new(layout.n_unknowns);
+        let opts = SimOptions::default();
+        let out = newton(&mut c, &layout, dc_kind(), 0.0, &opts, &[0.0; 2], &mut ws);
+        match out {
+            Err(SpiceError::Singular(m)) => assert!(m.contains("v(b), v(a)"), "{m}"),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
