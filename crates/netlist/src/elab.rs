@@ -97,20 +97,22 @@ enum Slot {
     Private(usize),
 }
 
-/// The node references of one body (the top level or a `.SUBCKT`),
+/// One body (the top level or a `.SUBCKT`) with its node references
 /// resolved to slots once per definition. Instances then map slots to
 /// ids: ports to the caller's ids, private nodes to fresh ones.
-struct BodyNodes<'d> {
+struct Body<'d> {
+    node_decls: &'d [NodeDecl],
+    devices: &'d [DeviceCard],
     /// Private node names, in first-use order.
     private: Vec<&'d str>,
     /// Slots of every `.NODE` declaration's nodes, in body order.
-    decls: Vec<Slot>,
+    decl_slots: Vec<Slot>,
     /// Slots of every card's [`card_nodes`], in body order.
-    cards: Vec<Slot>,
+    card_slots: Vec<Slot>,
 }
 
-impl<'d> BodyNodes<'d> {
-    fn new(ports: &[String], decls: &'d [NodeDecl], devices: &'d [DeviceCard]) -> Self {
+impl<'d> Body<'d> {
+    fn new(ports: &[String], node_decls: &'d [NodeDecl], devices: &'d [DeviceCard]) -> Self {
         let mut private_index: HashMap<&'d str, usize> = HashMap::new();
         let mut private = Vec::new();
         let mut slot = |name: &'d str| {
@@ -126,16 +128,18 @@ impl<'d> BodyNodes<'d> {
                 private.len() - 1
             }))
         };
-        let decls = decls
+        let decl_slots = node_decls
             .iter()
             .flat_map(|d| d.nodes.iter().map(String::as_str))
             .map(&mut slot)
             .collect();
-        let cards = devices.iter().flat_map(card_nodes).map(&mut slot).collect();
-        BodyNodes {
+        let card_slots = devices.iter().flat_map(card_nodes).map(&mut slot).collect();
+        Body {
+            node_decls,
+            devices,
             private,
-            decls,
-            cards,
+            decl_slots,
+            card_slots,
         }
     }
 }
@@ -166,7 +170,7 @@ struct Flattener<'d> {
     names: Vec<Arc<str>>,
     index: HashMap<Arc<str>, usize>,
     /// Resolved bodies, by `.SUBCKT` position in the deck.
-    bodies: Vec<Option<Rc<BodyNodes<'d>>>>,
+    bodies: Vec<Option<Rc<Body<'d>>>>,
     /// Scratch buffer for joined paths.
     buf: String,
 }
@@ -187,11 +191,10 @@ impl<'d> Flattener<'d> {
     }
 
     /// The resolved body of the deck's `index`-th `.SUBCKT`.
-    fn body(&mut self, index: usize) -> Rc<BodyNodes<'d>> {
+    fn body(&mut self, index: usize) -> Rc<Body<'d>> {
         let def = &self.deck.subckts[index];
-        let body = self.bodies[index].get_or_insert_with(|| {
-            Rc::new(BodyNodes::new(&def.ports, &def.node_decls, &def.devices))
-        });
+        let body = self.bodies[index]
+            .get_or_insert_with(|| Rc::new(Body::new(&def.ports, &def.node_decls, &def.devices)));
         Rc::clone(body)
     }
 
@@ -199,8 +202,7 @@ impl<'d> Flattener<'d> {
     /// prefix; `ports` holds the caller's ids for the body's ports.
     fn flatten_body(
         &mut self,
-        body: &BodyNodes<'d>,
-        (decls, devices): (&'d [NodeDecl], &'d [DeviceCard]),
+        body: &Body<'d>,
         scope: usize,
         prefix: &str,
         ports: &[usize],
@@ -216,8 +218,8 @@ impl<'d> Flattener<'d> {
             Slot::Port(i) => ports[i],
             Slot::Private(i) => private[i],
         };
-        let mut slots = body.decls.iter();
-        for decl in decls {
+        let mut slots = body.decl_slots.iter();
+        for decl in body.node_decls {
             let start = self.decl_nodes.len();
             self.decl_nodes
                 .extend(slots.by_ref().take(decl.nodes.len()).map(|&s| id(s)));
@@ -228,8 +230,8 @@ impl<'d> Flattener<'d> {
             });
         }
         let deck = self.deck;
-        let mut slots = body.cards.iter();
-        for card in devices {
+        let mut slots = body.card_slots.iter();
+        for card in body.devices {
             let card_slots = slots.by_ref().take(card_nodes(card).count());
             join_into(&mut self.buf, prefix, card.name());
             let path: Arc<str> = Arc::from(self.buf.as_str());
@@ -297,14 +299,7 @@ impl<'d> Flattener<'d> {
                     let inner_ports: Vec<usize> = card_slots.map(|&s| id(s)).collect();
                     let inner = self.body(index);
                     stack.push(callee);
-                    self.flatten_body(
-                        &inner,
-                        (&def.node_decls, &def.devices),
-                        inner_scope,
-                        &path,
-                        &inner_ports,
-                        stack,
-                    )?;
+                    self.flatten_body(&inner, inner_scope, &path, &inner_ports, stack)?;
                     stack.pop();
                     continue;
                 }
@@ -501,9 +496,8 @@ impl<'d> Elaborator<'d> {
             bodies: vec![None; deck.subckts.len()],
             buf: String::new(),
         };
-        let top = BodyNodes::new(&[], &deck.node_decls, &deck.devices);
-        let decks = (deck.node_decls.as_slice(), deck.devices.as_slice());
-        flat.flatten_body(&top, decks, 0, "", &[], &mut Vec::new())?;
+        let top = Body::new(&[], &deck.node_decls, &deck.devices);
+        flat.flatten_body(&top, 0, "", &[], &mut Vec::new())?;
         let (table, nodes) = flat.number()?;
         let elab = Elaborator {
             deck,
