@@ -73,15 +73,15 @@ pub enum MechanicalAnalogy {
 /// analogy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ElectricalEquivalent {
-    /// A resistor with the given resistance [Ω].
+    /// A resistor with the given resistance \[Ω\].
     Resistor(f64),
-    /// A capacitor with the given capacitance [F].
+    /// A capacitor with the given capacitance \[F\].
     Capacitor(f64),
-    /// An inductor with the given inductance [H].
+    /// An inductor with the given inductance \[H\].
     Inductor(f64),
 }
 
-/// Maps a point mass `m` [kg].
+/// Maps a point mass `m` \[kg\].
 pub fn map_mass(analogy: MechanicalAnalogy, m: f64) -> ElectricalEquivalent {
     match analogy {
         MechanicalAnalogy::ForceVoltage => ElectricalEquivalent::Inductor(m),

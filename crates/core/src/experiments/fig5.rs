@@ -17,9 +17,9 @@ use mems_spice::{Result, Waveform};
 /// Options for the Fig. 5 run.
 #[derive(Debug, Clone)]
 pub struct Fig5Options {
-    /// Pulse levels [V] (paper: 5, 10, 15).
+    /// Pulse levels \[V\] (paper: 5, 10, 15).
     pub levels: Vec<f64>,
-    /// Simulation horizon per level [s].
+    /// Simulation horizon per level \[s\].
     pub t_stop: f64,
     /// Linearization flavour (see `DESIGN.md` §6; `Secant` reproduces
     /// the figure's described over/undershoot pattern in the settled
@@ -53,15 +53,15 @@ impl Fig5Options {
 /// One level of the comparison.
 #[derive(Debug, Clone)]
 pub struct Fig5Row {
-    /// Pulse level [V].
+    /// Pulse level \[V\].
     pub level: f64,
-    /// Settled displacement of the behavioral (non-linear) model [m].
+    /// Settled displacement of the behavioral (non-linear) model \[m\].
     pub x_nonlinear: f64,
-    /// Settled displacement of the linearized model [m].
+    /// Settled displacement of the linearized model \[m\].
     pub x_linear: f64,
-    /// Peak displacement of the behavioral model [m].
+    /// Peak displacement of the behavioral model \[m\].
     pub peak_nonlinear: f64,
-    /// Peak displacement of the linearized model [m].
+    /// Peak displacement of the linearized model \[m\].
     pub peak_linear: f64,
     /// Behavioral trace (time, x).
     pub trace_nonlinear: (Vec<f64>, Vec<f64>),

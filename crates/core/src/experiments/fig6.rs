@@ -12,9 +12,9 @@ use mems_pxt::Result;
 /// Results of the Fig. 6 workflow.
 #[derive(Debug, Clone)]
 pub struct Fig6Result {
-    /// FE-extracted force at `(10 V, x = 0)` [N].
+    /// FE-extracted force at `(10 V, x = 0)` \[N\].
     pub force_fe: f64,
-    /// Analytic Table 3 force at the same point [N].
+    /// Analytic Table 3 force at the same point \[N\].
     pub force_analytic: f64,
     /// Relative FE-vs-analytic error.
     pub force_rel_error: f64,

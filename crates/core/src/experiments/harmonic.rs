@@ -13,7 +13,7 @@ use mems_pxt::{fit_rational, stabilize, PxtError, Result};
 /// Results of the harmonic extraction workflow.
 #[derive(Debug, Clone)]
 pub struct HarmonicResult {
-    /// First natural frequency of the beam [Hz].
+    /// First natural frequency of the beam \[Hz\].
     pub f1: f64,
     /// Rational-fit relative error over the sampled response.
     pub fit_error: f64,

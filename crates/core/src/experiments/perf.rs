@@ -19,9 +19,9 @@ use std::time::Instant;
 /// Timing results.
 #[derive(Debug, Clone)]
 pub struct PerfResult {
-    /// Wall time of the behavioral-model run [s].
+    /// Wall time of the behavioral-model run \[s\].
     pub behavioral_seconds: f64,
-    /// Wall time of the native equivalent-circuit run [s].
+    /// Wall time of the native equivalent-circuit run \[s\].
     pub native_seconds: f64,
     /// Slowdown factor (paper observed ≈ 10).
     pub slowdown: f64,

@@ -69,9 +69,9 @@ pub fn table2() -> Vec<Table2Row> {
 pub struct Table3Row {
     /// Transducer label.
     pub label: &'static str,
-    /// Force from the energy derivation [N].
+    /// Force from the energy derivation \[N\].
     pub force_derived: f64,
-    /// Force from the closed form (Table 3) [N].
+    /// Force from the closed form (Table 3) \[N\].
     pub force_closed: f64,
     /// Relative error between the two.
     pub rel_error: f64,
@@ -184,16 +184,16 @@ pub fn table3() -> Result<Vec<Table3Row>> {
 /// The Table 4 derived quantities: paper values vs computed.
 #[derive(Debug, Clone)]
 pub struct Table4Derived {
-    /// Computed static displacement `x₀` [m] (paper: 1.0e-8).
+    /// Computed static displacement `x₀` \[m\] (paper: 1.0e-8).
     pub x0: f64,
-    /// Computed bias capacitance `C₀` [F] (paper: 5.8637e-12).
+    /// Computed bias capacitance `C₀` \[F\] (paper: 5.8637e-12).
     pub c0: f64,
     /// Secant transduction factor [N/V].
     pub gamma_secant: f64,
     /// Tangent transduction factor [N/V] (paper prints 3.34675e-9,
     /// inconsistent with its own parameters; see EXPERIMENTS.md).
     pub gamma_tangent: f64,
-    /// Bias force [N].
+    /// Bias force \[N\].
     pub f0: f64,
 }
 

@@ -9,7 +9,7 @@ use mems_spice::Result;
 /// A 1-DOF mass–spring–damper resonator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MechanicalResonator {
-    /// Mass `m` [kg].
+    /// Mass `m` \[kg\].
     pub mass: f64,
     /// Spring constant `k` [N/m].
     pub stiffness: f64,
@@ -28,7 +28,7 @@ impl MechanicalResonator {
         }
     }
 
-    /// Undamped natural frequency [Hz] (≈ 225 Hz for Table 4).
+    /// Undamped natural frequency \[Hz\] (≈ 225 Hz for Table 4).
     pub fn natural_frequency(&self) -> f64 {
         (self.stiffness / self.mass).sqrt() / (2.0 * std::f64::consts::PI)
     }
@@ -39,13 +39,13 @@ impl MechanicalResonator {
         self.damping / (2.0 * (self.stiffness * self.mass).sqrt())
     }
 
-    /// Damped ringing frequency [Hz].
+    /// Damped ringing frequency \[Hz\].
     pub fn damped_frequency(&self) -> f64 {
         let z = self.damping_ratio();
         self.natural_frequency() * (1.0 - z * z).sqrt()
     }
 
-    /// Static deflection under a force [m].
+    /// Static deflection under a force \[m\].
     pub fn static_deflection(&self, force: f64) -> f64 {
         force / self.stiffness
     }

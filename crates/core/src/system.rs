@@ -39,11 +39,11 @@ pub struct TransducerResonatorSystem {
 /// A simulated displacement trace.
 #[derive(Debug, Clone)]
 pub struct DisplacementTrace {
-    /// Time points [s].
+    /// Time points \[s\].
     pub time: Vec<f64>,
-    /// Displacement `x(t)` [m] (spring force / k).
+    /// Displacement `x(t)` \[m\] (spring force / k).
     pub x: Vec<f64>,
-    /// Drive voltage `v(t)` [V].
+    /// Drive voltage `v(t)` \[V\].
     pub v: Vec<f64>,
     /// Solver statistics: total Newton iterations.
     pub newton_iterations: usize,

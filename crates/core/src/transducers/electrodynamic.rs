@@ -12,9 +12,9 @@ use mems_hdl::Result;
 pub struct ElectrodynamicVoiceCoil {
     /// Coil turns `N`.
     pub turns: f64,
-    /// Coil radius `r` [m].
+    /// Coil radius `r` \[m\].
     pub radius: f64,
-    /// Radial flux density `B` [T].
+    /// Radial flux density `B` \[T\].
     pub b_field: f64,
 }
 

@@ -11,9 +11,9 @@ use mems_numerics::rootfind::brent;
 /// The variable-gap reluctance transducer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElectromagneticGap {
-    /// Magnetic cross-section `A` [m²].
+    /// Magnetic cross-section `A` \[m²\].
     pub area: f64,
-    /// Rest gap `d` [m].
+    /// Rest gap `d` \[m\].
     pub gap: f64,
     /// Coil turns `N`.
     pub turns: f64,

@@ -14,7 +14,7 @@
 //!   exactly at `v₀`, overshoots below and undershoots above — the
 //!   behaviour Fig. 5 describes.
 //! - [`LinearizedKind::TangentBias`]: the textbook small-signal
-//!   two-port (Tilmans, the paper's ref. [1]): `Γ = ∂F/∂v = 2·Γ_sec`,
+//!   two-port (Tilmans, the paper's ref. \[1\]): `Γ = ∂F/∂v = 2·Γ_sec`,
 //!   driven by the *deviation* `v − v₀`, with the bias force `F₀` and
 //!   the electrostatic spring constant `k_e` included.
 
@@ -38,7 +38,7 @@ pub enum LinearizedKind {
 pub struct LinearizedTransducer {
     /// Which realization to build.
     pub kind: LinearizedKind,
-    /// Bias capacitance `C₀` [F].
+    /// Bias capacitance `C₀` \[F\].
     pub c0: f64,
     /// Secant transduction factor [N/V].
     pub gamma_secant: f64,
@@ -46,11 +46,11 @@ pub struct LinearizedTransducer {
     pub gamma_tangent: f64,
     /// Electrostatic spring constant `|∂F/∂x|` [N/m].
     pub k_e: f64,
-    /// Bias voltage [V].
+    /// Bias voltage \[V\].
     pub v0: f64,
-    /// Bias displacement [m].
+    /// Bias displacement \[m\].
     pub x0: f64,
-    /// Bias force [N] (negative: attraction).
+    /// Bias force \[N\] (negative: attraction).
     pub f0: f64,
 }
 

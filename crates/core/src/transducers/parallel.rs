@@ -10,11 +10,11 @@ use mems_hdl::Result;
 /// The sliding-plate electrostatic transducer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParallelPlateElectrostatic {
-    /// Plate depth `h` [m] (out of plane).
+    /// Plate depth `h` \[m\] (out of plane).
     pub height: f64,
-    /// Overlap length at rest `l` [m].
+    /// Overlap length at rest `l` \[m\].
     pub length: f64,
-    /// Gap `d` [m].
+    /// Gap `d` \[m\].
     pub gap: f64,
     /// Relative permittivity `εr`.
     pub eps_r: f64,

@@ -14,9 +14,9 @@ use mems_numerics::rootfind::brent;
 /// The transverse electrostatic transducer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransverseElectrostatic {
-    /// Active plate area `A` [m²].
+    /// Active plate area `A` \[m²\].
     pub area: f64,
-    /// Rest gap `d` [m].
+    /// Rest gap `d` \[m\].
     pub gap: f64,
     /// Relative permittivity `εr`.
     pub eps_r: f64,

@@ -14,11 +14,11 @@ use mems_numerics::{Complex64, NumericsError, Result};
 /// elements (2 nodes × 2 DOFs: deflection `w`, rotation `θ`).
 #[derive(Debug, Clone)]
 pub struct CantileverBeam {
-    /// Beam length [m].
+    /// Beam length \[m\].
     pub length: f64,
-    /// Young's modulus [Pa].
+    /// Young's modulus \[Pa\].
     pub youngs: f64,
-    /// Second moment of area [m⁴].
+    /// Second moment of area \[m⁴\].
     pub inertia: f64,
     /// Mass per unit length [kg/m].
     pub mass_per_length: f64,
@@ -144,7 +144,7 @@ impl CantileverBeam {
         LuFactors::factor(&kg)?.solve(&f)
     }
 
-    /// Lowest `n_modes` natural frequencies [Hz] by shifted inverse
+    /// Lowest `n_modes` natural frequencies \[Hz\] by shifted inverse
     /// power iteration with mass-orthogonal deflation.
     ///
     /// # Errors
@@ -201,7 +201,7 @@ impl CantileverBeam {
     }
 
     /// Damped harmonic response: tip deflection phasor per unit tip
-    /// force, at each frequency [Hz].
+    /// force, at each frequency \[Hz\].
     ///
     /// Solves `(K + jωC − ω²M)·u = F` with Rayleigh damping.
     ///

@@ -21,7 +21,7 @@ pub struct Electrode {
     pub name: String,
     /// Member nodes.
     pub nodes: Vec<NodeIdx>,
-    /// Prescribed potential [V].
+    /// Prescribed potential \[V\].
     pub potential: f64,
 }
 
@@ -41,7 +41,7 @@ pub struct PotentialField {
     pub mesh: StructuredQuadMesh,
     /// Relative permittivity per element.
     pub eps_r: Vec<f64>,
-    /// Nodal potentials [V].
+    /// Nodal potentials \[V\].
     pub phi: Vec<f64>,
     /// CG iterations used.
     pub iterations: usize,

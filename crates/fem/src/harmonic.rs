@@ -6,7 +6,7 @@ use mems_numerics::Complex64;
 /// A sampled frequency response `H(jω)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrequencyResponse {
-    /// Sample frequencies [Hz].
+    /// Sample frequencies \[Hz\].
     pub freqs: Vec<f64>,
     /// Complex response values at each frequency.
     pub h: Vec<Complex64>,
@@ -38,7 +38,7 @@ impl FrequencyResponse {
         self.h.iter().map(|z| z.abs()).collect()
     }
 
-    /// Phases [degrees].
+    /// Phases \[degrees\].
     pub fn phases_deg(&self) -> Vec<f64> {
         self.h.iter().map(|z| z.arg().to_degrees()).collect()
     }

@@ -10,13 +10,12 @@
 //!
 //! Equivalence with the tree walk is a hard contract (enforced by the
 //! differential harness in `tests/bytecode_equivalence.rs`): the VM
-//! reuses the same scalar kernels ([`crate::eval::plan_ddt`] /
-//! [`plan_integ`] / [`chain_coeffs`] / [`pow_coeffs`] /
-//! [`fold_binop`]), applies them through in-place [`AdScalar`]
-//! operations that perform the identical floating-point operations in
-//! the identical order, and reproduces the tree walk's runtime errors
-//! (unassigned reads, non-finite contributions, failed assertions)
-//! with the same messages.
+//! reuses the same scalar kernels (`eval::plan_ddt` / `plan_integ` /
+//! `chain_coeffs` / `pow_coeffs` / [`fold_binop`]), applies them
+//! through in-place [`AdScalar`] operations that perform the identical
+//! floating-point operations in the identical order, and reproduces
+//! the tree walk's runtime errors (unassigned reads, non-finite
+//! contributions, failed assertions) with the same messages.
 //!
 //! Constant subexpressions (literals only — generics bind per
 //! instance and stay symbolic) are folded at compile time through

@@ -55,7 +55,8 @@
 //!   folding) and the [`model::Instance`] API the simulator hosts;
 //! - [`symbolic`] — expression differentiation for the energy
 //!   methodology;
-//! - [`print`] — canonical pretty-printing (model generation).
+//! - [`print`](mod@print) — canonical pretty-printing (model
+//!   generation).
 //!
 //! ## Language notes
 //!

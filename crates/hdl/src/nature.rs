@@ -11,19 +11,19 @@ use std::fmt;
 /// A physical discipline a pin can belong to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Nature {
-    /// Electrical: across = voltage `v` [V], through = current `i` [A].
+    /// Electrical: across = voltage `v` \[V\], through = current `i` \[A\].
     Electrical,
     /// Translational mechanics (the paper's `mechanical1`):
-    /// across = velocity `tv` [m/s], through = force `f` [N].
+    /// across = velocity `tv` [m/s], through = force `f` \[N\].
     MechanicalTranslation,
     /// Rotational mechanics: across = angular velocity `av` [rad/s],
     /// through = torque `trq` [N·m].
     MechanicalRotation,
-    /// Hydraulic: across = pressure `p` [Pa], through = volume flow
+    /// Hydraulic: across = pressure `p` \[Pa\], through = volume flow
     /// rate `flow` [m³/s].
     Hydraulic,
-    /// Thermal: across = temperature `temp` [K], through = heat flow
-    /// `hflow` [W].
+    /// Thermal: across = temperature `temp` \[K\], through = heat flow
+    /// `hflow` \[W\].
     Thermal,
     /// Magnetic: across = magnetomotive force `mmf` [A·turns],
     /// through = flux rate `phidot` [Wb/s].

@@ -123,13 +123,13 @@ pub struct NodeDecl {
 /// Passive two-terminal element kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PassiveKind {
-    /// `R` — resistor [Ω].
+    /// `R` — resistor \[Ω\].
     Resistor,
-    /// `C` — capacitor [F].
+    /// `C` — capacitor \[F\].
     Capacitor,
-    /// `L` — inductor [H].
+    /// `L` — inductor \[H\].
     Inductor,
-    /// `M` — mass [kg] (mechanical sugar, force–current analogy).
+    /// `M` — mass \[kg\] (mechanical sugar, force–current analogy).
     Mass,
     /// `K` — spring stiffness [N/m] (mechanical sugar).
     Spring,
@@ -381,18 +381,18 @@ pub enum AcSweepSpec {
     Decade {
         /// Points per decade.
         n: NumExpr,
-        /// Start frequency [Hz].
+        /// Start frequency \[Hz\].
         fstart: NumExpr,
-        /// Stop frequency [Hz].
+        /// Stop frequency \[Hz\].
         fstop: NumExpr,
     },
     /// Linear with `n` total points.
     Linear {
         /// Total points.
         n: NumExpr,
-        /// Start frequency [Hz].
+        /// Start frequency \[Hz\].
         fstart: NumExpr,
-        /// Stop frequency [Hz].
+        /// Stop frequency \[Hz\].
         fstop: NumExpr,
     },
     /// Explicit frequency list.

@@ -30,7 +30,7 @@ use mems_hdl::span::Span;
 use mems_hdl::Nature;
 use mems_numerics::cache::Fingerprint;
 use mems_numerics::Complex64;
-use mems_spice::analysis::ac::{run_with_op_in as run_ac_with_op_in, FreqSweep};
+use mems_spice::analysis::ac::{run_recorded_in as run_ac_recorded_in, FreqSweep};
 use mems_spice::analysis::dcop;
 use mems_spice::analysis::sweep::{dc_sweep_in, SweepResult};
 use mems_spice::analysis::transient::{run_in as run_tran_in, TranOptions};
@@ -39,7 +39,7 @@ use mems_spice::devices::{
     AcSpec, Capacitor, Cccs, Ccvs, CurrentSource, Damper, Gyrator, HdlDevice, IdealTransformer,
     Inductor, Mass, ProductVccs, Resistor, Spring, Vccs, Vcvs, VoltageSource,
 };
-use mems_spice::output::{AcResult, OpSolution, TranResult};
+use mems_spice::output::{AcResult, OpSolution, Record, TranResult};
 use mems_spice::solver::SimOptions;
 use mems_spice::solver::Workspace;
 use mems_spice::system::{new_system, FillOrdering, SolverStats, SystemMatrix};
@@ -955,9 +955,11 @@ pub enum AnalysisOutcome {
         /// Result with `values` and per-point operating points.
         result: SweepResult,
     },
-    /// `.AC` sweep.
+    /// `.AC` sweep, holding the columns the deck prints for it (see
+    /// [`run_elaborated_ctx`]).
     Ac(AcResult),
-    /// `.TRAN` waveforms.
+    /// `.TRAN` waveforms, holding the columns the deck prints for it
+    /// (see [`run_elaborated_ctx`]).
     Tran(TranResult),
 }
 
@@ -1165,6 +1167,13 @@ pub fn run_elaborated(elab: &Elaborator<'_>, overrides: &ParamEnv) -> Result<Dec
 /// [`run_elaborated`] with caller-owned reusable state (see
 /// [`RunCtx`]).
 ///
+/// A `.TRAN` or `.AC` outcome records only the unknowns the deck
+/// prints for its card, [`Deck::print_labels`] (every unknown when no
+/// `.PRINT` matches), so its memory is points × printed columns. Every
+/// table, CSV, JSON and metric reads those labels, so they read the
+/// same values as when the whole state was kept. To read any unknown,
+/// run a copy of the deck with its `prints` cleared.
+///
 /// # Errors
 ///
 /// As [`run_deck`].
@@ -1231,12 +1240,14 @@ pub fn run_elaborated_ctx(
                 let freqs = fs.frequencies().map_err(NetlistError::from)?;
                 let guess = ctx.op_guess.clone();
                 let op = dcop::solve_in(&mut ckt, &sim, guess.as_deref(), ctx.workspace())?;
+                let record = printed_unknowns(deck, card, &op.layout.labels);
                 let sys = ctx.ac_system(op.layout.n_unknowns, &sim);
-                let ac = run_ac_with_op_in(&mut ckt, &freqs, &op, sys)?;
+                let ac = run_ac_recorded_in(&mut ckt, &freqs, &op, sys, &record)?;
                 AnalysisOutcome::Ac(ac)
             }
-            Plan::Tran(opts) => {
+            Plan::Tran(mut opts) => {
                 let (mut ckt, _) = elab.build(overrides, None)?;
+                opts.record = printed_unknowns(deck, card, &ckt.layout().labels);
                 let guess = ctx.op_guess.clone();
                 let ws = ctx.workspace();
                 let tr = run_tran_in(&mut ckt, &opts, &sim, guess.as_deref(), ws)?;
@@ -1263,6 +1274,27 @@ pub fn run_elaborated_ctx(
         outcomes,
         solver,
     })
+}
+
+/// The unknowns an analysis card records: those [`Deck::print_labels`]
+/// selects for its kind out of `labels`, in that order, or
+/// [`Record::All`] when that is every unknown in layout order.
+fn printed_unknowns(deck: &Deck, card: &AnalysisCard, labels: &[String]) -> Record {
+    let printed = deck.print_labels(card.kind_name(), labels);
+    if printed == labels {
+        return Record::All;
+    }
+    Record::Unknowns(
+        printed
+            .iter()
+            .map(|p| {
+                labels
+                    .iter()
+                    .position(|l| l == p)
+                    .expect("print_labels selects from the labels it is given")
+            })
+            .collect(),
+    )
 }
 
 /// [`Elaborator::build`] for a `.DC` sweep closure, which must return

@@ -374,6 +374,9 @@ const DB_FLOOR_MAG: f64 = 1e-18;
 /// `.TRAN`, magnitude over frequency for `.AC` (optionally with
 /// log-frequency x-axis and/or dB y-axis), traces over the swept
 /// variable for `.DC`. `.OP` has no axis and falls back to its table.
+/// A probe can only name a trace the outcome recorded: a deck run
+/// records the printed ones, so plot probes from a run of the deck
+/// with its `prints` cleared, which records every unknown.
 ///
 /// # Errors
 ///

@@ -43,7 +43,7 @@ const BALANCE_MIN: f64 = 0.42;
 /// Computes a nested-dissection elimination order for the pattern of
 /// a square CSC matrix (values irrelevant; the pattern is symmetrized
 /// and the diagonal ignored). Same contract as
-/// [`amd_order`](super::amd_order): `perm[k]` is the original column
+/// [`amd_order`]: `perm[k]` is the original column
 /// eliminated at step `k`, always a valid permutation of `0..n`;
 /// out-of-range row indices are ignored.
 pub fn nd_order(n: usize, col_ptr: &[usize], row_idx: &[usize]) -> Vec<usize> {

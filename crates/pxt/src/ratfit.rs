@@ -27,7 +27,7 @@ pub struct RationalFit {
 }
 
 impl RationalFit {
-    /// Evaluates the fit at a frequency [Hz].
+    /// Evaluates the fit at a frequency \[Hz\].
     pub fn eval(&self, freq: f64) -> Complex64 {
         let s = Complex64::new(0.0, 2.0 * std::f64::consts::PI * freq);
         self.num.eval_complex(s) / self.den.eval_complex(s)

@@ -13,11 +13,11 @@ use mems_fem::maxwell::{maxwell_force_y, parallel_plate_problem};
 /// Geometry/meshing description of the plate-gap device under test.
 #[derive(Debug, Clone)]
 pub struct PlateGapDut {
-    /// Plate width [m] (in-plane).
+    /// Plate width \[m\] (in-plane).
     pub width: f64,
-    /// Out-of-plane depth [m]; area `A = width × depth`.
+    /// Out-of-plane depth \[m\]; area `A = width × depth`.
     pub depth: f64,
-    /// Rest gap `d` [m].
+    /// Rest gap `d` \[m\].
     pub gap: f64,
     /// Elements across the width.
     pub nx: usize,
@@ -38,13 +38,13 @@ impl PlateGapDut {
         }
     }
 
-    /// Plate area [m²].
+    /// Plate area \[m²\].
     pub fn area(&self) -> f64 {
         self.width * self.depth
     }
 
     /// Solves the field at a given displacement and voltage, returning
-    /// the total force on the moving plate [N] (negative = attraction
+    /// the total force on the moving plate \[N\] (negative = attraction
     /// opposing gap opening, matching Table 3's sign).
     ///
     /// # Errors
@@ -58,7 +58,7 @@ impl PlateGapDut {
         Ok(per_depth * self.depth)
     }
 
-    /// Solves the field and returns the capacitance [F] at a given
+    /// Solves the field and returns the capacitance \[F\] at a given
     /// displacement.
     ///
     /// # Errors

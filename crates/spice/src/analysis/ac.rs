@@ -4,7 +4,7 @@
 use crate::circuit::Circuit;
 use crate::device::AcLoadCtx;
 use crate::error::{Result, SpiceError};
-use crate::output::{AcResult, OpSolution};
+use crate::output::{AcResult, OpSolution, Record};
 use crate::solver::SimOptions;
 use crate::system::{new_system, FillOrdering, MatrixBackend, SystemMatrix};
 use mems_numerics::Complex64;
@@ -13,25 +13,25 @@ use mems_numerics::Complex64;
 #[derive(Debug, Clone)]
 pub enum FreqSweep {
     /// Logarithmic sweep with `points_per_decade` points from `start`
-    /// to `stop` [Hz].
+    /// to `stop` \[Hz\].
     Decade {
-        /// Start frequency [Hz] (> 0).
+        /// Start frequency \[Hz\] (> 0).
         start: f64,
-        /// Stop frequency [Hz].
+        /// Stop frequency \[Hz\].
         stop: f64,
         /// Points per decade.
         points_per_decade: usize,
     },
     /// Linear sweep with `points` samples.
     Linear {
-        /// Start frequency [Hz].
+        /// Start frequency \[Hz\].
         start: f64,
-        /// Stop frequency [Hz].
+        /// Stop frequency \[Hz\].
         stop: f64,
         /// Total points (≥ 2).
         points: usize,
     },
-    /// Explicit frequency list [Hz].
+    /// Explicit frequency list \[Hz\].
     List(Vec<f64>),
 }
 
@@ -168,7 +168,8 @@ pub fn run_with_op(circuit: &mut Circuit, freqs: &[f64], op: &OpSolution) -> Res
 /// engines hand the same system to every `.STEP`/`.MC` point, so the
 /// sparse backend's pattern discovery and symbolic analysis happen
 /// once per worker rather than once per point. The system's order
-/// must match the operating point's unknown count.
+/// must match the operating point's unknown count. Records every
+/// unknown (see [`run_recorded_in`]).
 ///
 /// # Errors
 ///
@@ -179,6 +180,24 @@ pub fn run_with_op_in(
     op: &OpSolution,
     sys: &mut dyn SystemMatrix<Complex64>,
 ) -> Result<AcResult> {
+    run_recorded_in(circuit, freqs, op, sys, &Record::All)
+}
+
+/// [`run_with_op_in`] storing only the `record`ed unknowns at each
+/// frequency: every point still solves the whole complex system, but
+/// the result keeps frequencies × recorded columns of phasors.
+///
+/// # Errors
+///
+/// As [`run_with_op_in`], plus [`SpiceError::BadOptions`] for a
+/// recorded unknown past the layout's last.
+pub fn run_recorded_in(
+    circuit: &mut Circuit,
+    freqs: &[f64],
+    op: &OpSolution,
+    sys: &mut dyn SystemMatrix<Complex64>,
+    record: &Record,
+) -> Result<AcResult> {
     let layout = &op.layout;
     let n = layout.n_unknowns;
     if sys.n() != n {
@@ -188,12 +207,14 @@ pub fn run_with_op_in(
             n
         )));
     }
+    record.check(n)?;
     let mut result = AcResult {
         freqs: freqs.to_vec(),
-        labels: layout.labels.clone(),
+        labels: record.labels(&layout.labels),
         data: Vec::with_capacity(freqs.len()),
     };
     let mut rhs = vec![Complex64::ZERO; n];
+    let mut x = vec![Complex64::ZERO; n];
     for &f in freqs {
         let omega = 2.0 * std::f64::consts::PI * f;
         sys.clear();
@@ -212,9 +233,8 @@ pub fn run_with_op_in(
         }
         sys.factor()
             .map_err(|e| SpiceError::Singular(format!("AC at {f} Hz: {e}")))?;
-        let mut x = vec![Complex64::ZERO; n];
         sys.solve_into(&rhs, &mut x)?;
-        result.data.push(x);
+        result.data.push(record.row(&x));
     }
     Ok(result)
 }
@@ -343,6 +363,33 @@ mod tests {
         assert!(mag[2] < 0.011);
         let ph = res.phase_deg("v(b)").unwrap();
         assert!((ph[1] + 45.0).abs() < 0.1);
+    }
+
+    #[test]
+    fn recorded_columns_match_the_full_sweep() {
+        let mut c = Circuit::new();
+        let a = c.enode("a").unwrap();
+        let b = c.enode("b").unwrap();
+        let g = c.ground();
+        c.add(VoltageSource::new("v1", a, g, Waveform::Dc(0.0)).with_ac(AcSpec::unit()))
+            .unwrap();
+        c.add(Resistor::new("r1", a, b, 1e3)).unwrap();
+        c.add(Capacitor::new("c1", b, g, 1e-6)).unwrap();
+        let op = crate::analysis::dcop::solve(&mut c, &SimOptions::default()).unwrap();
+        let freqs = [10.0, 100.0, 1e3];
+        let full = run_with_op(&mut c, &freqs, &op).unwrap();
+        let mut sys = new_system::<Complex64>(3, MatrixBackend::Auto, FillOrdering::default());
+        let only_b = Record::Unknowns(vec![1]);
+        let some = run_recorded_in(&mut c, &freqs, &op, sys.as_mut(), &only_b).unwrap();
+        assert_eq!(some.labels, ["v(b)"]);
+        for (row, all) in some.data.iter().zip(&full.data) {
+            assert_eq!(row, &[all[1]]);
+        }
+        let past_end = Record::Unknowns(vec![3]);
+        assert!(matches!(
+            run_recorded_in(&mut c, &freqs, &op, sys.as_mut(), &past_end),
+            Err(SpiceError::BadOptions(_))
+        ));
     }
 
     #[test]

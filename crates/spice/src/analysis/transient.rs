@@ -5,14 +5,14 @@
 use crate::circuit::Circuit;
 use crate::device::{CommitKind, LoadKind};
 use crate::error::{Result, SpiceError};
-use crate::output::TranResult;
+use crate::output::{OpSolution, Record, TranResult};
 use crate::solver::{newton, SimOptions, Workspace};
 use mems_numerics::ode::IntegrationMethod;
 
 /// Options for a transient run.
 #[derive(Debug, Clone)]
 pub struct TranOptions {
-    /// Stop time [s].
+    /// Stop time \[s\].
     pub t_stop: f64,
     /// Initial step (default `t_stop / 1000`).
     pub h_init: Option<f64>,
@@ -28,6 +28,11 @@ pub struct TranOptions {
     /// LTE target relative to the convergence tolerances (default 50:
     /// the step error may be 50× looser than Newton's tolerance).
     pub lte_factor: f64,
+    /// The unknowns stored at each accepted step (default every one).
+    /// The step controller still sees the whole state; only
+    /// [`TranResult::samples`] narrows, so a run keeps steps × recorded
+    /// columns of values.
+    pub record: Record,
 }
 
 impl TranOptions {
@@ -41,6 +46,7 @@ impl TranOptions {
             method: IntegrationMethod::Trapezoidal,
             adaptive: true,
             lte_factor: 50.0,
+            record: Record::All,
         }
     }
 
@@ -55,6 +61,7 @@ impl TranOptions {
             method: IntegrationMethod::Trapezoidal,
             adaptive: false,
             lte_factor: 50.0,
+            record: Record::All,
         }
     }
 }
@@ -66,7 +73,8 @@ impl TranOptions {
 ///
 /// - propagates DC convergence failures;
 /// - [`SpiceError::StepUnderflow`] when step halving bottoms out;
-/// - [`SpiceError::BadOptions`] for a non-positive horizon.
+/// - [`SpiceError::BadOptions`] for a non-positive horizon or a
+///   recorded unknown past the circuit's last.
 pub fn run(circuit: &mut Circuit, opts: &TranOptions, sim: &SimOptions) -> Result<TranResult> {
     run_from(circuit, opts, sim, None)
 }
@@ -128,19 +136,23 @@ pub fn run_in(
     breakpoints.dedup_by(|a, b| (*a - *b).abs() < 1e-15);
 
     // Operating point at t = 0 (also commits device histories).
-    let op = super::dcop::solve_in(circuit, sim, op_guess, ws)?;
-    let layout = op.layout.clone();
+    let OpSolution {
+        mut x,
+        layout,
+        iterations,
+    } = super::dcop::solve_in(circuit, sim, op_guess, ws)?;
+    let record = &opts.record;
+    record.check(layout.n_unknowns)?;
 
     let mut result = TranResult {
         time: vec![0.0],
-        labels: layout.labels.clone(),
-        samples: vec![op.x.clone()],
-        total_newton_iterations: op.iterations,
+        labels: record.labels(&layout.labels),
+        samples: vec![record.row(&x)],
+        total_newton_iterations: iterations,
         rejected_steps: 0,
     };
 
     let mut t = 0.0f64;
-    let mut x = op.x.clone();
     let mut x_prev: Option<(f64, Vec<f64>)> = None; // (h_prev, solution before x)
     let mut h = h_init.min(h_max);
     let mut bp_idx = 0usize;
@@ -240,8 +252,7 @@ pub fn run_in(
                         },
                     );
                 }
-                x_prev = Some((h_attempt, x.clone()));
-                x = out.x;
+                x_prev = Some((h_attempt, std::mem::replace(&mut x, out.x)));
                 t = t_new;
                 be_restart = false;
                 if snapped && (t - next_bp).abs() < 1e-15 * next_bp.abs().max(1.0) {
@@ -252,7 +263,7 @@ pub fn run_in(
                     be_restart = true;
                 }
                 result.time.push(t);
-                result.samples.push(x.clone());
+                result.samples.push(record.row(&x));
             }
             Err(SpiceError::NoConvergence { .. }) | Err(SpiceError::Device { .. }) => {
                 result.rejected_steps += 1;
@@ -422,6 +433,48 @@ mod tests {
                 "breakpoint {bp} missed"
             );
         }
+    }
+
+    #[test]
+    fn recorded_columns_match_the_full_run() {
+        let build = || {
+            let mut c = Circuit::new();
+            let a = c.enode("a").unwrap();
+            let b = c.enode("b").unwrap();
+            let g = c.ground();
+            c.add(VoltageSource::new(
+                "v1",
+                a,
+                g,
+                Waveform::Pwl(vec![(0.0, 0.0), (1e-4, 1.0)]),
+            ))
+            .unwrap();
+            c.add(Resistor::new("r1", a, b, 1e3)).unwrap();
+            c.add(Capacitor::new("c1", b, g, 1e-6)).unwrap();
+            c
+        };
+        let sim = SimOptions::default();
+        let full = run(&mut build(), &TranOptions::new(5e-3), &sim).unwrap();
+        assert_eq!(full.labels, ["v(a)", "v(b)", "i(v1,0)"]);
+        let opts = TranOptions {
+            record: Record::Unknowns(vec![1, 1, 2]),
+            ..TranOptions::new(5e-3)
+        };
+        let some = run(&mut build(), &opts, &sim).unwrap();
+        assert_eq!(some.labels, ["v(b)", "v(b)", "i(v1,0)"]);
+        assert_eq!(some.time, full.time);
+        assert_eq!(some.total_newton_iterations, full.total_newton_iterations);
+        for (row, all) in some.samples.iter().zip(&full.samples) {
+            assert_eq!(row, &[all[1], all[1], all[2]]);
+        }
+        let bad = TranOptions {
+            record: Record::Unknowns(vec![3]),
+            ..TranOptions::new(5e-3)
+        };
+        assert!(matches!(
+            run(&mut build(), &bad, &sim),
+            Err(SpiceError::BadOptions(_))
+        ));
     }
 
     #[test]

@@ -34,7 +34,7 @@ impl Vccs {
         }
     }
 
-    /// Transconductance [S] (or [N·s/m], … depending on natures).
+    /// Transconductance \[S\] (or [N·s/m], … depending on natures).
     pub fn gm(&self) -> f64 {
         self.gm
     }

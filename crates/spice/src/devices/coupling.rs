@@ -1,7 +1,7 @@
 //! Two-port coupling elements: ideal transformer and gyrator.
 //!
 //! Linearized electromechanical transducers reduce to exactly these
-//! elements (Tilmans' equivalent circuits, the paper's reference [1]):
+//! elements (Tilmans' equivalent circuits, the paper's reference \[1\]):
 //! under the force–current analogy an electrostatic transducer
 //! linearizes to a *transformer*-coupled two-port with transduction
 //! factor Γ, an electrodynamic one to a *gyrator*.

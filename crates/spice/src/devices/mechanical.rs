@@ -30,7 +30,7 @@ impl Mass {
         }
     }
 
-    /// The mass [kg].
+    /// The mass \[kg\].
     pub fn mass(&self) -> f64 {
         self.mass
     }

@@ -34,7 +34,7 @@ impl Resistor {
         }
     }
 
-    /// The resistance [Ω].
+    /// The resistance \[Ω\].
     pub fn resistance(&self) -> f64 {
         self.resistance
     }
@@ -105,7 +105,7 @@ impl Capacitor {
         }
     }
 
-    /// The capacitance [F].
+    /// The capacitance \[F\].
     pub fn capacitance(&self) -> f64 {
         self.capacitance
     }
@@ -223,7 +223,7 @@ impl Inductor {
         }
     }
 
-    /// The inductance [H].
+    /// The inductance \[H\].
     pub fn inductance(&self) -> f64 {
         self.inductance
     }

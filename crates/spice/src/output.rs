@@ -33,14 +33,69 @@ impl OpSolution {
     }
 }
 
+/// The unknowns a `.TRAN` or `.AC` run stores at each point, as
+/// [`TranOptions::record`](crate::analysis::transient::TranOptions::record)
+/// and [`ac::run_recorded_in`](crate::analysis::ac::run_recorded_in)
+/// take it. A run's result memory is points × recorded columns, so
+/// recording only what a caller reads bounds it by that, not by the
+/// circuit size.
+#[derive(Debug, Clone)]
+pub enum Record {
+    /// Every unknown, in layout order.
+    All,
+    /// These unknown indices, in this order (repeats allowed).
+    Unknowns(Vec<usize>),
+}
+
+impl Record {
+    /// Checks every index against a layout of `n` unknowns.
+    ///
+    /// # Errors
+    ///
+    /// [`SpiceError::BadOptions`](crate::SpiceError::BadOptions) naming
+    /// the first index at or past `n`.
+    pub(crate) fn check(&self, n: usize) -> crate::Result<()> {
+        match self {
+            Record::Unknowns(ks) => match ks.iter().find(|&&k| k >= n) {
+                Some(k) => Err(crate::SpiceError::BadOptions(format!(
+                    "recorded unknown {k} is out of range for {n} unknowns"
+                ))),
+                None => Ok(()),
+            },
+            Record::All => Ok(()),
+        }
+    }
+
+    /// The recorded columns' labels, out of every unknown's.
+    pub(crate) fn labels(&self, all: &[String]) -> Vec<String> {
+        match self {
+            Record::All => all.to_vec(),
+            Record::Unknowns(ks) => ks.iter().map(|&k| all[k].clone()).collect(),
+        }
+    }
+
+    /// The recorded columns of one solution vector.
+    pub(crate) fn row<T: Copy>(&self, x: &[T]) -> Vec<T> {
+        match self {
+            Record::All => x.to_vec(),
+            Record::Unknowns(ks) => ks.iter().map(|&k| x[k]).collect(),
+        }
+    }
+}
+
 /// A transient simulation result: one row per accepted time point.
 #[derive(Debug, Clone)]
 pub struct TranResult {
     /// Accepted time points.
     pub time: Vec<f64>,
-    /// Unknown labels (column names).
+    /// Labels of the recorded columns ([`TranOptions::record`]): every
+    /// unknown by default, the deck's `.PRINT` selection when a deck
+    /// runs it.
+    ///
+    /// [`TranOptions::record`]: crate::analysis::transient::TranOptions::record
     pub labels: Vec<String>,
-    /// Sample rows (`samples[i][k]` = unknown `k` at `time[i]`).
+    /// Sample rows (`samples[i][k]` = column `k` at `time[i]`), one
+    /// entry per label.
     pub samples: Vec<Vec<f64>>,
     /// Total Newton iterations across all steps.
     pub total_newton_iterations: usize,
@@ -127,11 +182,16 @@ impl TranResult {
 /// An AC sweep result.
 #[derive(Debug, Clone)]
 pub struct AcResult {
-    /// Sweep frequencies [Hz].
+    /// Sweep frequencies, in Hz.
     pub freqs: Vec<f64>,
-    /// Unknown labels.
+    /// Labels of the recorded columns (the [`Record`] passed to
+    /// [`ac::run_recorded_in`]): every unknown by default, the deck's
+    /// `.PRINT` selection when a deck runs it.
+    ///
+    /// [`ac::run_recorded_in`]: crate::analysis::ac::run_recorded_in
     pub labels: Vec<String>,
-    /// `data[i][k]` = phasor of unknown `k` at `freqs[i]`.
+    /// `data[i][k]` = phasor of column `k` at `freqs[i]`, one entry
+    /// per label.
     pub data: Vec<Vec<Complex64>>,
 }
 
@@ -147,7 +207,7 @@ impl AcResult {
         Some(self.data.iter().map(|row| row[c].abs()).collect())
     }
 
-    /// Phase trace [degrees].
+    /// Phase trace \[degrees\].
     pub fn phase_deg(&self, label: &str) -> Option<Vec<f64>> {
         let c = self.column(label)?;
         Some(

@@ -17,7 +17,7 @@ use mems_hdl::Nature;
 pub struct SimOptions {
     /// Relative tolerance on unknown updates and residuals.
     pub reltol: f64,
-    /// Absolute tolerance for electrical node voltages [V].
+    /// Absolute tolerance for electrical node voltages \[V\].
     pub abstol_voltage: f64,
     /// Absolute tolerance for non-electrical across quantities
     /// (velocities m/s, pressures Pa, …).

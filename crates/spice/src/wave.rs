@@ -33,7 +33,7 @@ pub enum Waveform {
         offset: f64,
         /// Amplitude.
         ampl: f64,
-        /// Frequency [Hz].
+        /// Frequency \[Hz\].
         freq: f64,
         /// Start delay.
         delay: f64,

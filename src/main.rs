@@ -430,7 +430,16 @@ fn cmd_run(deck: &Deck, csv: Option<&str>, json: Option<&str>) -> Result<(), Str
 }
 
 fn cmd_plot(deck: &Deck, probes: &[String], opts: &report::PlotOptions) -> Result<(), String> {
-    let run = run_deck(deck).map_err(|e| e.render(&deck.source))?;
+    // A run records only the printed traces; a probe may name any
+    // unknown, so probes plot a run of the deck without its `.PRINT`.
+    let run = if probes.is_empty() {
+        run_deck(deck)
+    } else {
+        let mut every = deck.clone();
+        every.prints.clear();
+        run_deck(&every)
+    }
+    .map_err(|e| e.render(&deck.source))?;
     if run.outcomes.is_empty() {
         return Err("deck declares no analyses to plot".to_string());
     }

@@ -35,9 +35,12 @@ fn with_backend(src: &str, sparse: bool) -> String {
     lines.join("\n")
 }
 
+/// Runs the deck on one backend with its `.PRINT` cards removed, so
+/// `.TRAN` and `.AC` record (and the tests compare) every unknown.
 fn run_backend(src: &str, sparse: bool) -> DeckRun {
     let src = with_backend(src, sparse);
-    let deck = Deck::parse(&src).unwrap_or_else(|e| panic!("{}", e.render(&src)));
+    let mut deck = Deck::parse(&src).unwrap_or_else(|e| panic!("{}", e.render(&src)));
+    deck.prints.clear();
     run_deck(&deck).unwrap_or_else(|e| panic!("{}", e.render(&src)))
 }
 
@@ -260,7 +263,8 @@ fn singular_circuit_errors_on_both_backends() {
 /// apply in source order with later entries winning, so the forced
 /// line goes *last* (before any `.end`, which stops parsing) — a
 /// deck-local `.options sparse=1` (e.g. `grid_cells.cir`) must not
-/// override the variant under test.
+/// override the variant under test. The deck's `.PRINT` cards are
+/// removed, so `.TRAN` and `.AC` record every unknown.
 fn run_ordered(src: &str, opts: &str) -> Vec<(String, AnalysisOutcome)> {
     let mut lines: Vec<&str> = src.lines().collect();
     let opt = format!(".options {opts}");
@@ -270,13 +274,14 @@ fn run_ordered(src: &str, opts: &str) -> Vec<(String, AnalysisOutcome)> {
         .unwrap_or(lines.len());
     lines.insert(end, &opt);
     let src = lines.join("\n");
-    let deck = {
+    let mut deck = {
         let mut resolver = mems::netlist::FsResolver {
             base: std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/decks"),
         };
         Deck::parse_with_includes(&src, &mut resolver)
             .unwrap_or_else(|e| panic!("{}", e.render(&src)))
     };
+    deck.prints.clear();
     let run = run_deck(&deck).unwrap_or_else(|e| panic!("{}", e.render(&src)));
     run.outcomes
         .into_iter()

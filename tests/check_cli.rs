@@ -1,6 +1,7 @@
 //! `mems check` refuses the analysis cards `mems run` cannot finish —
 //! malformed ranges and outputs past the point limit — with a caret
-//! at the card, before anything is simulated or allocated.
+//! at the card, before anything is simulated or allocated; and `mems
+//! plot --probe` reaches every unknown, not only the printed ones.
 
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -41,4 +42,42 @@ fn check_refuses_bad_analysis_cards_fast() {
         assert!(took < Duration::from_millis(100), "{card}: took {took:?}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `mems plot` of the shipped bridge deck with one `--probe`.
+fn plot_bridge(probe: &str) -> std::process::Output {
+    let deck = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/decks/bridge_cells.cir"
+    );
+    Command::new(env!("CARGO_BIN_EXE_mems"))
+        .args(["plot", deck, "--probe", probe])
+        .output()
+        .unwrap()
+}
+
+/// A run records only the printed traces, but a probe may name any
+/// unknown: `x2.mid` is not on the deck's `.PRINT` card.
+#[test]
+fn plot_probe_reaches_an_unprinted_unknown() {
+    let out = plot_bridge("x2.mid");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("[* v(x2.mid)]"), "{stdout}");
+}
+
+/// The unknown-probe error lists every unknown, printed or not.
+#[test]
+fn plot_probe_error_lists_unprinted_unknowns() {
+    let out = plot_bridge("nosuch");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("probe `v(nosuch)` does not name a trace") && stderr.contains("v(x2.mid)"),
+        "{stderr}"
+    );
 }

@@ -137,7 +137,10 @@ fn build_eletran_api_circuit() -> Circuit {
 /// agree within 1e-9 relative error.
 #[test]
 fn eletran_deck_matches_api_run_to_1e9() {
-    let deck = load("eletran_transient.cir");
+    // Without its `.PRINT`, the deck's transient records every unknown,
+    // as the API run does.
+    let mut deck = load("eletran_transient.cir");
+    deck.prints.clear();
     let run = run_deck(&deck).unwrap();
     let deck_tran = match &run.outcomes[0].1 {
         AnalysisOutcome::Tran(tr) => tr,
@@ -391,7 +394,9 @@ fn reused_runctx_matches_fresh_context_on_every_deck() {
         let mut resolver = FsResolver {
             base: deck_path(""),
         };
-        let deck = Deck::parse_with_includes(&src, &mut resolver).unwrap();
+        let mut deck = Deck::parse_with_includes(&src, &mut resolver).unwrap();
+        // Without `.PRINT`, `.TRAN` and `.AC` record every unknown.
+        deck.prints.clear();
         let elab = Elaborator::new(&deck).unwrap();
         let nominal = Default::default();
 
@@ -505,6 +510,11 @@ fn nested_subckt_deck_flattens_bit_identically_to_hand_flat() {
     let rn = run_deck(&nested).unwrap();
     let rf = run_deck(&flat).unwrap();
     assert_eq!(rn.outcomes.len(), rf.outcomes.len());
+    // Neither deck prints, so `.AC` and `.TRAN` record every unknown.
+    let n = match &rn.outcomes[0].1 {
+        AnalysisOutcome::Op(op) => op.layout.n_unknowns,
+        other => panic!("expected .OP first, got {other:?}"),
+    };
     let bits_eq = |x: &[f64], y: &[f64], ctx: &str| {
         assert_eq!(x.len(), y.len(), "{ctx}: length");
         for (i, (p, q)) in x.iter().zip(y).enumerate() {
@@ -523,6 +533,7 @@ fn nested_subckt_deck_flattens_bit_identically_to_hand_flat() {
             }
             (AnalysisOutcome::Ac(a), AnalysisOutcome::Ac(b)) => {
                 bits_eq(&a.freqs, &b.freqs, "ac.freqs");
+                assert_eq!((a.labels.len(), b.labels.len()), (n, n));
                 assert_eq!(a.data.len(), b.data.len());
                 for (k, (p, q)) in a.data.iter().zip(&b.data).enumerate() {
                     for (j, (z, w)) in p.iter().zip(q).enumerate() {
@@ -536,6 +547,7 @@ fn nested_subckt_deck_flattens_bit_identically_to_hand_flat() {
             }
             (AnalysisOutcome::Tran(a), AnalysisOutcome::Tran(b)) => {
                 bits_eq(&a.time, &b.time, "tran.time");
+                assert_eq!((a.labels.len(), b.labels.len()), (n, n));
                 assert_eq!(a.samples.len(), b.samples.len());
                 for (k, (p, q)) in a.samples.iter().zip(&b.samples).enumerate() {
                     bits_eq(p, q, &format!("tran row {k}"));
