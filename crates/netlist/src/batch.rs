@@ -513,12 +513,7 @@ pub fn extract_metrics(deck: &Deck, run: &DeckRun) -> Vec<Metric> {
                 }
             }
             AnalysisOutcome::Dc { result, .. } => {
-                let all = result
-                    .points
-                    .first()
-                    .map(|p| p.layout.labels.clone())
-                    .unwrap_or_default();
-                for label in deck.print_labels(kind, &all) {
+                for label in deck.print_labels(kind, &result.labels) {
                     if let Some(trace) = result.trace(&label) {
                         if let Some(last) = trace.last() {
                             push(format!("dc:{label}:last"), *last);

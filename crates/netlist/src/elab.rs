@@ -42,7 +42,7 @@ use mems_spice::devices::{
 use mems_spice::output::{AcResult, OpSolution, Record, TranResult};
 use mems_spice::solver::SimOptions;
 use mems_spice::solver::Workspace;
-use mems_spice::system::{new_system, FillOrdering, SolverStats, SystemMatrix};
+use mems_spice::system::{new_system, reusable, FillOrdering, SolverStats, SystemMatrix};
 use mems_spice::wave::Waveform;
 use mems_spice::MatrixBackend;
 use std::collections::{HashMap, HashSet};
@@ -53,11 +53,7 @@ use std::sync::Arc;
 /// Parameter environment: lower-cased name → value.
 pub type ParamEnv = HashMap<String, f64>;
 
-/// Most output points one analysis card may produce, and most points
-/// one `.STEP`/`.MC` batch may run. Both are counted before anything
-/// is allocated, so a deck asking for more is a spanned diagnostic,
-/// not an out-of-memory abort.
-pub const MAX_POINTS: usize = 1_000_000;
+pub use mems_spice::analysis::MAX_POINTS;
 
 /// Evaluates the deck's `.PARAM` chain under `overrides` (override
 /// wins over the defining expression; later definitions may reference
@@ -948,11 +944,12 @@ fn declares_entity(src: &str, name: &str) -> bool {
 pub enum AnalysisOutcome {
     /// `.OP` operating point.
     Op(OpSolution),
-    /// `.DC` sweep: swept variable name, values, per-point solutions.
+    /// `.DC` sweep: swept variable name and the sweep, holding the
+    /// columns the deck prints for it (see [`run_elaborated_ctx`]).
     Dc {
         /// `v(source)` or `param(name)` — for table headers.
         var: String,
-        /// Result with `values` and per-point operating points.
+        /// Swept values and one recorded row per value.
         result: SweepResult,
     },
     /// `.AC` sweep, holding the columns the deck prints for it (see
@@ -1074,13 +1071,8 @@ pub struct RunStats {
 pub struct RunCtx {
     /// Shared assembly workspace (lazily sized to the circuit).
     pub ws: Option<Workspace>,
-    /// Shared complex system for `.AC` analyses, with the backend and
-    /// ordering it was built for (rebuilt when either changes).
-    ac_sys: Option<(
-        Box<dyn SystemMatrix<Complex64>>,
-        MatrixBackend,
-        FillOrdering,
-    )>,
+    /// Shared complex system for `.AC` analyses.
+    ac_sys: Option<Box<dyn SystemMatrix<Complex64>>>,
     /// Newton guess for DC operating points (e.g. the previous batch
     /// point's solved operating point).
     pub op_guess: Option<Vec<f64>>,
@@ -1111,26 +1103,21 @@ impl RunCtx {
         if let Some(ws) = &self.ws {
             out.push(("real", ws.sys.solver_stats()));
         }
-        if let Some((sys, ..)) = &self.ac_sys {
+        if let Some(sys) = &self.ac_sys {
             out.push(("ac", sys.solver_stats()));
         }
         out
     }
 
     /// The shared complex (AC) system matrix, re-targeted to `n`
-    /// unknowns under `backend`. Cached structure survives between
-    /// calls with matching order and backend — the batch-point reuse
-    /// mirror of [`Workspace::ensure`].
+    /// unknowns under `sim`'s backend and ordering. Cached structure
+    /// survives by the rule [`Workspace::ensure`] keeps, [`reusable`].
     fn ac_system(&mut self, n: usize, sim: &SimOptions) -> &mut dyn SystemMatrix<Complex64> {
-        let (backend, ordering) = (sim.matrix, sim.ordering);
-        let stale = self.ac_sys.as_ref().is_none_or(|(sys, b, o)| {
-            let sparse = backend.resolve(n) == MatrixBackend::Sparse;
-            sys.n() != n || b.resolve(n) != backend.resolve(n) || (sparse && *o != ordering)
-        });
-        if stale {
-            self.ac_sys = Some((new_system(n, backend, ordering), backend, ordering));
-        }
-        self.ac_sys.as_mut().expect("just ensured").0.as_mut()
+        let sys = match self.ac_sys.take() {
+            Some(sys) if reusable(sys.as_ref(), n, sim.matrix, sim.ordering) => sys,
+            _ => new_system(n, sim.matrix, sim.ordering),
+        };
+        self.ac_sys.insert(sys).as_mut()
     }
 }
 
@@ -1167,12 +1154,12 @@ pub fn run_elaborated(elab: &Elaborator<'_>, overrides: &ParamEnv) -> Result<Dec
 /// [`run_elaborated`] with caller-owned reusable state (see
 /// [`RunCtx`]).
 ///
-/// A `.TRAN` or `.AC` outcome records only the unknowns the deck
-/// prints for its card, [`Deck::print_labels`] (every unknown when no
-/// `.PRINT` matches), so its memory is points × printed columns. Every
-/// table, CSV, JSON and metric reads those labels, so they read the
-/// same values as when the whole state was kept. To read any unknown,
-/// run a copy of the deck with its `prints` cleared.
+/// A `.TRAN`, `.AC` or `.DC` outcome records only the unknowns the
+/// deck prints for its card, [`Deck::print_labels`] (every unknown
+/// when no `.PRINT` matches), so its memory is points × printed
+/// columns. Every table, CSV, JSON and metric reads those labels, so
+/// they read the same values as when the whole state was kept. To read
+/// any unknown, run a copy of the deck with its `prints` cleared.
 ///
 /// # Errors
 ///
@@ -1202,34 +1189,28 @@ pub fn run_elaborated_ctx(
                 AnalysisOutcome::Op(op)
             }
             Plan::Dc { sweep, values } => {
-                let (var_name, result) = match sweep {
-                    DcSweepVar::Source(src) => {
-                        let result = dc_sweep_in(
-                            |v| build_circuit(elab, overrides, Some((src.as_str(), v))),
-                            &values,
-                            &sim,
-                            ctx.workspace(),
-                        )?;
-                        (format!("v({src})"), result)
-                    }
-                    DcSweepVar::Param(p) => {
-                        let result = dc_sweep_in(
-                            |v| {
-                                let mut o = overrides.clone();
-                                o.insert(p.clone(), v);
-                                build_circuit(elab, &o, None)
-                            },
-                            &values,
-                            &sim,
-                            ctx.workspace(),
-                        )?;
-                        (format!("param({p})"), result)
-                    }
+                let build = |v| {
+                    let built = match sweep {
+                        DcSweepVar::Source(src) => elab.build(overrides, Some((src.as_str(), v))),
+                        DcSweepVar::Param(p) => {
+                            let mut o = overrides.clone();
+                            o.insert(p.clone(), v);
+                            elab.build(&o, None)
+                        }
+                    };
+                    // The sweep takes the simulator's error type.
+                    let err = |e: NetlistError| mems_spice::SpiceError::Build(e.to_string());
+                    built.map(|(ckt, _)| ckt).map_err(err)
                 };
-                AnalysisOutcome::Dc {
-                    var: var_name,
-                    result,
-                }
+                // The first value's layout names the unknowns, so the
+                // printed ones are picked without building a circuit.
+                let record = |labels: &[String]| printed_unknowns(deck, card, labels);
+                let result = dc_sweep_in(build, &values, record, &sim, ctx.workspace())?;
+                let var = match sweep {
+                    DcSweepVar::Source(src) => format!("v({src})"),
+                    DcSweepVar::Param(p) => format!("param({p})"),
+                };
+                AnalysisOutcome::Dc { var, result }
             }
             Plan::Ac(fs) => {
                 let (mut ckt, _) = elab.build(overrides, None)?;
@@ -1263,7 +1244,7 @@ pub fn run_elaborated_ctx(
             solver.push(("real".to_string(), st));
         }
     }
-    if let Some((sys, ..)) = &ctx.ac_sys {
+    if let Some(sys) = &ctx.ac_sys {
         let st = sys.solver_stats();
         if st.factors + st.refactors > 0 {
             solver.push(("ac".to_string(), st));
@@ -1295,18 +1276,6 @@ fn printed_unknowns(deck: &Deck, card: &AnalysisCard, labels: &[String]) -> Reco
             })
             .collect(),
     )
-}
-
-/// [`Elaborator::build`] for a `.DC` sweep closure, which must return
-/// the simulator's error type.
-fn build_circuit(
-    elab: &Elaborator<'_>,
-    overrides: &ParamEnv,
-    source_dc: Option<(&str, f64)>,
-) -> mems_spice::Result<Circuit> {
-    elab.build(overrides, source_dc)
-        .map(|(ckt, _)| ckt)
-        .map_err(|e| mems_spice::SpiceError::Build(e.to_string()))
 }
 
 /// An analysis card evaluated under one parameter environment and

@@ -3,6 +3,8 @@
 use crate::ast::Deck;
 use crate::batch::BatchResult;
 use crate::elab::{AnalysisOutcome, DeckRun};
+use mems_spice::analysis::sweep::SweepResult;
+use mems_spice::output::TranResult;
 use std::fmt::Write as _;
 
 /// Renders an aligned table: header row + data rows.
@@ -45,17 +47,104 @@ fn fmt_val(v: f64) -> String {
     }
 }
 
-/// Labels the deck selects for an analysis kind (`.PRINT` filters, or
-/// everything when no `.PRINT` matches) — see [`Deck::print_labels`].
-pub fn selected_labels(deck: &Deck, kind: &str, all: &[String]) -> Vec<String> {
-    deck.print_labels(kind, all)
+/// A swept outcome — `.DC` values or `.TRAN` times as its x-axis, one
+/// recorded row per x — with the columns to render: each chosen label
+/// and its index in a row. `.DC` and `.TRAN` render through its
+/// methods alike; they differ only in their title or header line and
+/// in JSON's leading fields.
+struct Swept<'a> {
+    xs: &'a [f64],
+    rows: &'a [Vec<f64>],
+    columns: Vec<(String, usize)>,
+}
+
+impl<'a> Swept<'a> {
+    /// The `chosen` labels' columns out of the recorded `labels`, which
+    /// hold every chosen one ([`Deck::print_labels`] and `plot_labels`
+    /// choose from them).
+    fn new(xs: &'a [f64], labels: &[String], rows: &'a [Vec<f64>], chosen: Vec<String>) -> Self {
+        let columns = chosen
+            .into_iter()
+            .map(|l| {
+                let k = labels.iter().position(|r| *r == l);
+                (l, k.expect("a chosen label is a recorded one"))
+            })
+            .collect();
+        Swept { xs, rows, columns }
+    }
+
+    fn dc(result: &'a SweepResult, chosen: Vec<String>) -> Self {
+        Swept::new(&result.values, &result.labels, &result.samples, chosen)
+    }
+
+    fn tran(tr: &'a TranResult, chosen: Vec<String>) -> Self {
+        Swept::new(&tr.time, &tr.labels, &tr.samples, chosen)
+    }
+
+    /// An aligned table: the x column, headed `x_head` and formatted
+    /// by `fmt_x`, then one column per chosen label.
+    fn table(&self, x_head: &str, fmt_x: fn(f64) -> String) -> String {
+        let mut headers = vec![x_head.to_string()];
+        headers.extend(self.columns.iter().map(|(l, _)| l.clone()));
+        let rows: Vec<Vec<String>> = self
+            .xs
+            .iter()
+            .zip(self.rows)
+            .map(|(&x, row)| {
+                let mut cells = vec![fmt_x(x)];
+                cells.extend(self.columns.iter().map(|&(_, k)| fmt_val(row[k])));
+                cells
+            })
+            .collect();
+        table(&headers, &rows)
+    }
+
+    /// CSV: the header line `x_head,label,…`, then one line per x.
+    fn csv(&self, x_head: &str) -> String {
+        let mut out = x_head.to_string();
+        for (l, _) in &self.columns {
+            let _ = write!(out, ",{l}");
+        }
+        out.push('\n');
+        for (x, row) in self.xs.iter().zip(self.rows) {
+            let _ = write!(out, "{x:.9e}");
+            for &(_, k) in &self.columns {
+                let _ = write!(out, ",{:.9e}", row[k]);
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Each chosen label with its values along the x-axis.
+    fn traces(&self) -> Vec<(String, Vec<f64>)> {
+        self.columns
+            .iter()
+            .map(|(l, k)| (l.clone(), self.rows.iter().map(|row| row[*k]).collect()))
+            .collect()
+    }
+
+    /// Every trace as one ASCII plot under `title`.
+    fn plot(&self, title: &str, rows: usize, cols: usize) -> String {
+        render_plot(title, self.xs, self.traces(), rows, cols)
+    }
+
+    /// A JSON object: the `lead` fields, the x-axis under `x_key`, then
+    /// the traces.
+    fn json(&self, lead: &str, x_key: &str) -> String {
+        format!(
+            "{{{lead},\"{x_key}\":{},\"traces\":{}}}",
+            json_num_array(self.xs),
+            json_trace_object(&self.traces())
+        )
+    }
 }
 
 /// Renders one analysis outcome as an aligned table.
 pub fn outcome_table(deck: &Deck, outcome: &AnalysisOutcome) -> String {
     match outcome {
         AnalysisOutcome::Op(op) => {
-            let labels = selected_labels(deck, "op", &op.layout.labels);
+            let labels = deck.print_labels("op", &op.layout.labels);
             let rows: Vec<Vec<String>> = labels
                 .iter()
                 .filter_map(|l| op.by_label(l).map(|v| vec![l.clone(), fmt_val(v)]))
@@ -67,32 +156,11 @@ pub fn outcome_table(deck: &Deck, outcome: &AnalysisOutcome) -> String {
             )
         }
         AnalysisOutcome::Dc { var, result } => {
-            let all = result
-                .points
-                .first()
-                .map(|p| p.layout.labels.clone())
-                .unwrap_or_default();
-            let labels = selected_labels(deck, "dc", &all);
-            let mut headers = vec![var.clone()];
-            headers.extend(labels.iter().cloned());
-            let rows: Vec<Vec<String>> = result
-                .values
-                .iter()
-                .zip(&result.points)
-                .map(|(v, op)| {
-                    let mut row = vec![fmt_val(*v)];
-                    row.extend(
-                        labels
-                            .iter()
-                            .map(|l| op.by_label(l).map_or("-".into(), fmt_val)),
-                    );
-                    row
-                })
-                .collect();
-            format!("dc sweep over {var}\n{}", table(&headers, &rows))
+            let swept = Swept::dc(result, deck.print_labels("dc", &result.labels));
+            format!("dc sweep over {var}\n{}", swept.table(var, fmt_val))
         }
         AnalysisOutcome::Ac(ac) => {
-            let labels = selected_labels(deck, "ac", &ac.labels);
+            let labels = deck.print_labels("ac", &ac.labels);
             let mut headers = vec!["freq [Hz]".to_string()];
             for l in &labels {
                 headers.push(format!("|{l}|"));
@@ -120,28 +188,13 @@ pub fn outcome_table(deck: &Deck, outcome: &AnalysisOutcome) -> String {
             )
         }
         AnalysisOutcome::Tran(tr) => {
-            let labels = selected_labels(deck, "tran", &tr.labels);
-            let mut headers = vec!["time [s]".to_string()];
-            headers.extend(labels.iter().cloned());
-            let cols: Vec<Option<usize>> = labels.iter().map(|l| tr.column(l)).collect();
-            let rows: Vec<Vec<String>> = tr
-                .time
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    let mut row = vec![format!("{t:.6e}")];
-                    for c in &cols {
-                        row.push(c.map_or("-".into(), |c| fmt_val(tr.samples[i][c])));
-                    }
-                    row
-                })
-                .collect();
+            let swept = Swept::tran(tr, deck.print_labels("tran", &tr.labels));
             format!(
                 "transient ({} accepted steps, {} newton iterations, {} rejected)\n{}",
                 tr.time.len(),
                 tr.total_newton_iterations,
                 tr.rejected_steps,
-                table(&headers, &rows)
+                swept.table("time [s]", |t| format!("{t:.6e}"))
             )
         }
     }
@@ -151,7 +204,7 @@ pub fn outcome_table(deck: &Deck, outcome: &AnalysisOutcome) -> String {
 pub fn outcome_csv(deck: &Deck, outcome: &AnalysisOutcome) -> String {
     match outcome {
         AnalysisOutcome::Op(op) => {
-            let labels = selected_labels(deck, "op", &op.layout.labels);
+            let labels = deck.print_labels("op", &op.layout.labels);
             let mut out = String::from("unknown,value\n");
             for l in &labels {
                 if let Some(v) = op.by_label(l) {
@@ -161,33 +214,10 @@ pub fn outcome_csv(deck: &Deck, outcome: &AnalysisOutcome) -> String {
             out
         }
         AnalysisOutcome::Dc { var, result } => {
-            let all = result
-                .points
-                .first()
-                .map(|p| p.layout.labels.clone())
-                .unwrap_or_default();
-            let labels = selected_labels(deck, "dc", &all);
-            let mut out = var.clone();
-            for l in &labels {
-                let _ = write!(out, ",{l}");
-            }
-            out.push('\n');
-            for (v, op) in result.values.iter().zip(&result.points) {
-                let _ = write!(out, "{v:.9e}");
-                for l in &labels {
-                    match op.by_label(l) {
-                        Some(x) => {
-                            let _ = write!(out, ",{x:.9e}");
-                        }
-                        None => out.push_str(",nan"),
-                    }
-                }
-                out.push('\n');
-            }
-            out
+            Swept::dc(result, deck.print_labels("dc", &result.labels)).csv(var)
         }
         AnalysisOutcome::Ac(ac) => {
-            let labels = selected_labels(deck, "ac", &ac.labels);
+            let labels = deck.print_labels("ac", &ac.labels);
             let mut out = String::from("freq");
             for l in &labels {
                 let _ = write!(out, ",mag({l}),phase_deg({l})");
@@ -205,9 +235,7 @@ pub fn outcome_csv(deck: &Deck, outcome: &AnalysisOutcome) -> String {
             out
         }
         AnalysisOutcome::Tran(tr) => {
-            let labels = selected_labels(deck, "tran", &tr.labels);
-            let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-            tr.to_csv(&refs)
+            Swept::tran(tr, deck.print_labels("tran", &tr.labels)).csv("time")
         }
     }
 }
@@ -325,7 +353,7 @@ fn plot_labels(
     probes: &[String],
 ) -> Result<Vec<String>, String> {
     if probes.is_empty() {
-        return Ok(selected_labels(deck, kind, all));
+        return Ok(deck.print_labels(kind, all));
     }
     let chosen: Vec<String> = probes.iter().map(|p| normalize_probe(p)).collect();
     for c in &chosen {
@@ -391,22 +419,8 @@ pub fn outcome_plot(
     match outcome {
         AnalysisOutcome::Op(_) => Ok(outcome_table(deck, outcome)),
         AnalysisOutcome::Dc { var, result } => {
-            let all = result
-                .points
-                .first()
-                .map(|p| p.layout.labels.clone())
-                .unwrap_or_default();
-            let labels = plot_labels(deck, "dc", &all, probes)?;
-            Ok(render_plot(
-                &format!("dc sweep over {var}"),
-                &result.values,
-                labels
-                    .iter()
-                    .filter_map(|l| result.trace(l).map(|t| (l.clone(), t)))
-                    .collect(),
-                rows,
-                cols,
-            ))
+            let labels = plot_labels(deck, "dc", &result.labels, probes)?;
+            Ok(Swept::dc(result, labels).plot(&format!("dc sweep over {var}"), rows, cols))
         }
         AnalysisOutcome::Ac(ac) => {
             let labels = plot_labels(deck, "ac", &ac.labels, probes)?;
@@ -468,16 +482,8 @@ pub fn outcome_plot(
         }
         AnalysisOutcome::Tran(tr) => {
             let labels = plot_labels(deck, "tran", &tr.labels, probes)?;
-            Ok(render_plot(
-                &format!("transient ({} steps)", tr.time.len()),
-                &tr.time,
-                labels
-                    .iter()
-                    .filter_map(|l| tr.trace(l).map(|t| (l.clone(), t)))
-                    .collect(),
-                rows,
-                cols,
-            ))
+            let title = format!("transient ({} steps)", tr.time.len());
+            Ok(Swept::tran(tr, labels).plot(&title, rows, cols))
         }
     }
 }
@@ -573,7 +579,7 @@ fn json_trace_object(traces: &[(String, Vec<f64>)]) -> String {
 pub fn outcome_json(deck: &Deck, outcome: &AnalysisOutcome) -> String {
     match outcome {
         AnalysisOutcome::Op(op) => {
-            let labels = selected_labels(deck, "op", &op.layout.labels);
+            let labels = deck.print_labels("op", &op.layout.labels);
             let values: Vec<String> = labels
                 .iter()
                 .filter_map(|l| {
@@ -588,25 +594,11 @@ pub fn outcome_json(deck: &Deck, outcome: &AnalysisOutcome) -> String {
             )
         }
         AnalysisOutcome::Dc { var, result } => {
-            let all = result
-                .points
-                .first()
-                .map(|p| p.layout.labels.clone())
-                .unwrap_or_default();
-            let labels = selected_labels(deck, "dc", &all);
-            let traces: Vec<(String, Vec<f64>)> = labels
-                .iter()
-                .filter_map(|l| result.trace(l).map(|t| (l.clone(), t)))
-                .collect();
-            format!(
-                "{{\"kind\":\"dc\",\"var\":\"{}\",\"values\":{},\"traces\":{}}}",
-                json_escape(var),
-                json_num_array(&result.values),
-                json_trace_object(&traces)
-            )
+            let lead = format!("\"kind\":\"dc\",\"var\":\"{}\"", json_escape(var));
+            Swept::dc(result, deck.print_labels("dc", &result.labels)).json(&lead, "values")
         }
         AnalysisOutcome::Ac(ac) => {
-            let labels = selected_labels(deck, "ac", &ac.labels);
+            let labels = deck.print_labels("ac", &ac.labels);
             let mags: Vec<(String, Vec<f64>)> = labels
                 .iter()
                 .filter_map(|l| ac.magnitude(l).map(|m| (l.clone(), m)))
@@ -623,18 +615,11 @@ pub fn outcome_json(deck: &Deck, outcome: &AnalysisOutcome) -> String {
             )
         }
         AnalysisOutcome::Tran(tr) => {
-            let labels = selected_labels(deck, "tran", &tr.labels);
-            let traces: Vec<(String, Vec<f64>)> = labels
-                .iter()
-                .filter_map(|l| tr.trace(l).map(|t| (l.clone(), t)))
-                .collect();
-            format!(
-                "{{\"kind\":\"tran\",\"newton_iterations\":{},\"rejected_steps\":{},\"time\":{},\"traces\":{}}}",
-                tr.total_newton_iterations,
-                tr.rejected_steps,
-                json_num_array(&tr.time),
-                json_trace_object(&traces)
-            )
+            let lead = format!(
+                "\"kind\":\"tran\",\"newton_iterations\":{},\"rejected_steps\":{}",
+                tr.total_newton_iterations, tr.rejected_steps
+            );
+            Swept::tran(tr, deck.print_labels("tran", &tr.labels)).json(&lead, "time")
         }
     }
 }
@@ -896,6 +881,22 @@ mod tests {
         let csv = outcome_csv(&deck, &run.outcomes[0].1);
         assert!(csv.starts_with("unknown,value\n"));
         assert!(csv.contains("v(out),"), "{csv}");
+    }
+
+    #[test]
+    fn swept_csv_has_header_and_rows() {
+        let (xs, rows) = ([0.0, 1e-3], [vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let labels = ["v(a)".to_string(), "v(b)".to_string()];
+        let csv = Swept::new(&xs, &labels, &rows, vec!["v(b)".into()]).csv("time");
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "time,v(b)",
+                "0.000000000e0,2.000000000e0",
+                "1.000000000e-3,4.000000000e0"
+            ]
+        );
     }
 
     #[test]

@@ -406,6 +406,44 @@ fn oversized_analysis_is_diagnosed_not_fatal() {
     server.join();
 }
 
+#[test]
+fn too_many_breakpoints_fail_the_point_not_the_daemon() {
+    // One waveform corner per nanosecond, so a transient to 1.0004 ms
+    // would snap to just past 10⁶ breakpoints. The count depends on the
+    // horizon and is made when the transient starts, so the submit is
+    // accepted; its one point fails and the job still ends `done`.
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let deck = "tr\nV1 1 0 PULSE(0 1 0 1n 1n 1n 4n)\nR1 1 2 1k\nC1 2 0 1p\n\
+                .tran 1u 1.0004m\n.print tran v(2)\n.end\n";
+
+    let (status, body) = http(addr, "POST", "/v1/jobs", deck);
+    assert_eq!(status, 201, "{body}");
+    let id = job_id(&body);
+    let (status, stream) = http(addr, "GET", &format!("/v1/jobs/{id}/results"), "");
+    assert_eq!(status, 200, "{stream}");
+    assert!(stream.ends_with("\"state\":\"done\"}"), "{stream}");
+    for part in [
+        "\"status\":\"fail\"",
+        "waveform breakpoints",
+        "device `v1`",
+        "the limit is 1000000",
+    ] {
+        assert!(stream.contains(part), "no `{part}` in {stream}");
+    }
+
+    let (status, body) = http(addr, "GET", "/v1/health", "");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(parsed(&body).get("ok"), Some(&Json::Bool(true)), "{body}");
+
+    server.shutdown();
+    server.join();
+}
+
 /// Sends one request on a kept-alive connection, in one write, and
 /// reads its response: a fixed-length body to its `Content-Length`, a
 /// chunked one to its terminator.

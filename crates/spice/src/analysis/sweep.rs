@@ -5,30 +5,37 @@
 
 use crate::circuit::Circuit;
 use crate::error::Result;
-use crate::output::OpSolution;
+use crate::output::Record;
 use crate::solver::{SimOptions, Workspace};
 
-/// Result of a DC sweep.
+/// Result of a DC sweep: one row of recorded columns per swept value,
+/// the shape of [`TranResult`](crate::output::TranResult).
 #[derive(Debug, Clone)]
 pub struct SweepResult {
     /// Swept parameter values.
     pub values: Vec<f64>,
-    /// Operating point per value.
-    pub points: Vec<OpSolution>,
+    /// Labels of the recorded columns (the [`Record`] the sweep was
+    /// given): every unknown by default, the deck's `.PRINT` selection
+    /// when a deck runs it.
+    pub labels: Vec<String>,
+    /// Sample rows (`samples[i][k]` = column `k` at `values[i]`), one
+    /// entry per label.
+    pub samples: Vec<Vec<f64>>,
+    /// Total Newton iterations across all values.
+    pub total_newton_iterations: usize,
 }
 
 impl SweepResult {
-    /// Extracts one unknown (by label) across the sweep.
+    /// Extracts one column (by label) across the sweep.
     pub fn trace(&self, label: &str) -> Option<Vec<f64>> {
-        self.points
-            .iter()
-            .map(|op| op.by_label(label))
-            .collect::<Option<Vec<f64>>>()
+        let c = self.labels.iter().position(|l| l == label)?;
+        Some(self.samples.iter().map(|row| row[c]).collect())
     }
 }
 
 /// Runs a DC sweep: `build(value)` constructs the circuit for each
-/// point, and the operating point is solved per point.
+/// point, and the operating point is solved per point. Every unknown
+/// is recorded.
 ///
 /// # Errors
 ///
@@ -40,27 +47,36 @@ pub fn dc_sweep(
     sim: &SimOptions,
 ) -> Result<SweepResult> {
     let mut ws = Workspace::new(0);
-    dc_sweep_in(build, values, sim, &mut ws)
+    dc_sweep_in(build, values, |_| Record::All, sim, &mut ws)
 }
 
-/// [`dc_sweep`] over a caller-owned [`Workspace`]: besides the
+/// [`dc_sweep`] over a caller-owned [`Workspace`], recording the
+/// unknowns `record` picks from the first value's labels: besides the
 /// warm-start, every point shares one assembly workspace (and, on the
 /// sparse backend, one symbolic factorization — the rebuilt circuits
-/// have identical topology).
+/// have identical topology). Only the previous value's full state is
+/// kept, as the next value's Newton guess, so a sweep keeps values ×
+/// recorded columns.
 ///
 /// # Errors
 ///
-/// As [`dc_sweep`].
+/// As [`dc_sweep`]; [`SpiceError::BadOptions`](crate::SpiceError::BadOptions)
+/// for a recorded unknown past the circuit's last.
 pub fn dc_sweep_in(
     mut build: impl FnMut(f64) -> Result<Circuit>,
     values: &[f64],
+    record: impl FnOnce(&[String]) -> Record,
     sim: &SimOptions,
     ws: &mut Workspace,
 ) -> Result<SweepResult> {
     let mut result = SweepResult {
         values: values.to_vec(),
-        points: Vec::with_capacity(values.len()),
+        labels: Vec::new(),
+        samples: Vec::with_capacity(values.len()),
+        total_newton_iterations: 0,
     };
+    let mut choose = Some(record);
+    let mut record = Record::All;
     let mut prev: Option<Vec<f64>> = None;
     for &v in values {
         let mut ckt = build(v)?;
@@ -70,8 +86,14 @@ pub fn dc_sweep_in(
                 detail: e.to_string(),
             }
         })?;
-        prev = Some(op.x.clone());
-        result.points.push(op);
+        if let Some(choose) = choose.take() {
+            record = choose(&op.layout.labels);
+            record.check(op.layout.n_unknowns)?;
+            result.labels = record.labels(&op.layout.labels);
+        }
+        result.samples.push(record.row(&op.x));
+        result.total_newton_iterations += op.iterations;
+        prev = Some(op.x);
     }
     Ok(result)
 }
@@ -123,7 +145,7 @@ mod tests {
         // Warm starting must not cost more Newton iterations than
         // cold-starting every point — and on this quadratic it is
         // strictly cheaper overall.
-        let warm_total: usize = result.points.iter().map(|p| p.iterations).sum();
+        let warm_total = result.total_newton_iterations;
         let cold_total: usize = values
             .iter()
             .map(|&v| {
@@ -137,13 +159,21 @@ mod tests {
         );
 
         // Warm-started points match the cold solutions exactly (same
-        // converged solution, not a drifted one).
-        for (&v, p) in values.iter().zip(&result.points) {
+        // converged solution, not a drifted one), in every unknown.
+        assert_eq!(
+            result.labels,
+            quadratic_circuit(0.0).unwrap().layout().labels
+        );
+        for (&v, row) in values.iter().zip(&result.samples) {
             let mut c = quadratic_circuit(v).unwrap();
             let cold = super::super::dcop::solve(&mut c, &sim).unwrap();
-            let a = p.by_label("v(out)").unwrap();
-            let b = cold.by_label("v(out)").unwrap();
-            assert!((a - b).abs() < 1e-9, "vs {v}: warm {a} vs cold {b}");
+            for (label, a) in result.labels.iter().zip(row) {
+                let b = cold.by_label(label).unwrap();
+                assert!(
+                    (a - b).abs() < 1e-9,
+                    "vs {v}, {label}: warm {a} vs cold {b}"
+                );
+            }
         }
     }
 
@@ -177,28 +207,61 @@ mod tests {
         // An empty sweep yields empty traces, not None.
         let empty = SweepResult {
             values: vec![],
-            points: vec![],
+            labels: vec!["v(a)".into()],
+            samples: vec![],
+            total_newton_iterations: 0,
         };
         assert_eq!(empty.trace("v(a)"), Some(vec![]));
     }
 
+    fn divider(v: f64) -> crate::error::Result<Circuit> {
+        let mut c = Circuit::new();
+        let a = c.enode("a")?;
+        let b = c.enode("b")?;
+        let g = c.ground();
+        c.add(VoltageSource::new("v1", a, g, Waveform::Dc(v)))?;
+        c.add(Resistor::new("r1", a, b, 1e3))?;
+        c.add(Resistor::new("r2", b, g, 1e3))?;
+        Ok(c)
+    }
+
     #[test]
-    fn sweeps_a_divider() {
-        let result = dc_sweep(
-            |v| {
-                let mut c = Circuit::new();
-                let a = c.enode("a")?;
-                let b = c.enode("b")?;
-                let g = c.ground();
-                c.add(VoltageSource::new("v1", a, g, Waveform::Dc(v)))?;
-                c.add(Resistor::new("r1", a, b, 1e3))?;
-                c.add(Resistor::new("r2", b, g, 1e3))?;
-                Ok(c)
+    fn recorded_columns_match_the_full_sweep() {
+        let (values, sim) = ([0.0, 1.0, 2.0, 5.0], SimOptions::default());
+        let full = dc_sweep(divider, &values, &sim).unwrap();
+        assert_eq!(full.labels, ["v(a)", "v(b)", "i(v1,0)"]);
+        let mut ws = Workspace::new(0);
+        let some = dc_sweep_in(
+            divider,
+            &values,
+            |labels| {
+                assert_eq!(labels, full.labels);
+                Record::Unknowns(vec![1, 1, 2])
             },
-            &[0.0, 1.0, 2.0, 5.0],
-            &SimOptions::default(),
+            &sim,
+            &mut ws,
         )
         .unwrap();
+        assert_eq!(some.labels, ["v(b)", "v(b)", "i(v1,0)"]);
+        assert_eq!(some.values, full.values);
+        assert_eq!(some.total_newton_iterations, full.total_newton_iterations);
+        assert_eq!(some.samples.len(), values.len());
+        for (row, all) in some.samples.iter().zip(&full.samples) {
+            assert_eq!(row, &[all[1], all[1], all[2]]);
+        }
+        let bad = dc_sweep_in(
+            divider,
+            &values,
+            |_| Record::Unknowns(vec![3]),
+            &sim,
+            &mut ws,
+        );
+        assert!(matches!(bad, Err(crate::SpiceError::BadOptions(_))));
+    }
+
+    #[test]
+    fn sweeps_a_divider() {
+        let result = dc_sweep(divider, &[0.0, 1.0, 2.0, 5.0], &SimOptions::default()).unwrap();
         let vb = result.trace("v(b)").unwrap();
         assert_eq!(vb.len(), 4);
         for (v, expect) in vb.iter().zip(&[0.0, 0.5, 1.0, 2.5]) {

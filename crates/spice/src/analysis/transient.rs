@@ -2,6 +2,7 @@
 //! adaptive step control by local-truncation-error estimation, and
 //! waveform-breakpoint snapping.
 
+use super::MAX_POINTS;
 use crate::circuit::Circuit;
 use crate::device::{CommitKind, LoadKind};
 use crate::error::{Result, SpiceError};
@@ -73,8 +74,9 @@ impl TranOptions {
 ///
 /// - propagates DC convergence failures;
 /// - [`SpiceError::StepUnderflow`] when step halving bottoms out;
-/// - [`SpiceError::BadOptions`] for a non-positive horizon or a
-///   recorded unknown past the circuit's last.
+/// - [`SpiceError::BadOptions`] for a non-positive horizon, a recorded
+///   unknown past the circuit's last, or more than
+///   [`MAX_POINTS`] waveform breakpoints before `t_stop`.
 pub fn run(circuit: &mut Circuit, opts: &TranOptions, sim: &SimOptions) -> Result<TranResult> {
     run_from(circuit, opts, sim, None)
 }
@@ -125,15 +127,7 @@ pub fn run_in(
     let h_max = opts.h_max.unwrap_or(opts.t_stop / 50.0).max(h_init);
     let h_min = opts.h_min.unwrap_or(opts.t_stop * 1e-12);
 
-    // Breakpoints (sorted, deduplicated, strictly inside the horizon).
-    let mut breakpoints: Vec<f64> = circuit
-        .devices()
-        .iter()
-        .flat_map(|d| d.breakpoints(opts.t_stop))
-        .filter(|t| *t > 0.0 && *t < opts.t_stop)
-        .collect();
-    breakpoints.sort_by(|a, b| a.partial_cmp(b).expect("finite breakpoints"));
-    breakpoints.dedup_by(|a, b| (*a - *b).abs() < 1e-15);
+    let breakpoints = breakpoints(circuit, opts.t_stop)?;
 
     // Operating point at t = 0 (also commits device histories).
     let OpSolution {
@@ -156,8 +150,6 @@ pub fn run_in(
     let mut x_prev: Option<(f64, Vec<f64>)> = None; // (h_prev, solution before x)
     let mut h = h_init.min(h_max);
     let mut bp_idx = 0usize;
-    let trace = std::env::var_os("MEMS_SPICE_TRACE").is_some();
-    let mut loop_count = 0u64;
     // Restart integration with backward Euler on the first step and
     // after every breakpoint: trapezoidal needs a consistent
     // derivative history, and a waveform corner invalidates it (the
@@ -165,20 +157,15 @@ pub fn run_in(
     let mut be_restart = true;
 
     while t < opts.t_stop * (1.0 - 1e-12) {
-        loop_count += 1;
-        if trace && loop_count.is_multiple_of(1000) {
-            eprintln!(
-                "[tran] loop {loop_count}: t = {t:.9e}, h = {h:.3e}, accepted {}, rejected {}",
-                result.time.len(),
-                result.rejected_steps
-            );
-        }
-        // Snap to the next breakpoint or the horizon.
+        // Snap to the next breakpoint or the horizon, also when the
+        // step would end within `h_min` short of it: accumulated steps
+        // can stop a rounding sliver before a breakpoint, and that
+        // sliver, taken as a step of its own, can fail below `h_min`.
         let mut h_attempt = h.min(h_max);
         let next_bp = breakpoints.get(bp_idx).copied().unwrap_or(f64::INFINITY);
         let limit = next_bp.min(opts.t_stop);
         let mut snapped = false;
-        if t + h_attempt >= limit - 1e-15 * limit.abs().max(1.0) {
+        if t + h_attempt >= limit - h_min.max(1e-15 * limit.abs().max(1.0)) {
             h_attempt = limit - t;
             snapped = true;
         }
@@ -277,6 +264,39 @@ pub fn run_in(
         }
     }
     Ok(result)
+}
+
+/// The waveform breakpoints strictly inside `(0, t_stop)`, sorted and
+/// deduplicated, or an error naming the device that takes them past
+/// [`MAX_POINTS`]: each would force a step. Each device lists at most
+/// [`MAX_POINTS`] + 1, and the gathered list is compacted whenever it
+/// passes [`MAX_POINTS`], so it never holds much more than twice that.
+fn breakpoints(circuit: &Circuit, t_stop: f64) -> Result<Vec<f64>> {
+    fn compact(bps: &mut Vec<f64>) {
+        bps.sort_by(|a, b| a.partial_cmp(b).expect("finite breakpoints"));
+        bps.dedup_by(|a, b| (*a - *b).abs() < 1e-15);
+    }
+    let mut bps = Vec::new();
+    for d in circuit.devices() {
+        let listed = d.breakpoints(t_stop);
+        // A list past the limit was cut short, so its device alone
+        // has too many, whatever compaction leaves.
+        let n_listed = listed.len();
+        bps.extend(listed.into_iter().filter(|t| *t > 0.0 && *t < t_stop));
+        if bps.len() > MAX_POINTS {
+            compact(&mut bps);
+            if n_listed > MAX_POINTS || bps.len() > MAX_POINTS {
+                return Err(SpiceError::BadOptions(format!(
+                    "at least {} waveform breakpoints before t = {t_stop:.6e} s, counted \
+                     through device `{}`; the limit is {MAX_POINTS}",
+                    bps.len().max(n_listed),
+                    d.name()
+                )));
+            }
+        }
+    }
+    compact(&mut bps);
+    Ok(bps)
 }
 
 #[cfg(test)]
@@ -475,6 +495,105 @@ mod tests {
             run(&mut build(), &bad, &sim),
             Err(SpiceError::BadOptions(_))
         ));
+    }
+
+    /// `V1 1 0 PULSE(0 1 0 1m 1m 100m 300m)`, `R1 1 2 1k`, `C1 2 0 1u`.
+    fn pulsed_rc() -> Circuit {
+        let mut c = Circuit::new();
+        let a = c.enode("1").unwrap();
+        let b = c.enode("2").unwrap();
+        let g = c.ground();
+        c.add(VoltageSource::new(
+            "v1",
+            a,
+            g,
+            Waveform::Pulse {
+                v1: 0.0,
+                v2: 1.0,
+                delay: 0.0,
+                rise: 1e-3,
+                fall: 1e-3,
+                width: 100e-3,
+                period: 300e-3,
+            },
+        ))
+        .unwrap();
+        c.add(Resistor::new("r1", a, b, 1e3)).unwrap();
+        c.add(Capacitor::new("c1", b, g, 1e-6)).unwrap();
+        c
+    }
+
+    #[test]
+    fn fixed_steps_snap_over_rounding_slivers() {
+        // `.tran 1u 0.403 fixed`: the accumulated 1 µs steps stop
+        // 2.7e-14 s short of the 0.301 s and 0.402 s corners, below
+        // `h_min`. Taken as a step of its own, that sliver failed at
+        // 0.402 s with a time step underflow; now the step before it
+        // snaps onto the corner.
+        let opts = TranOptions {
+            record: Record::Unknowns(vec![1]),
+            ..TranOptions::fixed_step(0.403, 1e-6)
+        };
+        let res = run(&mut pulsed_rc(), &opts, &SimOptions::default()).unwrap();
+        for bp in [0.301, 0.402, 0.403] {
+            assert!(
+                res.time.iter().any(|t| (t - bp).abs() < 1e-12),
+                "breakpoint {bp} missed"
+            );
+        }
+        // Slivers of at least `h_min` (1e-12 s) are still steps.
+        let shortest = res
+            .time
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .fold(f64::INFINITY, f64::min);
+        assert!(shortest >= 1e-12, "a {shortest:e} s step");
+    }
+
+    #[test]
+    fn breakpoints_past_the_limit_are_refused() {
+        // One corner per nanosecond (`PULSE(0 1 0 1n 1n 1n 4n)`), from
+        // `delay` on, on its own node.
+        let sources = |delays: &[f64]| {
+            let mut c = Circuit::new();
+            let g = c.ground();
+            for (i, &delay) in delays.iter().enumerate() {
+                let n = c.enode(&format!("n{i}")).unwrap();
+                let wave = Waveform::Pulse {
+                    v1: 0.0,
+                    v2: 1.0,
+                    delay,
+                    rise: 1e-9,
+                    fall: 1e-9,
+                    width: 1e-9,
+                    period: 4e-9,
+                };
+                c.add(VoltageSource::new(format!("v{i}"), n, g, wave))
+                    .unwrap();
+                c.add(Resistor::new(format!("r{i}"), n, g, 1e3)).unwrap();
+            }
+            c
+        };
+        // 10⁹ corners before 1 s: refused before anything is solved.
+        let err = run(
+            &mut sources(&[0.0]),
+            &TranOptions::new(1.0),
+            &SimOptions::default(),
+        )
+        .unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains("device `v0`") && msg.contains("the limit is 1000000"),
+            "{msg}"
+        );
+        // Two sources with the same 6·10⁵ corners stay within the
+        // limit; shifted half a nanosecond apart, they pass it.
+        let one = breakpoints(&sources(&[0.0]), 6e-4).unwrap().len();
+        assert!(one > MAX_POINTS / 2, "{one}");
+        let same = breakpoints(&sources(&[0.0, 0.0]), 6e-4).unwrap().len();
+        assert_eq!(same, one);
+        let err = breakpoints(&sources(&[0.0, 0.5e-9]), 6e-4).unwrap_err();
+        assert!(err.to_string().contains("device `v1`"), "{err}");
     }
 
     #[test]

@@ -286,8 +286,10 @@ pub trait Device: Send {
     /// Accepts the converged solution `x` (update histories).
     fn commit(&mut self, _x: &[f64], _layout: &UnknownLayout, _kind: CommitKind) {}
 
-    /// Waveform breakpoints in `[0, t_end]` the transient engine must
-    /// not step across.
+    /// Waveform breakpoints strictly inside `(0, t_end)` the transient
+    /// engine must not step across, at most
+    /// [`MAX_POINTS`](crate::analysis::MAX_POINTS) + 1 of them (see
+    /// [`Waveform::breakpoints`](crate::wave::Waveform::breakpoints)).
     fn breakpoints(&self, _t_end: f64) -> Vec<f64> {
         Vec::new()
     }

@@ -1,5 +1,5 @@
 //! Analysis results: operating points, transient waveforms, AC sweeps;
-//! CSV export and terminal ASCII plotting.
+//! terminal ASCII plotting.
 
 use crate::circuit::{NodeId, UnknownLayout};
 use mems_numerics::quad::cumtrapz;
@@ -33,12 +33,12 @@ impl OpSolution {
     }
 }
 
-/// The unknowns a `.TRAN` or `.AC` run stores at each point, as
-/// [`TranOptions::record`](crate::analysis::transient::TranOptions::record)
-/// and [`ac::run_recorded_in`](crate::analysis::ac::run_recorded_in)
-/// take it. A run's result memory is points × recorded columns, so
-/// recording only what a caller reads bounds it by that, not by the
-/// circuit size.
+/// The unknowns a `.TRAN`, `.AC` or `.DC` run stores at each point, as
+/// [`TranOptions::record`](crate::analysis::transient::TranOptions::record),
+/// [`ac::run_recorded_in`](crate::analysis::ac::run_recorded_in) and
+/// [`sweep::dc_sweep_in`](crate::analysis::sweep::dc_sweep_in) take it.
+/// A run's result memory is points × recorded columns, so recording
+/// only what a caller reads bounds it by that, not by the circuit size.
 #[derive(Debug, Clone)]
 pub enum Record {
     /// Every unknown, in layout order.
@@ -104,14 +104,9 @@ pub struct TranResult {
 }
 
 impl TranResult {
-    /// Column index of a label.
-    pub fn column(&self, label: &str) -> Option<usize> {
-        self.labels.iter().position(|l| l == label)
-    }
-
     /// Extracts one column as a trace.
     pub fn trace(&self, label: &str) -> Option<Vec<f64>> {
-        let c = self.column(label)?;
+        let c = self.labels.iter().position(|l| l == label)?;
         Some(self.samples.iter().map(|row| row[c]).collect())
     }
 
@@ -152,30 +147,6 @@ impl TranResult {
             ys.push(ya + (yb - ya) * frac.clamp(0.0, 1.0));
         }
         Some((ts, ys))
-    }
-
-    /// Renders selected columns as CSV (time first).
-    pub fn to_csv(&self, labels: &[&str]) -> String {
-        let mut out = String::from("time");
-        let cols: Vec<Option<usize>> = labels.iter().map(|l| self.column(l)).collect();
-        for l in labels {
-            out.push(',');
-            out.push_str(l);
-        }
-        out.push('\n');
-        for (i, t) in self.time.iter().enumerate() {
-            let _ = write!(out, "{t:.9e}");
-            for c in &cols {
-                match c {
-                    Some(c) => {
-                        let _ = write!(out, ",{:.9e}", self.samples[i][*c]);
-                    }
-                    None => out.push_str(",nan"),
-                }
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -341,23 +312,6 @@ mod tests {
         let (ts, ys) = r.resample("v(a)", 4).unwrap();
         assert_eq!(ts, vec![0.0, 1.0, 2.0, 3.0]);
         assert_eq!(ys, vec![0.0, 2.0, 4.0, 6.0]);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let r = TranResult {
-            time: vec![0.0, 1e-3],
-            labels: vec!["v(a)".into(), "v(b)".into()],
-            samples: vec![vec![1.0, 2.0], vec![3.0, 4.0]],
-            total_newton_iterations: 0,
-            rejected_steps: 0,
-        };
-        let csv = r.to_csv(&["v(b)"]);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "time,v(b)");
-        assert!(lines[1].starts_with("0.0"));
-        assert!(lines[1].ends_with("e0") || lines[1].contains("2.0"));
-        assert_eq!(lines.len(), 3);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::circuit::{Circuit, UnknownKind, UnknownLayout};
 use crate::device::{LoadCtx, LoadKind};
 use crate::error::{Result, SpiceError};
-use crate::system::{new_system, FactorKind, FillOrdering, MatrixBackend, SystemMatrix};
+use crate::system::{new_system, reusable, FactorKind, FillOrdering, MatrixBackend, SystemMatrix};
 use mems_hdl::Nature;
 
 /// Global simulator options (tolerances, iteration budgets).
@@ -90,8 +90,6 @@ pub struct Workspace {
     rhs: Vec<f64>,
     /// Newton update `Δ`, solved into in place.
     delta: Vec<f64>,
-    backend: MatrixBackend,
-    ordering: FillOrdering,
 }
 
 impl Workspace {
@@ -122,8 +120,6 @@ impl Workspace {
             row_scale: vec![0.0; n],
             rhs: vec![0.0; n],
             delta: vec![0.0; n],
-            backend,
-            ordering,
         }
     }
 
@@ -134,18 +130,14 @@ impl Workspace {
 
     /// Re-targets the workspace to `n` unknowns under `backend` and
     /// `ordering`, keeping all cached structure (sparsity pattern,
-    /// column ordering, symbolic factorization) when everything
-    /// already matches. This is the reuse hook for sweeps and
+    /// column ordering, symbolic factorization) while the system is
+    /// [`reusable`]. This is the reuse hook for sweeps and
     /// `.STEP`/`.MC` batches: same topology → same layout → the
     /// expensive analysis happens once.
     pub fn ensure(&mut self, n: usize, backend: MatrixBackend, ordering: FillOrdering) {
-        let same_backend = self.sys.n() == n && self.backend.resolve(n) == backend.resolve(n);
-        // The ordering only matters on the sparse path.
-        let same_ordering = self.ordering == ordering || backend.resolve(n) == MatrixBackend::Dense;
-        if same_backend && same_ordering {
-            return;
+        if !reusable(self.sys.as_ref(), n, backend, ordering) {
+            *self = Workspace::build(n, backend, ordering);
         }
-        *self = Workspace::build(n, backend, ordering);
     }
 }
 

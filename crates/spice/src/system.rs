@@ -103,6 +103,23 @@ impl MatrixBackend {
     }
 }
 
+/// Whether `sys` serves `n` unknowns under `backend` and `ordering` as
+/// it is: same order, same resolved backend, and the same ordering
+/// policy unless the backend is dense, which has none.
+/// [`Workspace::ensure`](crate::solver::Workspace::ensure) and a deck
+/// run's shared `.AC` system keep their cached structure (pattern,
+/// ordering, symbolic factor) by this one rule.
+pub fn reusable<S: Scalar>(
+    sys: &dyn SystemMatrix<S>,
+    n: usize,
+    backend: MatrixBackend,
+    ordering: FillOrdering,
+) -> bool {
+    sys.n() == n
+        && sys.backend() == backend.resolve(n)
+        && sys.ordering().is_none_or(|o| o == ordering)
+}
+
 /// Has no effect; kept only because the `perfbench` benchmark names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FactorKind {
@@ -259,6 +276,12 @@ pub trait SystemMatrix<S: Scalar>: Send {
 
     /// Which concrete backend this is, for reports and tests.
     fn backend(&self) -> MatrixBackend;
+
+    /// The fill-reducing ordering policy the system was built with;
+    /// `None` on the dense backend, which has none.
+    fn ordering(&self) -> Option<FillOrdering> {
+        None
+    }
 
     /// Value at `(row, col)` — diagnostic/test accessor, zero when
     /// unstamped.
@@ -665,6 +688,10 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
         MatrixBackend::Sparse
     }
 
+    fn ordering(&self) -> Option<FillOrdering> {
+        Some(self.ordering)
+    }
+
     fn get(&self, row: usize, col: usize) -> S {
         let key = ((row as u64) << 32) | col as u64;
         self.slots
@@ -713,6 +740,21 @@ mod tests {
         for &(r, c, v) in entries {
             sys.add(r, c, v);
         }
+    }
+
+    #[test]
+    fn reuse_needs_order_backend_and_sparse_ordering() {
+        use FillOrdering::{Amd, Nd};
+        use MatrixBackend::{Auto, Dense, Sparse};
+        let big = AUTO_SPARSE_THRESHOLD;
+        let small = new_system::<f64>(10, Auto, Amd);
+        assert!(reusable(small.as_ref(), 10, Dense, Nd));
+        assert!(!reusable(small.as_ref(), 11, Auto, Amd));
+        assert!(!reusable(small.as_ref(), 10, Sparse, Amd));
+        let sparse = new_system::<f64>(big, Auto, Amd);
+        assert!(reusable(sparse.as_ref(), big, Sparse, Amd));
+        assert!(!reusable(sparse.as_ref(), big, Sparse, Nd));
+        assert!(!reusable(sparse.as_ref(), big, Dense, Amd));
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! transient engine collects [`Waveform::breakpoints`] so steps land
 //! exactly on the corners.
 
+use crate::analysis::MAX_POINTS;
+
 /// A time-dependent source value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Waveform {
@@ -164,12 +166,16 @@ impl Waveform {
         }
     }
 
-    /// Time points where the waveform has slope discontinuities within
-    /// `[0, t_end]`; the transient engine snaps steps onto these.
+    /// Time points strictly inside `(0, t_end)` where the waveform has
+    /// slope discontinuities; the transient engine snaps steps onto
+    /// these. A corner equal to the one listed before it is listed
+    /// once, and the list stops at [`MAX_POINTS`] + 1 corners (a
+    /// periodic pulse is walked for at most that many periods), so a
+    /// caller can tell a waveform with too many corners without the
+    /// list growing with the horizon.
     pub fn breakpoints(&self, t_end: f64) -> Vec<f64> {
-        let mut bps = Vec::new();
-        match self {
-            Waveform::Dc(_) | Waveform::Sin { .. } => {}
+        let corners: Box<dyn Iterator<Item = f64> + '_> = match self {
+            Waveform::Dc(_) | Waveform::Sin { .. } => Box::new(std::iter::empty()),
             Waveform::Pulse {
                 delay,
                 rise,
@@ -184,29 +190,25 @@ impl Waveform {
                     delay + rise + width,
                     delay + rise + width + fall,
                 ];
-                if *period > 0.0 {
-                    let mut base = 0.0;
-                    while delay + base <= t_end {
-                        for c in corners {
-                            let t = c + base;
-                            if t <= t_end {
-                                bps.push(t);
-                            }
-                        }
-                        base += period;
-                    }
-                } else {
-                    bps.extend(corners.iter().copied().filter(|t| *t <= t_end));
-                }
+                // A single pulse is the first period of a periodic one.
+                let periods = if *period > 0.0 { MAX_POINTS + 1 } else { 1 };
+                let starts = std::iter::successors(Some(0.0), move |base| Some(base + period));
+                Box::new(
+                    starts
+                        .take(periods)
+                        .take_while(move |base| delay + base <= t_end)
+                        .flat_map(move |base| corners.map(|c| c + base)),
+                )
             }
-            Waveform::Pwl(points) => {
-                bps.extend(points.iter().map(|p| p.0).filter(|t| *t <= t_end));
-            }
-            Waveform::Exp { td1, td2, .. } => {
-                for t in [*td1, *td2] {
-                    if t <= t_end {
-                        bps.push(t);
-                    }
+            Waveform::Pwl(points) => Box::new(points.iter().map(|p| p.0)),
+            Waveform::Exp { td1, td2, .. } => Box::new([*td1, *td2].into_iter()),
+        };
+        let mut bps = Vec::new();
+        for t in corners.filter(|t| *t > 0.0 && *t < t_end) {
+            if bps.last() != Some(&t) {
+                bps.push(t);
+                if bps.len() > MAX_POINTS {
+                    break;
                 }
             }
         }
@@ -339,6 +341,28 @@ mod tests {
         let bps = p.breakpoints(2.0);
         assert!(bps.contains(&0.1));
         assert!(bps.contains(&1.1));
-        assert!(bps.iter().all(|t| *t <= 2.0));
+        assert!(bps.iter().all(|t| *t > 0.0 && *t < 2.0), "{bps:?}");
+    }
+
+    #[test]
+    fn periodic_pulse_corners_are_bounded() {
+        let pulse = |delay, rise, width, period| Waveform::Pulse {
+            v1: 0.0,
+            v2: 1.0,
+            delay,
+            rise,
+            fall: rise,
+            width,
+            period,
+        };
+        // 10⁹ corners before t = 1: the list stops one past the limit.
+        let bps = pulse(0.0, 1e-9, 1e-9, 4e-9).breakpoints(1.0);
+        assert_eq!(bps.len(), MAX_POINTS + 1);
+        // A square wave's coinciding corners are listed once.
+        let bps = pulse(0.0, 0.0, 1.0, 2.0).breakpoints(10.0);
+        assert_eq!(bps, (1..10).map(f64::from).collect::<Vec<_>>());
+        // A period below the resolution of its start time stops too.
+        let bps = pulse(0.5, 0.0, 0.0, 1e-300).breakpoints(1.0);
+        assert_eq!(bps, [0.5]);
     }
 }

@@ -305,8 +305,10 @@ fn assert_outcomes_agree(
             }
             (AnalysisOutcome::Dc { result: ra, .. }, AnalysisOutcome::Dc { result: rb, .. }) => {
                 assert_eq!(ra.values, rb.values, "{what}: sweep grids differ");
-                for (pa, pb) in ra.points.iter().zip(&rb.points) {
-                    assert_traces_agree(&format!("{what}/dc"), &pa.x, &pb.x, rel);
+                assert_eq!(ra.labels, rb.labels, "{what}: dc labels differ");
+                assert_eq!(ra.samples.len(), rb.samples.len(), "{what}: dc rows");
+                for (pa, pb) in ra.samples.iter().zip(&rb.samples) {
+                    assert_traces_agree(&format!("{what}/dc"), pa, pb, rel);
                 }
             }
             (AnalysisOutcome::Ac(aa), AnalysisOutcome::Ac(ab)) => {

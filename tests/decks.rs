@@ -340,9 +340,10 @@ fn assert_runs_bit_identical(a: &mems::netlist::DeckRun, b: &mems::netlist::Deck
             }
             (AnalysisOutcome::Dc { result: x, .. }, AnalysisOutcome::Dc { result: y, .. }) => {
                 bits_eq(&x.values, &y.values, &format!("dc{i}.values"));
-                assert_eq!(x.points.len(), y.points.len());
-                for (k, (p, q)) in x.points.iter().zip(&y.points).enumerate() {
-                    bits_eq(&p.x, &q.x, &format!("dc{i}.pt{k}"));
+                assert_eq!(x.labels, y.labels);
+                assert_eq!(x.samples.len(), y.samples.len());
+                for (k, (p, q)) in x.samples.iter().zip(&y.samples).enumerate() {
+                    bits_eq(p, q, &format!("dc{i}.row{k}"));
                 }
             }
             (AnalysisOutcome::Ac(x), AnalysisOutcome::Ac(y)) => {

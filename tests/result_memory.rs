@@ -1,15 +1,15 @@
 //! A deck run keeps what the deck prints.
 //!
-//! `run_elaborated_ctx` records, for each `.TRAN` and `.AC` card, only
-//! the unknowns `Deck::print_labels` selects (every unknown when no
-//! `.PRINT` matches), so a run's result memory is points × printed
-//! columns instead of points × unknowns. A counting global allocator
+//! `run_elaborated_ctx` records, for each `.TRAN`, `.AC` and `.DC`
+//! card, only the unknowns `Deck::print_labels` selects (every unknown
+//! when no `.PRINT` matches), so a run's result memory is points ×
+//! printed columns instead of points × unknowns. A counting global allocator
 //! tracks the live-byte high-water mark of a printed run and of the
 //! same deck with its `.PRINT` cards cleared, on small generated grid
 //! decks. The file holds a single test so no other test thread
 //! allocates while it counts.
 
-use mems::netlist::gen::{grid_deck_with, GridDeckOptions};
+use mems::netlist::gen::{grid_deck, grid_deck_with, GridDeckOptions};
 use mems::netlist::{run_deck, AnalysisOutcome, Deck, DeckRun};
 use mems::numerics::Complex64;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -95,6 +95,10 @@ fn columns(run: &DeckRun, kind: &str) -> (Vec<String>, Vec<String>, Vec<usize>) 
             AnalysisOutcome::Ac(ac) if card.kind_name() == kind => {
                 recorded = Some((ac.labels.clone(), ac.data.iter().map(Vec::len).collect()));
             }
+            AnalysisOutcome::Dc { result, .. } if card.kind_name() == kind => {
+                let widths = result.samples.iter().map(Vec::len).collect();
+                recorded = Some((result.labels.clone(), widths));
+            }
             _ => {}
         }
     }
@@ -113,13 +117,20 @@ fn runs_keep_only_the_printed_columns() {
         ..GridDeckOptions::default()
     };
     // The `.AC` card gets 100 points per decade (301 frequencies), so
-    // its result, not the first complex factor, sets the peak.
+    // its result, not the first complex factor, sets the peak. The
+    // `.DC` card sweeps the drive over 201 values.
+    let dc = ".print op v(n7_7)\n.dc vs 0 5 0.025\n.print dc v(n7_7)\n";
     let cases = [
         ("tran", grid_deck_with(8, 8, &tran), size_of::<f64>()),
         (
             "ac",
             grid_deck_with(8, 8, &ac).replace(".ac dec 3 10 10k", ".ac dec 100 10 10k"),
             size_of::<Complex64>(),
+        ),
+        (
+            "dc",
+            grid_deck(8, 8).replace(".print op v(n7_7)\n", dc),
+            size_of::<f64>(),
         ),
     ];
     for (kind, src, value_size) in cases {
