@@ -12,16 +12,29 @@
 //! A second group times the raw kernels on a banded system:
 //! dense factor vs sparse full factor vs sparse numeric-only
 //! refactor.
+//!
+//! A third group times the warm dense Newton cycle (assemble →
+//! factor → solve) of two shipped paper-scale decks, the inner loop
+//! of `.STEP`/`.MC` batches and served jobs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mems_netlist::{run_batch, BatchOptions, Deck};
+use mems_netlist::elab::sim_options;
+use mems_netlist::{run_batch, BatchOptions, Deck, Elaborator, ParamEnv};
 use mems_numerics::dense::DenseMatrix;
 use mems_numerics::lu::LuFactors;
+use mems_numerics::ode::IntegrationMethod;
 use mems_numerics::sparse_lu::{CscMatrix, SparseLu};
+use mems_spice::analysis::dcop;
+use mems_spice::device::LoadKind;
+use mems_spice::solver::{assemble, Workspace};
+use mems_spice::MatrixBackend;
 use std::fmt::Write as _;
 
 const SECTIONS: usize = 120;
 const STEP_POINTS: usize = 100;
+/// Newton cycles per timed sample: one cycle takes well under a
+/// microsecond, too little for a clock read to resolve.
+const CYCLES: usize = 10_000;
 
 /// Generates the ladder deck, optionally forcing a backend.
 fn ladder_deck(sections: usize, sparse: bool) -> String {
@@ -109,5 +122,61 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_batch, bench_kernels);
+/// One warm `assemble → factor → solve_into` cycle on the circuit of
+/// the shipped deck `file`, set up as `tests/newton_alloc.rs` sets it
+/// up: at the operating point, on the dense backend, after two cycles
+/// that allocate the factor storage.
+fn warm_newton_cycle(file: &str) -> impl FnMut() {
+    let path = format!("{}/../../examples/decks/{file}", env!("CARGO_MANIFEST_DIR"));
+    let src = std::fs::read_to_string(&path).expect("shipped deck");
+    let deck = Deck::parse(&src).expect("deck parses");
+    let elab = Elaborator::new(&deck).expect("deck elaborates");
+    let (mut ckt, env) = elab.build(&ParamEnv::new(), None).expect("circuit builds");
+    let sim = sim_options(&deck, &env).expect("options");
+    let op = dcop::solve(&mut ckt, &sim).expect("operating point");
+    let n = op.layout.n_unknowns;
+    let mut ws = Workspace::new(n);
+    ws.ensure(n, sim.matrix, sim.ordering);
+    assert_eq!(ws.sys.backend(), MatrixBackend::Dense, "{file}");
+    let kind = LoadKind::Transient {
+        t: 1e-4,
+        h: 1e-5,
+        method: IntegrationMethod::Trapezoidal,
+    };
+    let rhs = vec![1.0; n];
+    let mut dx = vec![0.0; n];
+    let mut cycle = move || {
+        assemble(&mut ckt, &op.layout, kind, sim.gmin, &op.x, &mut ws).expect("assembles");
+        ws.sys.factor().expect("factors");
+        ws.sys.solve_into(&rhs, &mut dx).expect("solves");
+    };
+    cycle();
+    cycle();
+    cycle
+}
+
+fn bench_newton_cycle(c: &mut Criterion) {
+    mems_bench::print_banner(
+        "dense Newton cycle",
+        "one warm assemble → factor → solve on paper-scale decks",
+    );
+    let mut group = c.benchmark_group("newton_cycle_dense");
+    group.sample_size(50);
+    for (id, file) in [
+        ("resonator_step_n2_x10k", "resonator_step.cir"),
+        ("eletran_transient_n4_x10k", "eletran_transient.cir"),
+    ] {
+        let mut cycle = warm_newton_cycle(file);
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                for _ in 0..CYCLES {
+                    cycle();
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_batch, bench_kernels, bench_newton_cycle);
 criterion_main!(benches);

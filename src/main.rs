@@ -13,6 +13,7 @@
 //! ```
 
 use mems_netlist::{report, run_deck, BatchOptions, CancelToken, Deck, FsResolver, NetlistError};
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -309,12 +310,26 @@ fn load_deck(path: &Path) -> Result<Deck, String> {
     Deck::parse_with_includes(&src, &mut resolver).map_err(|e| e.render(&src))
 }
 
-fn emit(csv_target: &str, content: &str) -> Result<(), String> {
-    if csv_target == "-" {
-        print!("{content}");
-        Ok(())
+/// Writes a report to `target`: a file, or stdout when it is `-`.
+fn emit(target: &str, content: &str) -> Result<(), String> {
+    if target == "-" {
+        print_report(content)
     } else {
-        std::fs::write(csv_target, content).map_err(|e| format!("cannot write `{csv_target}`: {e}"))
+        std::fs::write(target, content).map_err(|e| format!("cannot write `{target}`: {e}"))
+    }
+}
+
+/// Writes a report to stdout through one locked, buffered handle.
+/// A reader that closes the pipe early (`mems run … | head`) has read
+/// all it wants, so a broken pipe ends the command quietly, as a
+/// success; any other write error fails it.
+fn print_report(content: &str) -> Result<(), String> {
+    let mut out = io::BufWriter::new(io::stdout().lock());
+    match out.write_all(content.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+            Err(format!("cannot write to stdout: {e}"))
+        }
+        _ => Ok(()),
     }
 }
 
@@ -353,15 +368,12 @@ fn cmd_check_json(path: &Path) -> Result<(), String> {
         ))
     })();
     match outcome {
-        Ok(body) => {
-            println!("{body}");
-            Ok(())
-        }
+        Ok(body) => print_report(&format!("{body}\n")),
         Err(e) => {
-            println!(
-                "{{\"ok\":false,\"diagnostics\":{}}}",
+            print_report(&format!(
+                "{{\"ok\":false,\"diagnostics\":{}}}\n",
                 report::diagnostics_json(&src, &[report::Diagnostic::from_error(&e)])
-            );
+            ))?;
             // The JSON on stdout is the report; fail without a
             // second, human-format rendering on stderr.
             Err(String::new())
@@ -375,15 +387,18 @@ fn cmd_check(deck: &Deck) -> Result<(), String> {
         .build(&Default::default(), None)
         .map_err(|e| e.render(&deck.source))?;
     let layout = ckt.layout();
-    println!("deck:      {}", deck.title);
-    println!("nodes:     {} (+ ground)", layout.n_nodes - 1);
-    println!("devices:   {}", ckt.devices().len());
-    println!("unknowns:  {}", layout.n_unknowns);
+    let mut out = format!(
+        "deck:      {}\nnodes:     {} (+ ground)\ndevices:   {}\nunknowns:  {}\n",
+        deck.title,
+        layout.n_nodes - 1,
+        ckt.devices().len(),
+        layout.n_unknowns
+    );
     if !env.is_empty() {
         let mut names: Vec<_> = env.iter().collect();
         names.sort_by(|a, b| a.0.cmp(b.0));
-        println!(
-            "params:    {}",
+        out += &format!(
+            "params:    {}\n",
             names
                 .iter()
                 .map(|(k, v)| format!("{k}={v:.6e}"))
@@ -391,8 +406,8 @@ fn cmd_check(deck: &Deck) -> Result<(), String> {
                 .join(" ")
         );
     }
-    println!(
-        "analyses:  {}",
+    out += &format!(
+        "analyses:  {}\n",
         deck.analyses
             .iter()
             .map(|a| format!(".{}", a.kind_name()))
@@ -400,12 +415,15 @@ fn cmd_check(deck: &Deck) -> Result<(), String> {
             .join(" ")
     );
     match mems_netlist::batch_points_with(&elab) {
-        Ok(points) => println!("batch:     {} points", points.len()),
-        Err(NetlistError::Elab { span: None, .. }) => println!("batch:     (no .STEP/.MC)"),
-        Err(e) => return Err(e.render(&deck.source)),
+        Ok(points) => out += &format!("batch:     {} points\n", points.len()),
+        Err(NetlistError::Elab { span: None, .. }) => out += "batch:     (no .STEP/.MC)\n",
+        Err(e) => {
+            print_report(&out)?;
+            return Err(e.render(&deck.source));
+        }
     }
-    println!("ok");
-    Ok(())
+    out += "ok\n";
+    print_report(&out)
 }
 
 fn cmd_run(deck: &Deck, csv: Option<&str>, json: Option<&str>) -> Result<(), String> {
@@ -422,10 +440,7 @@ fn cmd_run(deck: &Deck, csv: Option<&str>, json: Option<&str>) -> Result<(), Str
             }
             emit(target, &out)
         }
-        (None, None) => {
-            print!("{}", report::run_report(deck, &run));
-            Ok(())
-        }
+        (None, None) => print_report(&report::run_report(deck, &run)),
     }
 }
 
@@ -443,9 +458,7 @@ fn cmd_plot(deck: &Deck, probes: &[String], opts: &report::PlotOptions) -> Resul
     if run.outcomes.is_empty() {
         return Err("deck declares no analyses to plot".to_string());
     }
-    let rendered = report::run_plot(deck, &run, probes, opts)?;
-    print!("{rendered}");
-    Ok(())
+    print_report(&report::run_plot(deck, &run, probes, opts)?)
 }
 
 fn cmd_sweep(
@@ -482,10 +495,7 @@ fn cmd_sweep(
     match (json, csv) {
         (Some(target), _) => emit(target, &report::batch_json(&result)),
         (None, Some(target)) => emit(target, &report::batch_csv(&result)),
-        (None, None) => {
-            print!("{}", report::batch_report(&result));
-            Ok(())
-        }
+        (None, None) => print_report(&report::batch_report(&result)),
     }
 }
 

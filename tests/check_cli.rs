@@ -1,9 +1,11 @@
 //! `mems check` refuses the analysis cards `mems run` cannot finish —
 //! malformed ranges and outputs past the point limit — with a caret
-//! at the card, before anything is simulated or allocated; and `mems
-//! plot --probe` reaches every unknown, not only the printed ones.
+//! at the card, before anything is simulated or allocated; `mems
+//! plot --probe` reaches every unknown, not only the printed ones;
+//! and a reader that closes stdout early ends a command quietly.
 
-use std::process::Command;
+use std::io::Read as _;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 #[test]
@@ -80,4 +82,30 @@ fn plot_probe_error_lists_unprinted_unknowns() {
         stderr.contains("probe `v(nosuch)` does not name a trace") && stderr.contains("v(x2.mid)"),
         "{stderr}"
     );
+}
+
+/// `mems run … --json - | head -c 10`: the Listing-1 transient's
+/// report outgrows a pipe buffer, so the reader closes the pipe while
+/// the command still writes. That ends the command with exit 0 and no
+/// panic message.
+#[test]
+fn closed_stdout_ends_the_command_quietly() {
+    let deck = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/decks/eletran_transient.cir"
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mems"))
+        .args(["run", deck, "--json", "-"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut head = [0u8; 10];
+    // The pipe's read end drops, and closes, at the end of this statement.
+    child.stdout.take().unwrap().read_exact(&mut head).unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(head.starts_with(b"{\"deck\":"), "{head:?}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -5,7 +5,8 @@
 //! solve_into` cycle must run without touching the allocator on
 //! either backend. A counting global allocator checks it; the file
 //! holds a single test so no other test thread allocates while it
-//! counts.
+//! counts. On the dense backend the warm cycles read no clock either:
+//! `last_factor_us` keeps the cold factor's time.
 
 use mems::netlist::elab::sim_options;
 use mems::netlist::gen::{grid_deck_with, GridDeckOptions};
@@ -79,6 +80,7 @@ fn steady_state_allocations(src: &str, backend: MatrixBackend) -> usize {
     for _ in 0..2 {
         cycle(&mut ws);
     }
+    let cold_factor_us = ws.sys.solver_stats().last_factor_us;
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     assert!(before > cold, "the cold cycle's allocations are counted");
     for _ in 0..100 {
@@ -87,6 +89,12 @@ fn steady_state_allocations(src: &str, backend: MatrixBackend) -> usize {
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     let st = ws.sys.solver_stats();
     assert_eq!(st.factors + st.refactors, 102, "{st:?}");
+    if backend == MatrixBackend::Dense {
+        assert_eq!(
+            st.last_factor_us, cold_factor_us,
+            "warm dense factors are counted, not timed"
+        );
+    }
     allocations
 }
 
