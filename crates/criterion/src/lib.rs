@@ -6,9 +6,12 @@
 //! [`Criterion`], [`BenchmarkGroup`], [`Bencher::iter`],
 //! [`criterion_group!`], [`criterion_main!`] — with plain wall-clock
 //! timing and median-of-samples reporting instead of the full
-//! statistical machinery. Swap the path dependency for the real crate
-//! when networked benchmarking is wanted; no bench source changes are
-//! needed.
+//! statistical machinery. Each sample times a batch of calls and
+//! reports the time per call; the first sample doubles the batch until
+//! it lasts at least [`MIN_SAMPLE`], so a sub-microsecond routine does
+//! not carry a clock read in every reading. Swap the path dependency
+//! for the real crate when networked benchmarking is wanted; no bench
+//! source changes are needed.
 //!
 //! Two environment hooks drive the `tools/bench-summary.sh` perf
 //! trajectory:
@@ -22,6 +25,11 @@
 
 use std::io::Write as _;
 use std::time::{Duration, Instant};
+
+/// The shortest timed batch: the first sample of each benchmark
+/// doubles its batch of calls until one batch lasts this long, and
+/// every later sample times a batch of that size.
+pub const MIN_SAMPLE: Duration = Duration::from_millis(1);
 
 /// Entry point handed to each registered benchmark function.
 pub struct Criterion {
@@ -95,6 +103,8 @@ where
     let mut b = Bencher {
         elapsed: Duration::ZERO,
         iterations: 0,
+        batch: 1,
+        calibrated: false,
     };
     let mut per_sample: Vec<f64> = Vec::with_capacity(samples);
     for _ in 0..samples {
@@ -126,18 +136,32 @@ where
 pub struct Bencher {
     elapsed: Duration,
     iterations: u64,
+    /// Calls per timed batch, fixed once the first batch lasts
+    /// [`MIN_SAMPLE`].
+    batch: u64,
+    calibrated: bool,
 }
 
 impl Bencher {
-    /// Times repeated calls of `routine`.
+    /// Times one batch of calls of `routine` (see [`MIN_SAMPLE`]).
     pub fn iter<O, R>(&mut self, mut routine: R)
     where
         R: FnMut() -> O,
     {
-        let start = Instant::now();
-        std::hint::black_box(routine());
-        self.elapsed += start.elapsed();
-        self.iterations += 1;
+        loop {
+            let start = Instant::now();
+            for _ in 0..self.batch {
+                std::hint::black_box(routine());
+            }
+            let elapsed = start.elapsed();
+            if self.calibrated || elapsed >= MIN_SAMPLE {
+                self.calibrated = true;
+                self.elapsed += elapsed;
+                self.iterations += self.batch;
+                return;
+            }
+            self.batch *= 2;
+        }
     }
 }
 
@@ -166,4 +190,34 @@ macro_rules! criterion_main {
             $( $group(); )+
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_first_sample_doubles_the_batch_until_it_lasts_a_millisecond() {
+        let mut b = Bencher {
+            elapsed: Duration::ZERO,
+            iterations: 0,
+            batch: 1,
+            calibrated: false,
+        };
+        let mut calls = 0u64;
+        b.iter(|| {
+            calls += 1;
+            black_box(calls)
+        });
+        assert!(b.elapsed >= MIN_SAMPLE, "{:?}", b.elapsed);
+        assert!(b.batch > 1 && b.batch.is_power_of_two(), "{}", b.batch);
+        assert_eq!(b.iterations, b.batch);
+        // Every shorter batch ran once before it: 1 + 2 + … + batch.
+        assert_eq!(calls, 2 * b.batch - 1);
+
+        // Later samples time one batch of that size.
+        let batch = b.batch;
+        b.iter(|| black_box(()));
+        assert_eq!((b.batch, b.iterations), (batch, 2 * batch));
+    }
 }

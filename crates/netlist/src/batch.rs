@@ -1,9 +1,11 @@
 //! Batch scenario engine: `.STEP` parameter sweeps and `.MC` Monte
-//! Carlo, running points in parallel across threads. Each worker
-//! flattens the deck and compiles its HDL models once, then builds
-//! every point's circuits fresh through
-//! [`crate::elab::Elaborator::build`] while its [`RunCtx`] keeps the
-//! assembly workspace (and the sparse pattern inside it) warm.
+//! Carlo, running points in parallel across threads. The deck is
+//! flattened and its HDL models compiled once per batch; every worker
+//! borrows that one [`Elaborator`] and builds each point's circuits
+//! fresh through [`Elaborator::build`] while its own [`RunCtx`] keeps
+//! the assembly workspace (and the sparse pattern inside it) warm.
+//! [`run_points`] is the one place a batch point runs: `mems sweep`'s
+//! workers and `mems serve`'s chunks both call it.
 //!
 //! Determinism: every point's parameter values are derived from a
 //! splitmix64 hash of `(seed, point index, variable index)` — never
@@ -13,9 +15,9 @@
 //! a worker's pivot order is chosen at its first factorization and
 //! replayed for its later points, so multi-threaded sparse batches
 //! are deterministic to solver tolerance rather than to the last
-//! bit.) Per-point failures (non-convergence, pull-in asserts, …) are
-//! recorded and the batch continues: a Monte Carlo run that loses a
-//! few collapsed points still reports yield.
+//! bit.) Per-point failures (non-convergence, pull-in asserts, even a
+//! panic) are recorded and the batch continues: a Monte Carlo run that
+//! loses a few collapsed points still reports yield.
 
 use crate::ast::{AnalysisCard, Deck, McDist, StepValues};
 use crate::elab::{
@@ -27,14 +29,16 @@ use mems_numerics::stats::{self, TraceStats};
 use mems_spice::analysis::dcop;
 use mems_spice::solver::Workspace;
 use std::collections::BTreeMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Cooperative cancellation handle: an `Arc<AtomicBool>` the batch
-/// engine (and the `mems serve` job runner) checks **between points**
-/// — a running Newton solve or transient integration is never torn
-/// down mid-step, so cancellation lands on the next point boundary.
-/// Clones share the flag; `cancel()` is sticky.
+/// Cooperative cancellation handle: an `Arc<AtomicBool>` that
+/// [`run_points`] and [`warm_start_chain`] check **between points** —
+/// a running Newton solve or transient integration is never torn down
+/// mid-step, so cancellation lands on the next point boundary, for
+/// `mems sweep` and `mems serve` alike. Clones share the flag;
+/// `cancel()` is sticky.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -351,9 +355,10 @@ fn unit(raw: u64) -> f64 {
 /// recorded in the result instead.
 pub fn run_batch(deck: &Deck, opts: &BatchOptions) -> Result<BatchResult> {
     // Flattening the hierarchy doubles as the fail-fast check on
-    // decks whose subcircuits or models don't elaborate at all.
-    let chain_elab = Elaborator::new(deck)?;
-    let points = batch_points_with(&chain_elab)?;
+    // decks whose subcircuits or models don't elaborate at all; every
+    // worker then borrows this one flattening.
+    let elab = Elaborator::new(deck)?;
+    let points = batch_points_with(&elab)?;
 
     // Transient warm-start chain: a transient run's own integration
     // dwarfs its initial DC solve, so for `.TRAN` decks the operating
@@ -364,7 +369,7 @@ pub fn run_batch(deck: &Deck, opts: &BatchOptions) -> Result<BatchResult> {
     // last) keeps every point's guess — and therefore its converged
     // bits — independent of the thread count.
     let cancel = opts.cancel.clone().unwrap_or_default();
-    let op_guesses = warm_start_chain(deck, &chain_elab, &points, false, &cancel);
+    let guesses = warm_start_chain(deck, &elab, &points, false, &cancel);
 
     let threads = if opts.threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -383,31 +388,24 @@ pub fn run_batch(deck: &Deck, opts: &BatchOptions) -> Result<BatchResult> {
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| {
-                // Each worker compiles its own model set: HdlModel is
-                // cheap to build and this keeps the hot path lock-free.
-                let elab = match Elaborator::new(deck) {
-                    Ok(e) => e,
-                    Err(_) => return, // already surfaced by the fail-fast above
-                };
                 // One reusable context per worker: all points share a
                 // topology, so the assembly workspace — including the
                 // sparse backend's pattern and ordering — carries
                 // across every point this worker simulates.
-                let mut ctx = RunCtx::default();
-                loop {
-                    if cancel.is_cancelled() {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= points.len() {
-                        break;
-                    }
-                    let point = points[i].clone();
-                    ctx.op_guess = op_guesses.as_ref().and_then(|g| g[i].clone());
-                    let outcome = simulate_point(&elab, &point, &mut ctx);
-                    results.lock().expect("no poisoned batch lock")[i] =
-                        Some(PointResult { point, outcome });
-                }
+                let indices = std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed))
+                    .take_while(|&i| i < points.len());
+                run_points(
+                    &elab,
+                    &points,
+                    guesses.as_deref(),
+                    &cancel,
+                    &mut RunCtx::default(),
+                    indices,
+                    |result| {
+                        let i = result.point.index;
+                        results.lock().expect("no poisoned batch lock")[i] = Some(result);
+                    },
+                );
             });
         }
     });
@@ -434,14 +432,74 @@ pub fn run_batch(deck: &Deck, opts: &BatchOptions) -> Result<BatchResult> {
     })
 }
 
+/// Runs the batch points `indices` names, the one place a batch point
+/// runs: [`run_batch`]'s workers call it over their shared index
+/// counter and `mems serve` over each chunk's range. It stops once
+/// `cancel` trips. For each point it sets the warm-start guess from
+/// `guesses` (indexed like `points`), runs the point's analyses on
+/// `ctx`, extracts its metrics and hands the [`PointResult`] to
+/// `done`. A panicking point becomes the failed record `internal
+/// error: <message>`, and `ctx`, possibly half updated, is replaced by
+/// a fresh context. Returns how many points panicked.
+pub fn run_points(
+    elab: &Elaborator<'_>,
+    points: &[BatchPoint],
+    guesses: Option<&[Option<Vec<f64>>]>,
+    cancel: &CancelToken,
+    ctx: &mut RunCtx,
+    indices: impl IntoIterator<Item = usize>,
+    mut done: impl FnMut(PointResult),
+) -> usize {
+    let mut panics = 0;
+    for i in indices {
+        if cancel.is_cancelled() {
+            break;
+        }
+        let point = &points[i];
+        ctx.op_guess = guesses.and_then(|g| g[i].clone());
+        let outcome = contain(ctx, |ctx| {
+            let run = run_elaborated_ctx(elab, &point.env(), ctx).map_err(|e| e.to_string())?;
+            Ok(extract_metrics(elab.deck(), &run))
+        })
+        .unwrap_or_else(|internal| {
+            panics += 1;
+            Err(internal)
+        });
+        done(PointResult {
+            point: point.clone(),
+            outcome,
+        });
+    }
+    panics
+}
+
+/// Runs `work` on `state` with its panic contained, the boundary
+/// [`run_points`] and [`warm_start_chain`] share: a panic becomes
+/// `Err("internal error: <message>")`, and `state`, possibly half
+/// updated, is replaced by its default.
+fn contain<S: Default, T>(
+    state: &mut S,
+    work: impl FnOnce(&mut S) -> T,
+) -> std::result::Result<T, String> {
+    std::panic::catch_unwind(AssertUnwindSafe(|| work(state))).map_err(|payload| {
+        *state = S::default();
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        format!("internal error: {message}")
+    })
+}
+
 /// Pre-solves each point's DC operating point sequentially (previous
 /// point's solution as Newton guess) for decks with `.TRAN` cards.
 /// Returns `None` when the deck has no transient analysis or only one
-/// point; per-point failures yield `None` guesses (the point itself
-/// will surface its error when simulated). The chain builds each
-/// point's circuit fresh, shares one workspace across the points, and
-/// checks `cancel` between points, leaving the remaining guesses
-/// `None`.
+/// point; per-point failures, panics included, yield `None` guesses
+/// (the point itself will surface its error when [`run_points`] runs
+/// it). The chain builds each point's circuit fresh, shares one
+/// workspace across the points, and checks `cancel` between points,
+/// leaving the remaining guesses `None`.
 ///
 /// Public because the `mems serve` job runner pre-chains the same
 /// guesses before chunking a sweep across its workers, keeping served
@@ -471,30 +529,22 @@ pub fn warm_start_chain(
             break;
         }
         let overrides = point.env();
-        let guess = elab.build(&overrides, None).ok().and_then(|(mut ckt, _)| {
+        let guess = contain(&mut ws, |ws| {
+            let (mut ckt, _) = elab.build(&overrides, None).ok()?;
             let env = crate::elab::param_env(deck, &overrides).ok()?;
             let sim = sim_options(deck, &env).ok()?;
             let ws = ws.get_or_insert_with(|| Workspace::new(0));
             let op = dcop::solve_in(&mut ckt, &sim, prev.as_deref(), ws).ok()?;
             Some(op.x)
-        });
+        })
+        .ok()
+        .flatten();
         if guess.is_some() {
             prev.clone_from(&guess);
         }
         guesses.push(guess);
     }
     Some(guesses)
-}
-
-fn simulate_point(
-    elab: &Elaborator<'_>,
-    point: &BatchPoint,
-    ctx: &mut RunCtx,
-) -> std::result::Result<Vec<Metric>, String> {
-    match run_elaborated_ctx(elab, &point.env(), ctx) {
-        Ok(run) => Ok(extract_metrics(elab.deck(), &run)),
-        Err(e) => Err(e.to_string()),
-    }
 }
 
 /// Flattens a point's analyses into scalar metrics (the per-point
@@ -881,6 +931,59 @@ X1 in out div
         for p in result.points.iter().filter(|p| p.outcome.is_ok()) {
             assert!(!p.outcome.as_ref().unwrap().is_empty());
         }
+    }
+
+    #[test]
+    fn a_panicking_point_becomes_a_failed_record() {
+        let deck = Deck::parse(
+            "r\n.param k=200\nIs 0 vel PWL(0 0 0.1m 1u)\nMm1 vel 0 1e-4\nKk1 vel 0 {k}\n\
+             Dd1 vel 0 40e-3\n.tran 0.5m 5m\n.print tran v(vel)\n\
+             .step param k list 200 1e-320 300\n",
+        )
+        .unwrap();
+        let elab = Elaborator::new(&deck).unwrap();
+        let points = batch_points_with(&elab).unwrap();
+        let cancel = CancelToken::new();
+        // A context whose workspace fits the deck but whose residual
+        // was emptied: the first point run on it panics indexing it.
+        let mut ctx = RunCtx::default();
+        assert_eq!(
+            run_points(&elab, &points, None, &cancel, &mut ctx, [0], |_| {}),
+            0
+        );
+        ctx.ws.as_mut().unwrap().resid.clear();
+
+        let mut records = Vec::new();
+        let panics = run_points(&elab, &points, None, &cancel, &mut ctx, 0..3, |r| {
+            records.push(crate::report::point_json(&r));
+        });
+        assert_eq!(panics, 1, "{records:?}");
+        assert!(
+            records[0].starts_with(
+                "{\"index\":0,\"params\":{\"k\":2.000000000000e2},\"status\":\"fail\",\
+                 \"error\":\"internal error: index out of bounds"
+            ),
+            "{}",
+            records[0]
+        );
+        // An ordinary failure is a record too, but not a panic.
+        assert!(
+            records[1].contains("stiffness is too small"),
+            "{}",
+            records[1]
+        );
+        // The point after the panic ran on a fresh context.
+        assert!(records[2].contains("\"status\":\"ok\""), "{}", records[2]);
+        assert!(
+            !ctx.ws.unwrap().resid.is_empty(),
+            "the broken context was kept"
+        );
+    }
+
+    #[test]
+    fn workers_share_one_elaborator() {
+        fn shared_across_threads<T: Sync>() {}
+        shared_across_threads::<Elaborator<'static>>();
     }
 
     #[test]

@@ -902,21 +902,31 @@ fn check_positive(kind: PassiveKind, v: f64, value: &NumExpr) -> Result<()> {
         PassiveKind::Resistor => v == 0.0 || !v.is_finite(),
         _ => v <= 0.0 || !v.is_finite(),
     };
-    if bad {
-        let what = match kind {
+    let what = if bad {
+        match kind {
             PassiveKind::Resistor => "resistance must be nonzero and finite",
             PassiveKind::Capacitor => "capacitance must be positive",
             PassiveKind::Inductor => "inductance must be positive",
             PassiveKind::Mass => "mass must be positive",
             PassiveKind::Spring => "stiffness must be positive",
             PassiveKind::Damper => "damping must be positive",
-        };
-        return Err(NetlistError::elab_at(
-            format!("{what}, got {v:.6e}"),
-            value.span,
-        ));
-    }
-    Ok(())
+        }
+    } else if v.recip().is_finite() {
+        return Ok(());
+    } else {
+        // A spring is built as the inductor 1/k and a damper as the
+        // resistor 1/α: a positive value such as 1e-320 can still
+        // have a reciprocal that overflows.
+        match kind {
+            PassiveKind::Spring => "stiffness is too small: 1/k overflows",
+            PassiveKind::Damper => "damping is too small: 1/α overflows",
+            _ => return Ok(()),
+        }
+    };
+    Err(NetlistError::elab_at(
+        format!("{what}, got {v:.6e}"),
+        value.span,
+    ))
 }
 
 /// Case-insensitively checks whether HDL source text declares
@@ -1613,6 +1623,27 @@ mod tests {
         let r = err.render(src);
         assert!(r.contains("capacitance must be positive"), "{r}");
         assert!(r.contains("line 2"), "{r}");
+    }
+
+    #[test]
+    fn springs_and_dampers_with_overflowing_reciprocals_are_rejected() {
+        // 1e-320 is subnormal: it reads back as 9.999889e-321.
+        for (card, message) in [
+            (
+                "Kk1 vel 0 {k}",
+                "stiffness is too small: 1/k overflows, got 9.99",
+            ),
+            (
+                "Dd1 vel 0 1e-320",
+                "damping is too small: 1/α overflows, got 9.99",
+            ),
+        ] {
+            let src = format!("tiny\n.param k=1e-320\nIs 0 vel 1u\nMm1 vel 0 1e-4\n{card}\n.op\n");
+            let deck = Deck::parse(&src).unwrap();
+            let r = run_deck(&deck).unwrap_err().render(&src);
+            assert!(r.contains(message), "{r}");
+            assert!(r.contains("line 5"), "{r}");
+        }
     }
 
     /// Every device card kind elaborates, and a parameter override

@@ -57,8 +57,8 @@
 //! surfaces as `x1.mid` — addressable from `.PRINT`, probes, and CSV/
 //! JSON reports. `.STEP`/`.MC`/`.DC PARAM` accept hierarchical
 //! parameter paths (`x1.k`, `x1.xleg.gap`) and `.DC` sweeps sources
-//! by path (`x1.vs`); the hierarchy is flattened once per batch
-//! worker and every point builds its circuit from that flattening.
+//! by path (`x1.vs`); the hierarchy is flattened once per batch and
+//! every point builds its circuit from that flattening.
 //!
 //! `.SUBCKT` definitions (nested ones included) are hoisted into one
 //! global, duplicate-checked table. `.INCLUDE` accepts library
@@ -96,10 +96,11 @@
 //!
 //! The batch engine ([`run_batch`]) expands `.STEP` sweeps and `.MC`
 //! Monte Carlo into a point list and runs points across worker
-//! threads — each worker flattens the deck once and builds every
-//! point's circuit fresh, keeping its solver workspace warm; sampling
-//! is keyed on `(seed, point, variable)` so results are independent of
-//! thread count.
+//! threads — the deck is flattened once per batch, every worker
+//! borrows that flattening and builds each point's circuit fresh,
+//! keeping its own solver workspace warm, and every point runs through
+//! [`run_points`]; sampling is keyed on `(seed, point, variable)` so
+//! results are independent of thread count.
 
 pub mod ast;
 pub mod batch;
@@ -113,8 +114,8 @@ pub mod token;
 
 pub use ast::{AnalysisCard, Deck, DeviceCard};
 pub use batch::{
-    batch_points, batch_points_with, extract_metrics, run_batch, warm_start_chain, BatchOptions,
-    BatchPoint, BatchResult, CancelToken, Metric, PointResult, CANCELLED_POINT,
+    batch_points, batch_points_with, extract_metrics, run_batch, run_points, warm_start_chain,
+    BatchOptions, BatchPoint, BatchResult, CancelToken, Metric, PointResult, CANCELLED_POINT,
 };
 pub use elab::{
     deck_fingerprint, run_deck, run_deck_with, run_elaborated, run_elaborated_ctx, AnalysisOutcome,

@@ -15,8 +15,7 @@
 //! - [`pwl`] — piecewise-linear and bilinear interpolation tables;
 //! - [`quad`] — Gauss–Legendre and composite quadrature;
 //! - [`rootfind`] — bisection and Brent's method;
-//! - [`ode`] — integrator coefficients (BE/TR/BDF2) and an RK4
-//!   reference integrator used by the test suites;
+//! - [`ode`] — implicit integrator coefficients (BE/TR/BDF2);
 //! - [`cache`] — the stable 128-bit [`cache::Fingerprint`] and the one
 //!   LRU cache ([`cache::Lru`]) behind every memo table;
 //! - [`sparse_lu`] — the Gilbert–Peierls sparse LU with split

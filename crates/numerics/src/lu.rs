@@ -164,19 +164,6 @@ impl<S: Scalar> LuFactors<S> {
         Ok(())
     }
 
-    /// Solves with one step of iterative refinement against the
-    /// original matrix `a` (cheap and often worth a digit or two).
-    pub fn solve_refined(&self, a: &DenseMatrix<S>, b: &[S]) -> Result<Vec<S>> {
-        let mut x = self.solve(b)?;
-        let ax = a.mul_vec(&x)?;
-        let r: Vec<S> = b.iter().zip(&ax).map(|(&bi, &axi)| bi - axi).collect();
-        let dx = self.solve(&r)?;
-        for (xi, di) in x.iter_mut().zip(&dx) {
-            *xi += *di;
-        }
-        Ok(x)
-    }
-
     /// Determinant of the original matrix.
     pub fn det(&self) -> S {
         let mut d = S::from_f64(self.perm_sign);
@@ -184,25 +171,6 @@ impl<S: Scalar> LuFactors<S> {
             d = d * self.lu[(i, i)];
         }
         d
-    }
-
-    /// A cheap condition estimate: `max|u_ii| / min|u_ii|`.
-    ///
-    /// This is not a rigorous condition number but flags pathological
-    /// pivoting well enough to trigger gmin stepping in the simulator.
-    pub fn pivot_growth(&self) -> f64 {
-        let mut mx = 0.0f64;
-        let mut mn = f64::INFINITY;
-        for i in 0..self.order() {
-            let m = self.lu[(i, i)].modulus();
-            mx = mx.max(m);
-            mn = mn.min(m);
-        }
-        if mn == 0.0 {
-            f64::INFINITY
-        } else {
-            mx / mn
-        }
     }
 }
 
@@ -240,7 +208,6 @@ pub fn invert<S: Scalar>(a: &DenseMatrix<S>) -> Result<DenseMatrix<S>> {
 mod tests {
     use super::*;
     use crate::complex::Complex64;
-    use crate::dense::vecops;
 
     #[test]
     fn solves_small_real_system() {
@@ -319,28 +286,5 @@ mod tests {
                 assert!((prod[(i, jj)] - expect).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn refined_solve_no_worse_than_plain() {
-        // A mildly ill-conditioned Hilbert-like matrix.
-        let n = 6;
-        let a = DenseMatrix::from_fn(n, n, |i, j| 1.0 / ((i + j + 1) as f64));
-        let x_true: Vec<f64> = (0..n).map(|i| (i as f64) - 2.0).collect();
-        let b = a.mul_vec(&x_true).unwrap();
-        let lu = LuFactors::factor(&a).unwrap();
-        let x0 = lu.solve(&b).unwrap();
-        let x1 = lu.solve_refined(&a, &b).unwrap();
-        let e0 = vecops::norm2(&vecops::sub(&x0, &x_true));
-        let e1 = vecops::norm2(&vecops::sub(&x1, &x_true));
-        assert!(e1 <= e0 * 10.0, "refinement degraded: {e0} -> {e1}");
-    }
-
-    #[test]
-    fn pivot_growth_flags_near_singular() {
-        let good = DenseMatrix::<f64>::identity(3);
-        assert!(LuFactors::factor(&good).unwrap().pivot_growth() < 10.0);
-        let bad = DenseMatrix::from_rows(&[&[1.0, 1.0][..], &[1.0, 1.0 + 1e-13][..]]);
-        assert!(LuFactors::factor(&bad).unwrap().pivot_growth() > 1e10);
     }
 }

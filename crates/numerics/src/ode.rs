@@ -1,4 +1,4 @@
-//! Implicit integration coefficients and a reference RK4 integrator.
+//! Implicit integration coefficients.
 //!
 //! The transient engine discretizes `ddt(x)` at time `t_{n+1}` as
 //! `ddt(x) ≈ c0·x_{n+1} + history`, where `c0` and the history depend
@@ -138,50 +138,6 @@ impl IntegFormula {
     }
 }
 
-/// Fixed-step classical Runge–Kutta 4 on `y' = f(t, y)`.
-///
-/// Used by the test suites as an independent reference when checking
-/// the implicit transient engine on linear resonators.
-pub fn rk4(
-    f: impl Fn(f64, &[f64]) -> Vec<f64>,
-    t0: f64,
-    y0: &[f64],
-    t_end: f64,
-    steps: usize,
-) -> (Vec<f64>, Vec<Vec<f64>>) {
-    let h = (t_end - t0) / steps as f64;
-    let mut t = t0;
-    let mut y = y0.to_vec();
-    let mut ts = Vec::with_capacity(steps + 1);
-    let mut ys = Vec::with_capacity(steps + 1);
-    ts.push(t);
-    ys.push(y.clone());
-    for _ in 0..steps {
-        let k1 = f(t, &y);
-        let y2: Vec<f64> = y
-            .iter()
-            .zip(&k1)
-            .map(|(yi, ki)| yi + 0.5 * h * ki)
-            .collect();
-        let k2 = f(t + 0.5 * h, &y2);
-        let y3: Vec<f64> = y
-            .iter()
-            .zip(&k2)
-            .map(|(yi, ki)| yi + 0.5 * h * ki)
-            .collect();
-        let k3 = f(t + 0.5 * h, &y3);
-        let y4: Vec<f64> = y.iter().zip(&k3).map(|(yi, ki)| yi + h * ki).collect();
-        let k4 = f(t + h, &y4);
-        for i in 0..y.len() {
-            y[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-        }
-        t += h;
-        ts.push(t);
-        ys.push(y.clone());
-    }
-    (ts, ys)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,31 +196,6 @@ mod tests {
         // TR: y1 = y0 + h/2 (x1 + x0)
         let f = IntegFormula::new(IntegrationMethod::Trapezoidal, h, 1.0, 3.0);
         assert!((f.integ(5.0) - (1.0 + 0.1 * 8.0)).abs() < 1e-14);
-    }
-
-    #[test]
-    fn rk4_matches_exponential() {
-        let (ts, ys) = rk4(|_, y| vec![-y[0]], 0.0, &[1.0], 1.0, 100);
-        let yf = ys.last().unwrap()[0];
-        assert!((yf - (-1.0f64).exp()).abs() < 1e-9);
-        assert_eq!(ts.len(), 101);
-    }
-
-    #[test]
-    fn rk4_matches_resonator_analytics() {
-        // Undamped oscillator: x'' = -ω²x, ω = 2.
-        let w = 2.0;
-        let (_, ys) = rk4(
-            |_, y| vec![y[1], -w * w * y[0]],
-            0.0,
-            &[1.0, 0.0],
-            std::f64::consts::PI, // half period for ω=2
-            2000,
-        );
-        let yf = &ys[ys.len() - 1];
-        // x(π) = cos(2π) = 1.
-        assert!((yf[0] - 1.0).abs() < 1e-8);
-        assert!(yf[1].abs() < 1e-7);
     }
 
     #[test]

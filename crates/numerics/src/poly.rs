@@ -85,18 +85,6 @@ impl Polynomial {
         )
     }
 
-    /// Antiderivative with zero constant term.
-    pub fn antiderivative(&self) -> Polynomial {
-        let mut c = vec![0.0];
-        c.extend(
-            self.coeffs
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| v / (i as f64 + 1.0)),
-        );
-        Polynomial::new(c)
-    }
-
     /// All complex roots via Durand–Kerner iteration.
     ///
     /// # Errors
@@ -281,13 +269,6 @@ mod tests {
         assert_eq!(p.eval(2.0), 9.0);
         assert_eq!(p.derivative().coeffs(), &[-2.0, 6.0]);
         assert_eq!(p.degree(), 2);
-    }
-
-    #[test]
-    fn antiderivative_inverts_derivative() {
-        let p = Polynomial::new(vec![2.0, 6.0, 12.0]);
-        let ad = p.antiderivative();
-        assert_eq!(ad.derivative(), p);
     }
 
     #[test]

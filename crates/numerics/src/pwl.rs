@@ -133,18 +133,6 @@ impl Pwl1 {
             }
         }
     }
-
-    /// Maximum absolute interpolation error against a reference
-    /// function sampled midway between breakpoints.
-    pub fn midpoint_error(&self, f: impl Fn(f64) -> f64) -> f64 {
-        self.xs
-            .windows(2)
-            .map(|w| {
-                let m = 0.5 * (w[0] + w[1]);
-                (self.eval(m) - f(m)).abs()
-            })
-            .fold(0.0, f64::max)
-    }
 }
 
 /// A bilinear table `z(x, y)` on a rectangular grid — the 2-D macro
@@ -282,16 +270,6 @@ mod tests {
         assert!(Pwl1::new(vec![1.0, 0.0], vec![1.0, 2.0]).is_err());
         assert!(Pwl1::new(vec![0.0, f64::NAN], vec![1.0, 2.0]).is_err());
         assert!(Pwl1::new(vec![0.0, 1.0], vec![1.0]).is_err());
-    }
-
-    #[test]
-    fn midpoint_error_measures_curvature() {
-        let xs: Vec<f64> = (0..11).map(|i| i as f64 / 10.0).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| x * x).collect();
-        let t = Pwl1::new(xs, ys).unwrap();
-        let err = t.midpoint_error(|x| x * x);
-        // For y = x² on segments of width h, midpoint error is h²/4·(y''/2) = 0.0025.
-        assert!((err - 0.0025).abs() < 1e-12);
     }
 
     #[test]

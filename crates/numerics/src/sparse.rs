@@ -158,17 +158,6 @@ impl CsrMatrix {
             .collect()
     }
 
-    /// Converts to a dense matrix (tests and small problems only).
-    pub fn to_dense(&self) -> crate::dense::DenseMatrix<f64> {
-        let mut d = crate::dense::DenseMatrix::zeros(self.rows, self.cols);
-        for i in 0..self.rows {
-            for (j, v) in self.row_iter(i) {
-                d[(i, j)] += v;
-            }
-        }
-        d
-    }
-
     /// Maximum symmetry defect `|a_ij − a_ji|` over stored entries.
     pub fn symmetry_defect(&self) -> f64 {
         let mut d = 0.0f64;
@@ -228,8 +217,6 @@ mod tests {
         let c = t.to_csr();
         let x = [1.0, 2.0, 3.0];
         let y = c.mul_vec(&x).unwrap();
-        let yd = c.to_dense().mul_vec(&x).unwrap();
-        assert_eq!(y, yd);
         assert_eq!(y, vec![2.0, 4.0, 10.0]);
     }
 

@@ -55,25 +55,6 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Relative L2 difference `‖a − b‖₂ / ‖b‖₂` (with `b` as reference).
-///
-/// Returns the absolute L2 norm of `a` when the reference is zero.
-pub fn rel_l2_diff(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "trace length mismatch");
-    let num: f64 = a
-        .iter()
-        .zip(b)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt();
-    let den: f64 = b.iter().map(|y| y * y).sum::<f64>().sqrt();
-    if den == 0.0 {
-        num
-    } else {
-        num / den
-    }
-}
-
 /// Mean of the last `frac` fraction of the trace — the "settled"
 /// value used to read static deflections off the Fig. 5 traces.
 pub fn settled_value(ys: &[f64], frac: f64) -> f64 {
@@ -139,8 +120,6 @@ mod tests {
     #[test]
     fn diffs() {
         assert_eq!(max_abs_diff(&[1.0, 2.0], &[1.5, 1.0]), 1.0);
-        assert!((rel_l2_diff(&[1.0, 0.0], &[1.0, 0.0])).abs() < 1e-15);
-        assert!(rel_l2_diff(&[1.0], &[0.0]) == 1.0);
     }
 
     #[test]

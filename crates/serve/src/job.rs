@@ -50,9 +50,9 @@ pub struct JobMeta {
     /// artifacts (workspace / sparse pattern / AC system).
     pub warm_checkout: bool,
     /// Linear-solver snapshot from the busiest chunk (the one whose
-    /// context had performed the most factor + refactor calls) —
-    /// reports which backend/ordering/factorization path served the
-    /// job and what it cost.
+    /// context had performed the most factor + refactor calls), taken
+    /// after its last point — reports which backend/ordering/
+    /// factorization path served the job and what it cost.
     pub solver: Option<SolverStats>,
     /// Completion stamp from the server's monotonic sequence (0 while
     /// unfinished) — lets tests assert finish *order* without racing
@@ -277,19 +277,6 @@ impl Job {
         *self.meta.lock().expect("no poisoned meta lock")
     }
 
-    /// The contiguous run of rendered results starting at `from`
-    /// (stops at the first unfinished point), plus the next cursor.
-    pub fn results_from(&self, from: usize) -> (Vec<String>, usize) {
-        let results = self.results.lock().expect("no poisoned results lock");
-        let mut out = Vec::new();
-        let mut next = from.min(results.len());
-        while let Some(Some(r)) = results.get(next) {
-            out.push(r.clone());
-            next += 1;
-        }
-        (out, next)
-    }
-
     /// The status document for `GET /v1/jobs/:id` and submit
     /// responses.
     pub fn status_json(&self) -> String {
@@ -328,7 +315,7 @@ impl Job {
 
     /// Fills every unvisited point of the range with the cancelled
     /// marker — called by the worker that retires a cancelled chunk,
-    /// so `results_from` streams a complete (if partly failed) point
+    /// so a results stream reads a complete (if partly failed) point
     /// list. Returns the `(index, rendered)` markers it filled, so
     /// the caller can spill them to the durable store.
     pub fn mark_cancelled_gaps(&self, range: std::ops::Range<usize>) -> Vec<(usize, String)> {

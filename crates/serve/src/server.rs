@@ -12,15 +12,13 @@ use crate::sched::{Chunk, Refusal, Scheduler};
 use crate::store::{JobStore, RealIo, StoreIo, StoredMeta};
 use mems_netlist::report::{diagnostics_json, Diagnostic};
 use mems_netlist::{
-    extract_metrics, run_elaborated_ctx, warm_start_chain, Elaborator, FsResolver, IncludeResolver,
-    Metric, NoIncludes, ParamEnv, PointResult, RunCtx, SolverStats,
+    run_points, warm_start_chain, Elaborator, FsResolver, IncludeResolver, NoIncludes, SolverStats,
 };
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -129,8 +127,6 @@ struct Shared {
     next_id: AtomicU64,
     /// Global completion sequence (see [`JobMeta::finish_seq`]).
     finish_seq: AtomicU64,
-    /// Cleared when shutdown begins; submissions then answer 503.
-    accepting: AtomicBool,
     /// Monotonic counters for `/v1/metrics`.
     metrics: Metrics,
     /// Connections currently being served (the `max_conns` gauge).
@@ -199,7 +195,6 @@ impl Server {
             job_cap: config.job_cap.max(1),
             next_id: AtomicU64::new(first_id),
             finish_seq: AtomicU64::new(0),
-            accepting: AtomicBool::new(true),
             metrics: Metrics::default(),
             conns: AtomicUsize::new(0),
             max_conns: config.max_conns.max(1),
@@ -225,7 +220,7 @@ impl Server {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || {
                 for stream in listener.incoming() {
-                    if !shared.accepting.load(Ordering::SeqCst) {
+                    if shared.sched.is_draining() {
                         break;
                     }
                     let Ok(mut stream) = stream else { continue };
@@ -316,7 +311,6 @@ impl ServerHandle {
 }
 
 fn initiate_shutdown(shared: &Shared, addr: SocketAddr) {
-    shared.accepting.store(false, Ordering::SeqCst);
     shared.sched.drain();
     // Self-connect to unblock the accept loop's blocking `incoming`.
     let _ = TcpStream::connect(addr);
@@ -393,29 +387,8 @@ fn retire_jobs(shared: &Shared) {
         .fetch_add(excess as u64, Ordering::Relaxed);
 }
 
-/// Runs one served point on `ctx` with its panics contained, so a
-/// panic fails that point and not the worker thread: the failure reads
-/// `internal error: <panic message>`, `mems_serve_panics_total` counts
-/// it, and `ctx`, possibly half updated, is replaced by a fresh
-/// context instead of going back to the pool.
-fn run_point(
-    metrics: &Metrics,
-    ctx: &mut RunCtx,
-    run: impl FnOnce(&mut RunCtx) -> Result<Vec<Metric>, String>,
-) -> Result<Vec<Metric>, String> {
-    std::panic::catch_unwind(AssertUnwindSafe(|| run(ctx))).unwrap_or_else(|payload| {
-        metrics.panics.fetch_add(1, Ordering::Relaxed);
-        *ctx = RunCtx::default();
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
-        Err(format!("internal error: {message}"))
-    })
-}
-
-/// Runs one scheduler chunk on a checked-out cache context.
+/// Runs one scheduler chunk on a checked-out cache context, through
+/// the batch engine's one point loop, [`run_points`].
 fn run_chunk(shared: &Shared, chunk: &Chunk) {
     let job = &chunk.job;
     let chunk_t0 = Instant::now();
@@ -424,57 +397,51 @@ fn run_chunk(shared: &Shared, chunk: &Chunk) {
         let entry = &job.entry;
         let (mut ctx, warm) = entry.checkout();
         meta.warm_checkout = warm;
-        // Rebuilding the Elaborator per chunk mirrors the batch
-        // engine's per-worker rebuild: HDL model compilation is cheap,
-        // and the expensive artifacts (workspace, sparse pattern and
-        // ordering) live in the pooled context.
+        // An Elaborator borrows the deck the cached entry owns, so the
+        // entry cannot keep one beside it: each chunk elaborates once.
+        // HDL model compilation is cheap, and the expensive artifacts
+        // (workspace, sparse pattern and ordering) live in the pooled
+        // context.
         if let Ok(elab) = Elaborator::new(&entry.deck) {
             let guesses = job.guesses.get_or_init(|| {
                 warm_start_chain(&entry.deck, &elab, &job.points, false, &job.cancel)
             });
             let solver_before = ctx.solver_snapshot();
-            for index in chunk.start..chunk.end {
-                if job.cancel.is_cancelled() {
-                    break;
-                }
-                let point = &job.points[index];
-                ctx.op_guess = guesses
-                    .as_ref()
-                    .and_then(|g| g.get(index).cloned().flatten());
-                let env: ParamEnv = point.overrides.iter().cloned().collect();
-                let outcome = run_point(&shared.metrics, &mut ctx, |ctx| {
-                    let run = run_elaborated_ctx(&elab, &env, ctx).map_err(|e| e.to_string())?;
-                    // Keep the busiest system's snapshot (stats
-                    // accumulate over the pooled context, so the last
-                    // point's view covers the whole chunk).
-                    if let Some((_, st)) = run
-                        .solver
-                        .iter()
-                        .max_by_key(|(_, st)| st.factors + st.refactors)
-                    {
-                        meta.solver = Some(*st);
+            let panics = run_points(
+                &elab,
+                &job.points,
+                guesses.as_deref(),
+                &job.cancel,
+                &mut ctx,
+                chunk.start..chunk.end,
+                |result| {
+                    let index = result.point.index;
+                    let rendered = job.record(index, &result);
+                    // Spill the finished record (plain append, no
+                    // fsync — off the hot path; durability against
+                    // machine crash comes from the finalize-time fsync).
+                    if let Some(store) = &shared.store {
+                        store.append(job.id, index as u32, rendered.as_bytes());
                     }
-                    Ok(extract_metrics(&entry.deck, &run))
-                });
-                let rendered = job.record(
-                    index,
-                    &PointResult {
-                        point: point.clone(),
-                        outcome,
-                    },
-                );
-                // Spill the finished record (plain append, no fsync —
-                // off the hot path; durability against machine crash
-                // comes from the finalize-time fsync).
-                if let Some(store) = &shared.store {
-                    store.append(job.id, index as u32, rendered.as_bytes());
-                }
-                shared
-                    .metrics
-                    .points_completed
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            record_solver_deltas(&shared.metrics, &solver_before, &ctx.solver_snapshot());
+                    shared
+                        .metrics
+                        .points_completed
+                        .fetch_add(1, Ordering::Relaxed);
+                },
+            );
+            shared
+                .metrics
+                .panics
+                .fetch_add(panics as u64, Ordering::Relaxed);
+            let solver_after = ctx.solver_snapshot();
+            // The busiest system that has factored: stats accumulate
+            // over the pooled context, so this covers the whole chunk.
+            meta.solver = solver_after
+                .iter()
+                .map(|(_, st)| *st)
+                .filter(|st| st.factors + st.refactors > 0)
+                .max_by_key(|st| st.factors + st.refactors);
+            record_solver_deltas(&shared.metrics, &solver_before, &solver_after);
         }
         entry.checkin(ctx);
     }
@@ -621,9 +588,14 @@ fn route(shared: &Shared, stream: &mut TcpStream, req: &Request) -> std::io::Res
 /// flushed as its point finishes — a 100k-point job's results never
 /// buffer whole, and a watcher sees records live. With `wait=0` the
 /// response is the old non-blocking poll: only records already
-/// finished, plus a `next` cursor to resume from. HTTP/1.0 clients
-/// predate chunked coding and get a raw close-delimited body instead
-/// (the returned `true` forces the close).
+/// finished, plus a `next` cursor to resume from. A job evicted to the
+/// durable store streams from its spill in the same frame — for a
+/// `done` job the body is byte-identical to what the live server sent
+/// — while its records are contiguous from `from` (a crash-recovered
+/// job serves its durable prefix; the `next` cursor is honest about
+/// where it ends). HTTP/1.0 clients predate chunked coding and get a
+/// raw close-delimited body instead (the returned `true` forces the
+/// close).
 fn stream_results(
     shared: &Shared,
     stream: &mut TcpStream,
@@ -636,35 +608,38 @@ fn stream_results(
         .unwrap_or(0);
     let wait = req.query("wait") != Some("0");
     let framed = req.http11;
-    let job = match find_job(shared, id) {
-        Some(JobRef::Live(job)) => job,
-        Some(JobRef::Stored(meta)) => {
-            return stream_stored_results(shared, stream, &meta, from, framed);
+    let Some(job) = find_job(shared, id) else {
+        respond(stream, 404, &[], &error_body("no such job"))?;
+        return Ok(false);
+    };
+    // A live job hands out each record as it finishes (with `wait=0`,
+    // only finished ones); a stored one reads its spill once.
+    let mut spilled: Vec<Option<String>> = Vec::new();
+    let (id, total) = match &job {
+        JobRef::Live(job) => (job.id, job.points.len()),
+        JobRef::Stored(meta) => {
+            spilled.resize(meta.points, None);
+            let records = shared.store.as_ref().and_then(|s| s.read_results(meta.id));
+            for (index, record) in records.unwrap_or_default() {
+                if let Some(slot) = spilled.get_mut(index as usize) {
+                    *slot = Some(record);
+                }
+            }
+            (meta.id, meta.points)
         }
-        None => {
-            respond(stream, 404, &[], &error_body("no such job"))?;
-            return Ok(false);
-        }
+    };
+    let mut record_at = |i: usize| match &job {
+        JobRef::Live(job) if wait => job.wait_result(i),
+        JobRef::Live(job) => job.result_at(i),
+        JobRef::Stored(_) => spilled.get_mut(i).and_then(Option::take),
     };
 
     let mut w = respond_chunked(stream, 200, &[], framed);
     w.write_chunk(
-        format!(
-            "{{\"id\":{},\"from\":{},\"total\":{},\"points\":[",
-            job.id,
-            from,
-            job.points.len()
-        )
-        .as_bytes(),
+        format!("{{\"id\":{id},\"from\":{from},\"total\":{total},\"points\":[").as_bytes(),
     )?;
     let mut next = from;
-    loop {
-        let record = if wait {
-            job.wait_result(next)
-        } else {
-            job.result_at(next)
-        };
-        let Some(record) = record else { break };
+    while let Some(record) = record_at(next) {
         let mut chunk = Vec::with_capacity(record.len() + 1);
         if next > from {
             chunk.push(b',');
@@ -676,49 +651,11 @@ fn stream_results(
     // The tail carries the cursor and the state — which is only
     // honest *after* the records: a blocking stream outlives the
     // submit-time state.
-    w.finish(format!("],\"next\":{},\"state\":\"{}\"}}", next, job.state().name()).as_bytes())?;
-    Ok(!framed)
-}
-
-/// Streams a disk-backed job's results from its spill, in the same
-/// frame as the live stream — for a `done` job the body is
-/// byte-identical to what the live server sent. Records stream from
-/// `from` while contiguous (a crash-recovered job serves its durable
-/// prefix; the `next` cursor is honest about where it ends).
-fn stream_stored_results(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    meta: &StoredMeta,
-    from: usize,
-    framed: bool,
-) -> std::io::Result<bool> {
-    let mut by_index: Vec<Option<String>> = vec![None; meta.points];
-    if let Some(store) = &shared.store {
-        for (index, record) in store.read_results(meta.id).unwrap_or_default() {
-            if let Some(slot) = by_index.get_mut(index as usize) {
-                *slot = Some(record);
-            }
-        }
-    }
-    let mut w = respond_chunked(stream, 200, &[], framed);
-    w.write_chunk(
-        format!(
-            "{{\"id\":{},\"from\":{},\"total\":{},\"points\":[",
-            meta.id, from, meta.points
-        )
-        .as_bytes(),
-    )?;
-    let mut next = from;
-    while let Some(Some(record)) = by_index.get(next) {
-        let mut chunk = Vec::with_capacity(record.len() + 1);
-        if next > from {
-            chunk.push(b',');
-        }
-        chunk.extend_from_slice(record.as_bytes());
-        w.write_chunk(&chunk)?;
-        next += 1;
-    }
-    w.finish(format!("],\"next\":{},\"state\":\"{}\"}}", next, meta.state).as_bytes())?;
+    let state = match &job {
+        JobRef::Live(job) => job.state().name(),
+        JobRef::Stored(meta) => &meta.state,
+    };
+    w.finish(format!("],\"next\":{next},\"state\":\"{state}\"}}").as_bytes())?;
     Ok(!framed)
 }
 
@@ -810,7 +747,7 @@ fn submit(shared: &Shared, stream: &mut TcpStream, req: &Request) -> std::io::Re
     if shared.check_only {
         return respond(stream, 403, &[], &error_body("server is check-only"));
     }
-    if !shared.accepting.load(Ordering::SeqCst) {
+    if shared.sched.is_draining() {
         shared
             .metrics
             .rejected_draining
@@ -949,39 +886,51 @@ fn submission(req: &Request) -> Result<(String, String), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mems_netlist::report::point_json;
-    use mems_netlist::BatchPoint;
+    use mems_netlist::{CancelToken, RunCtx};
 
     #[test]
-    fn a_panicking_point_becomes_a_failed_record() {
-        let metrics = Metrics::default();
+    fn a_panicking_point_is_counted_in_the_metrics() {
+        let server = Server::start(ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let shared = &server.shared;
+        let deck = "r\n.param k=200\nIs 0 vel PWL(0 0 0.1m 1u)\nMm1 vel 0 1e-4\nKk1 vel 0 {k}\n\
+                    Dd1 vel 0 40e-3\n.tran 0.5m 5m\n.print tran v(vel)\n\
+                    .step param k list 200 300\n";
+        let (entry, lookup) = shared.cache.resolve(deck, &mut NoIncludes).unwrap();
+        // Pool a context whose workspace fits the deck but whose
+        // residual was emptied: the first point run on it panics.
+        let points = entry.job_points();
         let mut ctx = RunCtx::default();
-        ctx.op_guess = Some(vec![1.0]);
-        let outcome = run_point(&metrics, &mut ctx, |ctx| {
-            ctx.op_guess = Some(vec![f64::NAN]);
-            panic!("forced at point {}", 3)
-        });
-        let record = point_json(&PointResult {
-            point: BatchPoint {
-                index: 3,
-                overrides: vec![("k".to_string(), 2.0)],
-            },
-            outcome,
-        });
-        assert_eq!(
-            record,
-            "{\"index\":3,\"params\":{\"k\":2.000000000000e0},\"status\":\"fail\",\
-             \"error\":\"internal error: forced at point 3\"}"
+        let elab = Elaborator::new(&entry.deck).unwrap();
+        run_points(
+            &elab,
+            &points,
+            None,
+            &CancelToken::new(),
+            &mut ctx,
+            [0],
+            |_| {},
         );
-        assert!(ctx.op_guess.is_none(), "the half-updated context was kept");
-        assert_eq!(metrics.panics.load(Ordering::Relaxed), 1);
-        assert!(metrics
+        ctx.ws.as_mut().unwrap().resid.clear();
+        entry.checkin(ctx);
+
+        let job = Arc::new(Job::new(1, "t".into(), entry, lookup, points, 1, 0));
+        shared.sched.submit(&job).unwrap();
+        let chunk = shared.sched.next_chunk().unwrap();
+        run_chunk(shared, &chunk);
+
+        let failed = job.result_at(0).unwrap();
+        assert!(failed.contains("\"error\":\"internal error: "), "{failed}");
+        let ok = job.result_at(1).unwrap();
+        assert!(ok.contains("\"status\":\"ok\""), "{ok}");
+        assert!(shared
+            .metrics
             .render(&Gauges::default())
             .contains("\nmems_serve_panics_total 1\n"));
-
-        // A point that returns, failed or not, passes through uncounted.
-        let failed = run_point(&metrics, &mut ctx, |_| Err("singular".to_string()));
-        assert_eq!(failed, Err("singular".to_string()));
-        assert_eq!(metrics.panics.load(Ordering::Relaxed), 1);
+        server.shutdown();
+        server.join();
     }
 }

@@ -444,6 +444,64 @@ fn too_many_breakpoints_fail_the_point_not_the_daemon() {
     server.join();
 }
 
+/// Polls a job until it reads `done`, failing at a deadline rather
+/// than hanging when no worker is left to run it.
+fn poll_until_done(addr: SocketAddr, id: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let state = job_state(addr, id);
+        if state == "done" {
+            return;
+        }
+        assert!(Instant::now() < deadline, "job {id} still `{state}`");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+#[test]
+fn a_point_that_cannot_build_fails_and_the_worker_runs_on() {
+    // k = 1e-320 is positive, but a spring is built as the inductor
+    // 1/k, which overflows. The point must fail with a diagnostic in
+    // the warm-start chain and in the point loop alike, and the only
+    // worker must live on to run the next job.
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let deck = "tiny stiffness\n.param k=200\nIs 0 vel PWL(0 0 0.1m 1u)\n\
+                Mm1 vel 0 1e-4\nKk1 vel 0 {k}\nDd1 vel 0 40e-3\n.tran 0.5m 5m\n\
+                .print tran v(vel)\n.step param k list 200 1e-320 300\n";
+
+    let (status, body) = http(addr, "POST", "/v1/jobs", deck);
+    assert_eq!(status, 201, "{body}");
+    let id = job_id(&body);
+    poll_until_done(addr, id);
+    let (status, stream) = http(addr, "GET", &format!("/v1/jobs/{id}/results"), "");
+    assert_eq!(status, 200, "{stream}");
+    let Some(Json::Arr(points)) = parsed(&stream).get("points").cloned() else {
+        panic!("no points array in {stream}");
+    };
+    let statuses: Vec<&str> = points
+        .iter()
+        .map(|p| p.get("status").and_then(Json::as_str).unwrap_or(""))
+        .collect();
+    assert_eq!(statuses, ["ok", "fail", "ok"], "{stream}");
+    let error = points[1].get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(
+        error.contains("stiffness is too small: 1/k overflows"),
+        "{error}"
+    );
+
+    let (status, body) = http(addr, "POST", "/v1/jobs", SWEEP_DECK);
+    assert_eq!(status, 201, "{body}");
+    poll_until_done(addr, job_id(&body));
+
+    server.shutdown();
+    server.join();
+}
+
 /// Sends one request on a kept-alive connection, in one write, and
 /// reads its response: a fixed-length body to its `Content-Length`, a
 /// chunked one to its terminator.

@@ -24,10 +24,16 @@
 # parent's IQR/median, whether a gain is shown (wins in at least 9 of
 # 10 pairs and a median difference larger than the parent's IQR), and
 # a verdict against the bound: `better or equal`, `within bound`,
-# `unresolved` (worse by more than the bound while the parent's own
-# IQR/median is wider than it) or `regression`. `_runs` lists each
-# run's failed and attempted counts. Raw run records stay in the
-# temporary directory, whose path is printed.
+# `unresolved` or `regression`. A median worse by more than the bound
+# reads `unresolved` when the parent's own IQR/median is wider than
+# the bound. A seed planned with fewer than 10 pairs, such as an
+# `--also` seed, shows no gain, and there a median worse by more than
+# the bound reads `regression` only when every change run is worse
+# than every parent run, else `unresolved`: one outlying run of three
+# would decide a median. Pairs count as planned, so a run that leaves
+# no record cannot soften a verdict. `_runs` lists each run's failed
+# and attempted counts. Raw run records stay in the temporary
+# directory, whose path is printed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -125,6 +131,8 @@ import json, os, sys
 bench_path, runs, out_path, parent_id, change_id, seconds, *plan = sys.argv[1:]
 bench = json.load(open(bench_path))
 metrics = bench["end_to_end"]
+# Fewest planned pairs whose medians may show a gain or a regression.
+MIN_PAIRS = 10
 
 
 def quantile(xs, q):
@@ -172,6 +180,9 @@ for entry in plan:
                 verdict = "better or equal"
             elif worse <= m["bound"]:
                 verdict = "within bound"
+            elif pairs < MIN_PAIRS:
+                apart = min(cs) > max(ps) if lower else max(cs) < min(ps)
+                verdict = "regression" if apart else "unresolved"
             elif spread > m["bound"]:
                 verdict = "unresolved"
             else:
@@ -186,7 +197,8 @@ for entry in plan:
                 "pairs": len(both),
                 "median_change": change,
                 "parent_iqr_over_median": spread,
-                "gain_shown": wins * 10 >= 9 * len(both) and abs(chg["median"] - base) > iqr,
+                "gain_shown": pairs >= MIN_PAIRS and wins * 10 >= 9 * pairs
+                and abs(chg["median"] - base) > iqr,
                 "verdict": verdict,
             }
             if m["unit"] == "count":
@@ -213,8 +225,8 @@ doc = {
         "extra_runs": [f"seed {e.split(':')[0]}: {e.split(':')[1]} pairs, as workload@seed{e.split(':')[0]}" for e in plan[1:]],
         "order": "alternating: parent first in odd pairs, change first in even pairs; within a pair index the workloads run back to back",
         "quartiles": "linear interpolation over the runs per side",
-        "verdict": "median change against the BENCHMARK.json bound; 'unresolved' when worse by more than the bound and the parent's IQR/median is wider than it",
-        "gain_shown": "the change wins at least 9 of 10 pairs and the medians differ by more than the parent's IQR",
+        "verdict": "median change against the BENCHMARK.json bound; when worse by more than the bound, 'unresolved' if the parent's IQR/median is wider than the bound, or, on a seed planned with fewer than 10 pairs, if any change run is no worse than some parent run",
+        "gain_shown": "at least 10 planned pairs, the change wins at least 9 in 10 of them, and the medians differ by more than the parent's IQR",
     },
     "workloads": workloads,
 }
