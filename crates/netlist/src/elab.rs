@@ -914,10 +914,11 @@ fn check_positive(kind: PassiveKind, v: f64, value: &NumExpr) -> Result<()> {
     } else if v.recip().is_finite() {
         return Ok(());
     } else {
-        // A spring is built as the inductor 1/k and a damper as the
-        // resistor 1/α: a positive value such as 1e-320 can still
-        // have a reciprocal that overflows.
+        // A resistor stamps its conductance 1/R, a spring is built as
+        // the inductor 1/k and a damper as the resistor 1/α: a value
+        // such as 1e-320 can still have a reciprocal that overflows.
         match kind {
+            PassiveKind::Resistor => "resistance is too small: 1/R overflows",
             PassiveKind::Spring => "stiffness is too small: 1/k overflows",
             PassiveKind::Damper => "damping is too small: 1/α overflows",
             _ => return Ok(()),
@@ -1626,8 +1627,9 @@ mod tests {
     }
 
     #[test]
-    fn springs_and_dampers_with_overflowing_reciprocals_are_rejected() {
-        // 1e-320 is subnormal: it reads back as 9.999889e-321.
+    fn passives_with_overflowing_reciprocals_are_rejected() {
+        // 1e-320 is subnormal: it reads back as 9.999889e-321. A
+        // negative resistance is allowed, so both signs are checked.
         for (card, message) in [
             (
                 "Kk1 vel 0 {k}",
@@ -1636,6 +1638,14 @@ mod tests {
             (
                 "Dd1 vel 0 1e-320",
                 "damping is too small: 1/α overflows, got 9.99",
+            ),
+            (
+                "R1 vel 0 {k}",
+                "resistance is too small: 1/R overflows, got 9.99",
+            ),
+            (
+                "R1 vel 0 -1e-320",
+                "resistance is too small: 1/R overflows, got -9.99",
             ),
         ] {
             let src = format!("tiny\n.param k=1e-320\nIs 0 vel 1u\nMm1 vel 0 1e-4\n{card}\n.op\n");

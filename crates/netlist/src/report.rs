@@ -635,7 +635,7 @@ pub fn solver_stats_json(st: &mems_spice::system::SolverStats) -> String {
          \"n\":{},\"pattern_nnz\":{},\"factor_nnz\":{},\"fill_ratio\":{},\
          \"factors\":{},\"refactors\":{},\"fallbacks\":{},\
          \"last_factor_us\":{},\"last_refactor_us\":{},\
-         \"stamps\":{},\"stamp_misses\":{}}}",
+         \"stamps\":{},\"stamp_misses\":{},\"bytes\":{}}}",
         json_escape(st.backend),
         json_escape(st.factor_path),
         json_escape(st.ordering),
@@ -651,7 +651,8 @@ pub fn solver_stats_json(st: &mems_spice::system::SolverStats) -> String {
         st.last_factor_us,
         st.last_refactor_us,
         st.stamps,
-        st.stamp_misses
+        st.stamp_misses,
+        st.bytes
     )
 }
 

@@ -114,6 +114,11 @@ impl<S: Scalar> DenseMatrix<S> {
         &self.data
     }
 
+    /// Heap bytes the entries keep, counted by capacity.
+    pub fn bytes(&self) -> usize {
+        self.data.capacity() * size_of::<S>()
+    }
+
     /// Fills every entry with zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
         for v in &mut self.data {

@@ -125,6 +125,11 @@ impl<S: Scalar> LuFactors<S> {
         Ok(x)
     }
 
+    /// Heap bytes the factors keep, counted by capacity.
+    pub fn bytes(&self) -> usize {
+        self.lu.bytes() + self.perm.capacity() * size_of::<usize>()
+    }
+
     /// [`solve`](Self::solve) into the caller's `x`.
     ///
     /// # Errors

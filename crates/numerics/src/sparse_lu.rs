@@ -20,6 +20,13 @@
 //!
 //! Generic over [`Scalar`], so the same kernel factors the real
 //! DC/transient Jacobian and the complex AC system.
+//!
+//! The factors keep every index — column starts, row indices and
+//! permutations — as a `u32`, and a fresh factorization trims its
+//! arrays to their length, so an `f64` `L` entry costs 12 bytes and a
+//! complex one 20. A factorization whose `L` or `U` would pass
+//! `u32::MAX` stored entries (over 50 GB of factors) is refused with
+//! [`NumericsError::InvalidInput`].
 
 use crate::scalar::Scalar;
 use crate::{NumericsError, Result};
@@ -55,7 +62,18 @@ impl<'a, S: Scalar> CscView<'a, S> {
     }
 }
 
-const EMPTY: usize = usize::MAX;
+const EMPTY: u32 = u32::MAX;
+
+/// `count` as a stored `u32` index, or the error that refuses a
+/// factorization too large for 32-bit indices.
+fn index(count: usize, what: &str) -> Result<u32> {
+    u32::try_from(count).map_err(|_| {
+        NumericsError::InvalidInput(format!(
+            "{what} {count} passes the 32-bit index limit of {}",
+            u32::MAX
+        ))
+    })
+}
 
 /// Sparse LU factors `P·A = L·U` with recorded symbolic structure.
 ///
@@ -64,26 +82,27 @@ const EMPTY: usize = usize::MAX;
 /// stored column-wise with *pivot-step* row indices (`U` in
 /// elimination replay order), so [`refactor`](Self::refactor) and
 /// [`solve_into`](Self::solve_into) index their vectors directly.
+/// Every index is a `u32` (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct SparseLu<S: Scalar = f64> {
     n: usize,
-    lp: Vec<usize>,
-    li: Vec<usize>,
+    lp: Vec<u32>,
+    li: Vec<u32>,
     lx: Vec<S>,
-    up: Vec<usize>,
-    ui: Vec<usize>,
+    up: Vec<u32>,
+    ui: Vec<u32>,
     ux: Vec<S>,
     udiag: Vec<S>,
     /// `perm[k]` = original row pivoted at elimination step `k`.
-    perm: Vec<usize>,
+    perm: Vec<u32>,
     /// Inverse permutation: `pinv[perm[k]] == k`.
-    pinv: Vec<usize>,
+    pinv: Vec<u32>,
     /// Column pre-ordering: `cperm[k]` = original column eliminated at
     /// step `k`. `None` means natural order.
-    cperm: Option<Vec<usize>>,
+    cperm: Option<Vec<u32>>,
     /// The nontrivial cycles of `cperm` (see [`cycle_walk`]), so a
     /// solve can undo the column order in place.
-    cycles: Vec<usize>,
+    cycles: Vec<u32>,
     /// The dense refactor accumulator, by pivot step; all-zero
     /// between calls.
     work: Vec<S>,
@@ -97,7 +116,8 @@ impl<S: Scalar> SparseLu<S> {
     ///
     /// [`NumericsError::Singular`] when a column has no usable pivot
     /// (structurally or numerically singular), and
-    /// [`NumericsError::InvalidInput`] for malformed input.
+    /// [`NumericsError::InvalidInput`] for malformed input or factors
+    /// past the 32-bit index limit.
     pub fn factor(a: &CscView<'_, S>) -> Result<Self> {
         Self::factor_impl(a, None)
     }
@@ -134,6 +154,8 @@ impl<S: Scalar> SparseLu<S> {
                 "inconsistent CSC arrays".into(),
             ));
         }
+        // Steps and rows are `u32`s below `EMPTY`.
+        index(n, "matrix order")?;
         let nnz = a.nnz();
         let mut f = SparseLu {
             n,
@@ -146,7 +168,7 @@ impl<S: Scalar> SparseLu<S> {
             udiag: vec![S::zero(); n],
             perm: vec![EMPTY; n],
             pinv: vec![EMPTY; n],
-            cperm: col_order.map(<[usize]>::to_vec),
+            cperm: col_order.map(|q| q.iter().map(|&c| c as u32).collect()),
             cycles: col_order.map_or_else(Vec::new, cycle_walk),
             work: Vec::new(),
         };
@@ -184,12 +206,12 @@ impl<S: Scalar> SparseLu<S> {
                     let (lo, hi) = if k == EMPTY {
                         (0, 0)
                     } else {
-                        (f.lp[k], f.lp[k + 1])
+                        (f.lp[k as usize] as usize, f.lp[k as usize + 1] as usize)
                     };
                     let mut ci = child;
                     let mut descended = false;
                     while lo + ci < hi {
-                        let next = f.li[lo + ci];
+                        let next = f.li[lo + ci] as usize;
                         ci += 1;
                         if mark[next] != stamp {
                             mark[next] = stamp;
@@ -220,15 +242,16 @@ impl<S: Scalar> SparseLu<S> {
                 f.ui.push(k);
                 f.ux.push(xk);
                 if xk != S::zero() {
-                    for p in f.lp[k]..f.lp[k + 1] {
-                        let r = f.li[p];
+                    let k = k as usize;
+                    for p in f.lp[k] as usize..f.lp[k + 1] as usize {
+                        let r = f.li[p] as usize;
                         let delta = f.lx[p] * xk;
                         x[r] -= delta;
                     }
                 }
             }
             // Pivot among the not-yet-pivotal rows of the pattern.
-            let mut best = EMPTY;
+            let mut best = usize::MAX;
             let mut best_mag = 0.0f64;
             let mut diag_mag = -1.0f64;
             for &i in &pattern {
@@ -247,7 +270,7 @@ impl<S: Scalar> SparseLu<S> {
                     diag_mag = m;
                 }
             }
-            if best == EMPTY || best_mag == 0.0 {
+            if best == usize::MAX || best_mag == 0.0 {
                 // Dirty accumulator is irrelevant: the factors are
                 // abandoned on error.
                 return Err(NumericsError::Singular { index: j });
@@ -258,26 +281,31 @@ impl<S: Scalar> SparseLu<S> {
                 best
             };
             let pivot = x[pivot_row];
-            f.perm[k] = pivot_row;
-            f.pinv[pivot_row] = k;
+            f.perm[k] = pivot_row as u32;
+            f.pinv[pivot_row] = k as u32;
             f.udiag[k] = pivot;
             // Remaining non-pivotal pattern rows become L[:,j].
             for &i in &pattern {
                 if f.pinv[i] == EMPTY {
-                    f.li.push(i);
+                    f.li.push(i as u32);
                     f.lx.push(x[i] / pivot);
                 }
                 x[i] = S::zero();
             }
-            f.lp.push(f.li.len());
-            f.up.push(f.ui.len());
+            f.lp.push(index(f.li.len(), "L entry count")?);
+            f.up.push(index(f.ui.len(), "U entry count")?);
         }
-        // Every row is pivotal now: renumber L into pivot steps, and
-        // keep the (all-zero) accumulator for the refactors.
+        // Every row is pivotal now: renumber L into pivot steps, keep
+        // the (all-zero) accumulator for the refactors, and give back
+        // the slack the entry arrays grew.
         for r in &mut f.li {
-            *r = f.pinv[*r];
+            *r = f.pinv[*r as usize];
         }
         f.work = x;
+        f.li.shrink_to_fit();
+        f.lx.shrink_to_fit();
+        f.ui.shrink_to_fit();
+        f.ux.shrink_to_fit();
         Ok(f)
     }
 
@@ -319,22 +347,23 @@ impl<S: Scalar> SparseLu<S> {
         let cperm = self.cperm.as_deref();
         for k in 0..self.n {
             // Original column eliminated at step `k`.
-            let j = cperm.map_or(k, |q| q[k]);
+            let j = cperm.map_or(k, |q| q[k] as usize);
             let (a0, a1) = (a.col_ptr[j], a.col_ptr[j + 1]);
             for (&r, &v) in a.row_idx[a0..a1].iter().zip(&a.values[a0..a1]) {
-                x[self.pinv[r]] += v;
+                x[self.pinv[r] as usize] += v;
             }
             // Replay the recorded elimination order. Topological order
             // means no later entry updates `x[s]` once it is read.
-            let (u0, u1) = (up[k], up[k + 1]);
+            let (u0, u1) = (up[k] as usize, up[k + 1] as usize);
             for (&s, uq) in ui[u0..u1].iter().zip(&mut ux[u0..u1]) {
+                let s = s as usize;
                 let xs = std::mem::replace(&mut x[s], S::zero());
                 *uq = xs;
                 if xs != S::zero() {
-                    let (l0, l1) = (lp[s], lp[s + 1]);
+                    let (l0, l1) = (lp[s] as usize, lp[s + 1] as usize);
                     for (&r, &l) in li[l0..l1].iter().zip(&lx[l0..l1]) {
                         let delta = l * xs;
-                        x[r] -= delta;
+                        x[r as usize] -= delta;
                     }
                 }
             }
@@ -347,9 +376,9 @@ impl<S: Scalar> SparseLu<S> {
             // sweep's reactive stamps, a homotopy ramp) would
             // otherwise cause silent element growth.
             let mut col_max = pm;
-            let (l0, l1) = (lp[k], lp[k + 1]);
+            let (l0, l1) = (lp[k] as usize, lp[k + 1] as usize);
             for (&r, l) in li[l0..l1].iter().zip(&mut lx[l0..l1]) {
-                let v = std::mem::replace(&mut x[r], S::zero());
+                let v = std::mem::replace(&mut x[r as usize], S::zero());
                 col_max = col_max.max(v.modulus());
                 *l = v / pivot;
             }
@@ -371,10 +400,19 @@ impl<S: Scalar> SparseLu<S> {
         (self.li.len(), self.ui.len() + self.n)
     }
 
-    /// The column order the factors were analyzed with (`None` =
-    /// natural order).
-    pub fn col_order(&self) -> Option<&[usize]> {
-        self.cperm.as_deref()
+    /// Heap bytes the factors keep, counted by capacity.
+    pub fn bytes(&self) -> usize {
+        let idx = self.lp.capacity()
+            + self.li.capacity()
+            + self.up.capacity()
+            + self.ui.capacity()
+            + self.perm.capacity()
+            + self.pinv.capacity()
+            + self.cperm.as_ref().map_or(0, Vec::capacity)
+            + self.cycles.capacity();
+        let vals =
+            self.lx.capacity() + self.ux.capacity() + self.udiag.capacity() + self.work.capacity();
+        idx * size_of::<u32>() + vals * size_of::<S>()
     }
 
     /// Solves `A·x = b` using the current factors.
@@ -410,15 +448,15 @@ impl<S: Scalar> SparseLu<S> {
         let (up, ui, ux) = (&self.up[..], &self.ui[..], &self.ux[..]);
         // Forward: L·y = P·b.
         for (xk, &r) in x.iter_mut().zip(&self.perm) {
-            *xk = b[r];
+            *xk = b[r as usize];
         }
         for k in 0..n {
             let yk = x[k];
             if yk != S::zero() {
-                let (l0, l1) = (lp[k], lp[k + 1]);
+                let (l0, l1) = (lp[k] as usize, lp[k + 1] as usize);
                 for (&r, &l) in li[l0..l1].iter().zip(&lx[l0..l1]) {
                     let delta = l * yk;
-                    x[r] -= delta;
+                    x[r as usize] -= delta;
                 }
             }
         }
@@ -427,10 +465,10 @@ impl<S: Scalar> SparseLu<S> {
             let xj = x[j] / self.udiag[j];
             x[j] = xj;
             if xj != S::zero() {
-                let (u0, u1) = (up[j], up[j + 1]);
+                let (u0, u1) = (up[j] as usize, up[j + 1] as usize);
                 for (&r, &u) in ui[u0..u1].iter().zip(&ux[u0..u1]) {
                     let delta = u * xj;
-                    x[r] -= delta;
+                    x[r as usize] -= delta;
                 }
             }
         }
@@ -438,9 +476,9 @@ impl<S: Scalar> SparseLu<S> {
         // unknown `cperm[k]`. Walk each cycle, carrying one value.
         let mut walk = self.cycles.iter();
         while let Some(&start) = walk.next() {
-            let mut carry = x[start];
+            let mut carry = x[start as usize];
             for &k in walk.by_ref() {
-                std::mem::swap(&mut carry, &mut x[k]);
+                std::mem::swap(&mut carry, &mut x[k as usize]);
                 if k == start {
                     break;
                 }
@@ -454,7 +492,7 @@ impl<S: Scalar> SparseLu<S> {
 /// lists a step `s`, then `q[s]`, `q[q[s]]`, …, and repeats `s` to
 /// close. Walking it moves each value to its image with independent
 /// loads, where following `q` itself would chain them.
-fn cycle_walk(q: &[usize]) -> Vec<usize> {
+fn cycle_walk(q: &[usize]) -> Vec<u32> {
     let mut seen = vec![false; q.len()];
     let mut walk = Vec::new();
     for start in 0..q.len() {
@@ -464,10 +502,10 @@ fn cycle_walk(q: &[usize]) -> Vec<usize> {
         let mut k = start;
         while !seen[k] {
             seen[k] = true;
-            walk.push(k);
+            walk.push(k as u32);
             k = q[k];
         }
-        walk.push(start);
+        walk.push(start as u32);
     }
     walk
 }
@@ -758,6 +796,49 @@ mod tests {
     #[test]
     fn complex_refactor_is_exact_and_leaves_a_clean_accumulator() {
         refactor_is_exact_and_leaves_a_clean_accumulator(|v| Complex64::new(v, 0.25 * v));
+    }
+
+    #[test]
+    fn counts_past_u32_max_are_refused() {
+        let max = u32::MAX as usize;
+        assert_eq!(index(max, "L entry count").unwrap(), u32::MAX);
+        match index(max + 1, "L entry count") {
+            Err(NumericsError::InvalidInput(msg)) => {
+                assert!(msg.contains("L entry count 4294967296"), "{msg}");
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn fresh_factors_keep_no_slack() {
+        let n = 50;
+        let mut t = Vec::new();
+        for i in 0..n {
+            t.push((i, i, 4.0));
+            for j in [(i * 7 + 3) % n, (i * 11 + 5) % n] {
+                t.push((i, j, -0.5));
+                t.push((j, i, -0.25));
+            }
+        }
+        let csc = CscMatrix::from_triplets(n, &t);
+        let lu = SparseLu::factor(&csc.view()).unwrap();
+        for (len, cap) in [
+            (lu.li.len(), lu.li.capacity()),
+            (lu.lx.len(), lu.lx.capacity()),
+            (lu.ui.len(), lu.ui.capacity()),
+            (lu.ux.len(), lu.ux.capacity()),
+        ] {
+            assert_eq!(len, cap);
+        }
+        let (l, u) = lu.nnz();
+        assert!(l + u > csc.view().nnz(), "the pattern fills in");
+        // Twelve bytes per stored f64 entry, plus O(n) columns,
+        // permutations and accumulator.
+        assert_eq!(
+            lu.bytes(),
+            12 * (l + u - n) + 8 * n + 4 * (2 * (n + 1) + 2 * n) + 8 * n
+        );
     }
 
     #[test]

@@ -320,7 +320,8 @@ fn initiate_shutdown(shared: &Shared, addr: SocketAddr) {
 /// [`RunCtx::solver_snapshot`](mems_netlist::RunCtx::solver_snapshot)
 /// calls into the metrics counters, attributed to each system's
 /// current factor path. Saturating: a rebuilt system restarts its
-/// counters at zero, and a negative delta must not wrap.
+/// counters at zero, and a negative delta must not wrap. `bytes` is a
+/// level, not a counter, so it has no delta to fold.
 fn record_solver_deltas(
     metrics: &Metrics,
     before: &[(&'static str, SolverStats)],

@@ -262,12 +262,6 @@ pub trait Device: Send {
     /// Receives the global index of the first internal unknown.
     fn set_internal_base(&mut self, _base: usize) {}
 
-    /// Whether the device's residual depends nonlinearly on unknowns
-    /// (informs the Newton loop's single-iteration shortcut).
-    fn is_nonlinear(&self) -> bool {
-        false
-    }
-
     /// Stamps the DC/transient residual and Jacobian.
     ///
     /// # Errors

@@ -377,10 +377,6 @@ impl Device for ProductVccs {
         &self.pins
     }
 
-    fn is_nonlinear(&self) -> bool {
-        true
-    }
-
     fn load(&mut self, ctx: &mut LoadCtx<'_>) -> Result<()> {
         let [op, on, c1p, c1n, c2p, c2n] = self.pins;
         let v1 = ctx.v(c1p) - ctx.v(c1n);

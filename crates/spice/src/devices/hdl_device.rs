@@ -256,10 +256,6 @@ impl Device for HdlDevice {
         self.base = base;
     }
 
-    fn is_nonlinear(&self) -> bool {
-        true
-    }
-
     fn load(&mut self, ctx: &mut LoadCtx<'_>) -> Result<()> {
         if self.n_unknowns > 0 && self.base == usize::MAX {
             return Err(SpiceError::Device {

@@ -28,14 +28,20 @@
 //! coordinate compare against the taped slot — the binding SPICE3
 //! makes once per device at setup, learned here instead of declared.
 //! A stamp that does not match (a device whose Jacobian entries come
-//! and go) falls back to the coordinate map and re-records the tape
-//! from that point. Every slot still receives its terms in the order
-//! they were stamped, so replay never changes a sum. With the
-//! in-place factorizations and [`SystemMatrix::solve_into`], a
-//! steady-state Newton iteration does no hashing and no heap
-//! allocation on either backend. [`SolverStats::stamps`] and
-//! [`SolverStats::stamp_misses`] report how much of the assembly the
-//! tape served.
+//! and go) is looked up by binary search in its column of the
+//! pattern's CSC, and the tape is re-recorded from that point. A
+//! coordinate the CSC lacks gets a provisional slot of its own, one
+//! per stamp; the next pattern rebuild sorts the slots into CSC order
+//! and merges the provisional slots of one coordinate in slot order,
+//! which is stamp order. Every value is therefore the sum of its
+//! terms in the order they were stamped, so neither replay nor a
+//! pattern rebuild changes a sum, and no map from coordinates to
+//! slots is kept beside the CSC. With the in-place factorizations and
+//! [`SystemMatrix::solve_into`], a steady-state Newton iteration does
+//! no lookup and no heap allocation on either backend.
+//! [`SolverStats::stamps`] and [`SolverStats::stamp_misses`] report
+//! how much of the assembly the tape served, and
+//! [`SolverStats::bytes`] what the system keeps.
 //!
 //! Backend selection is [`MatrixBackend`]: `Auto` switches to sparse
 //! at [`AUTO_SPARSE_THRESHOLD`] unknowns, and
@@ -62,7 +68,6 @@ use mems_numerics::ordering::order_cached;
 use mems_numerics::scalar::Scalar;
 use mems_numerics::sparse_lu::{CscView, SparseLu};
 use mems_numerics::{NumericsError, Result};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -189,9 +194,14 @@ pub struct SolverStats {
     /// Stamps ([`SystemMatrix::add`] calls) since the system was
     /// created (0 on the dense backend).
     pub stamps: u64,
-    /// Stamps the replay tape could not serve, which went through the
-    /// coordinate map instead (0 on the dense backend).
+    /// Stamps the replay tape could not serve, which were looked up
+    /// in the pattern instead (0 on the dense backend).
     pub stamp_misses: u64,
+    /// Heap bytes the system keeps for its values, pattern, tape and
+    /// factors, counted by capacity: a level, not a counter. The fill
+    /// order, shared with the machine-wide ordering cache, is not
+    /// counted.
+    pub bytes: usize,
 }
 
 impl Default for SolverStats {
@@ -214,6 +224,7 @@ impl Default for SolverStats {
             last_refactor_us: 0,
             stamps: 0,
             stamp_misses: 0,
+            bytes: 0,
         }
     }
 }
@@ -413,6 +424,7 @@ impl<S: Scalar + Send + 'static> SystemMatrix<S> for DenseSystem<S> {
             factor_nnz: if self.factored { n * n } else { 0 },
             factors: self.factors,
             last_factor_us: self.cold_factor_us,
+            bytes: self.m.bytes() + self.lu.as_ref().map_or(0, LuFactors::bytes),
             ..SolverStats::default()
         }
     }
@@ -421,13 +433,12 @@ impl<S: Scalar + Send + 'static> SystemMatrix<S> for DenseSystem<S> {
 /// Sparse backend: growable stamp pattern + split symbolic/numeric LU.
 pub struct SparseSystem<S: Scalar> {
     n: usize,
-    /// `(row << 32 | col)` → slot in [`vals`](Self::vals): the
-    /// fallback for stamps the tape cannot serve. Keys come from
-    /// decks, so it keeps std's collision-resistant hasher.
-    slots: HashMap<u64, usize>,
-    /// Slot → coordinate. Slots are numbered in CSC order (by column,
-    /// then row) as of the last pattern rebuild, and new coordinates
-    /// append until the next one.
+    /// Slot → coordinate `(row, col)`. The first
+    /// [`row_idx`](Self::row_idx)`.len()` slots are the CSC of the
+    /// last pattern rebuild, by column and then row. The rest are
+    /// provisional: every stamp of a coordinate that CSC lacks appends
+    /// one, so a coordinate may own several until the next rebuild
+    /// merges them.
     coords: Vec<(u32, u32)>,
     /// Assembled values, by slot: the factorization's CSC values
     /// whenever the pattern is clean.
@@ -440,7 +451,9 @@ pub struct SparseSystem<S: Scalar> {
     /// Stamps before the last `clear`.
     stat_stamps: u64,
     stat_stamp_misses: u64,
-    /// CSC structure of the pattern (rebuilt when the pattern grows).
+    /// CSC structure of the pattern (rebuilt when the pattern grows);
+    /// rows ascend within each column, so a tape miss finds its slot
+    /// by binary search.
     col_ptr: Vec<usize>,
     row_idx: Vec<usize>,
     pattern_dirty: bool,
@@ -473,7 +486,6 @@ impl<S: Scalar> SparseSystem<S> {
     pub fn with_ordering(n: usize, ordering: FillOrdering) -> Self {
         SparseSystem {
             n,
-            slots: HashMap::new(),
             coords: Vec::new(),
             vals: Vec::new(),
             tape: Vec::new(),
@@ -499,7 +511,8 @@ impl<S: Scalar> SparseSystem<S> {
 
     /// Structural nonzero count of the current pattern.
     pub fn nnz(&self) -> usize {
-        self.vals.len()
+        let csc = self.row_idx.len();
+        csc + self.merged(csc, |_, _| {}).0.len()
     }
 
     /// The ordering policy this system eliminates with.
@@ -520,20 +533,34 @@ impl<S: Scalar> SparseSystem<S> {
         !self.pattern_dirty && self.lu.is_some()
     }
 
-    /// The tape's miss path: resolves the stamp through the map
-    /// (growing the pattern on a new coordinate) and re-records the
-    /// tape from here on.
+    /// The slot of `(row, col)` in the CSC of the last pattern
+    /// rebuild, if it has one.
+    fn csc_slot(&self, row: usize, col: usize) -> Option<usize> {
+        let (lo, hi) = (*self.col_ptr.get(col)?, self.col_ptr[col + 1]);
+        let pos = self.row_idx[lo..hi].binary_search(&row).ok()?;
+        Some(lo + pos)
+    }
+
+    /// Heap bytes kept for values, pattern, tape and factors.
+    fn bytes(&self) -> usize {
+        self.coords.capacity() * size_of::<(u32, u32)>()
+            + self.vals.capacity() * size_of::<S>()
+            + self.tape.capacity() * size_of::<u32>()
+            + (self.col_ptr.capacity() + self.row_idx.capacity()) * size_of::<usize>()
+            + self.lu.as_ref().map_or(0, SparseLu::bytes)
+    }
+
+    /// The tape's miss path: resolves the stamp in the CSC, or gives
+    /// it a provisional slot, and re-records the tape from here on.
     #[cold]
     fn add_untaped(&mut self, row: usize, col: usize, v: S) {
-        let key = ((row as u64) << 32) | col as u64;
-        let slot = match self.slots.get(&key) {
-            Some(&slot) => {
+        let slot = match self.csc_slot(row, col) {
+            Some(slot) => {
                 self.vals[slot] += v;
                 slot
             }
             None => {
                 let slot = self.vals.len();
-                self.slots.insert(key, slot);
                 self.coords.push((row as u32, col as u32));
                 self.vals.push(v);
                 // A new structural entry invalidates the symbolic
@@ -552,26 +579,52 @@ impl<S: Scalar> SparseSystem<S> {
         self.cursor += 1;
     }
 
-    /// Renumbers the slots into CSC order, so that [`vals`](Self::vals)
-    /// is the factorization's input as it stands, and rebuilds the
-    /// column structure.
+    /// The slots `from..` merged into one entry per coordinate, in CSC
+    /// order: each coordinate's value is the sum of its slots' values
+    /// in slot order. `each(slot, entry)` hears where every slot went.
+    ///
+    /// Merging in slot order sums in stamp order: the slots a pass
+    /// creates come in stamp order, and a tape lists a coordinate's
+    /// provisional slots in the order their stamps came, so each
+    /// merged value is what one accumulating slot would hold.
+    fn merged(&self, from: usize, mut each: impl FnMut(usize, usize)) -> (Vec<(u32, u32)>, Vec<S>) {
+        let end = u32::try_from(self.coords.len()).expect("fewer than 2^32 stamp slots");
+        let mut order: Vec<u32> = (from as u32..end).collect();
+        order.sort_unstable_by_key(|&s| {
+            let (r, c) = self.coords[s as usize];
+            (c, r, s)
+        });
+        let mut coords: Vec<(u32, u32)> = Vec::with_capacity(order.len());
+        let mut vals: Vec<S> = Vec::with_capacity(order.len());
+        for slot in order.into_iter().map(|s| s as usize) {
+            let (coord, v) = (self.coords[slot], self.vals[slot]);
+            match (coords.last(), vals.last_mut()) {
+                (Some(&last), Some(sum)) if last == coord => *sum += v,
+                _ => {
+                    coords.push(coord);
+                    vals.push(v);
+                }
+            }
+            each(slot, coords.len() - 1);
+        }
+        coords.shrink_to_fit();
+        vals.shrink_to_fit();
+        (coords, vals)
+    }
+
+    /// Sorts and merges every slot (see [`merged`](Self::merged)), so
+    /// that [`vals`](Self::vals) is the factorization's input as it
+    /// stands, and rebuilds the column structure.
     fn rebuild_csc(&mut self) {
-        let mut order: Vec<usize> = (0..self.coords.len()).collect();
-        order.sort_unstable_by_key(|&s| (self.coords[s].1, self.coords[s].0));
-        let mut renumber = vec![0u32; order.len()];
-        for (pos, &slot) in order.iter().enumerate() {
-            renumber[slot] = pos as u32;
-        }
-        self.coords = order.iter().map(|&slot| self.coords[slot]).collect();
-        self.vals = order.iter().map(|&slot| self.vals[slot]).collect();
-        for slot in self.slots.values_mut() {
-            *slot = renumber[*slot] as usize;
-        }
+        let mut renumber = vec![0u32; self.coords.len()];
+        (self.coords, self.vals) = self.merged(0, |slot, entry| renumber[slot] = entry as u32);
         for slot in &mut self.tape {
             *slot = renumber[*slot as usize];
         }
-        self.col_ptr = vec![0; self.n + 1];
-        self.row_idx = Vec::with_capacity(order.len());
+        self.col_ptr.clear();
+        self.col_ptr.resize(self.n + 1, 0);
+        self.row_idx.clear();
+        self.row_idx.reserve_exact(self.coords.len());
         for &(r, c) in &self.coords {
             self.col_ptr[c as usize + 1] += 1;
             self.row_idx.push(r as usize);
@@ -635,7 +688,15 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
     }
 
     fn all_finite(&self) -> bool {
-        self.vals.iter().all(|v| v.is_finite_scalar())
+        // Two finite provisional slots can merge into an overflow, so
+        // they are checked as the sums the next rebuild forms.
+        let csc = self.row_idx.len();
+        self.vals[..csc].iter().all(|v| v.is_finite_scalar())
+            && self
+                .merged(csc, |_, _| {})
+                .1
+                .iter()
+                .all(|v| v.is_finite_scalar())
     }
 
     fn factor(&mut self) -> Result<()> {
@@ -703,10 +764,15 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
     }
 
     fn get(&self, row: usize, col: usize) -> S {
-        let key = ((row as u64) << 32) | col as u64;
-        self.slots
-            .get(&key)
-            .map_or_else(S::zero, |&slot| self.vals[slot])
+        if let Some(slot) = self.csc_slot(row, col) {
+            return self.vals[slot];
+        }
+        let (coords, vals) = self.merged(self.row_idx.len(), |_, _| {});
+        let key = (row as u32, col as u32);
+        coords
+            .iter()
+            .position(|&c| c == key)
+            .map_or_else(S::zero, |i| vals[i])
     }
 
     fn solver_stats(&self) -> SolverStats {
@@ -724,7 +790,7 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
             order_source,
             order_us,
             n: self.n,
-            pattern_nnz: self.vals.len(),
+            pattern_nnz: self.nnz(),
             factor_nnz,
             factors: self.stat_factors,
             refactors: self.stat_refactors,
@@ -733,6 +799,7 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
             last_refactor_us: self.stat_last_refactor_us,
             stamps: self.stat_stamps + self.cursor as u64,
             stamp_misses: self.stat_stamp_misses,
+            bytes: self.bytes(),
             ..SolverStats::default()
         }
     }
@@ -742,6 +809,7 @@ impl<S: Scalar + Send + Sync + 'static> SystemMatrix<S> for SparseSystem<S> {
 mod tests {
     use super::*;
     use mems_numerics::Complex64;
+    use proptest::prelude::*;
 
     fn stamp_all<S: Scalar + 'static>(
         sys: &mut dyn SystemMatrix<S>,
@@ -1015,6 +1083,33 @@ mod tests {
         }
     }
 
+    /// Each stamp of a coordinate new to the pattern has its own slot
+    /// until the next factor merges them; two finite halves of an
+    /// overflowing sum must still read as non-finite, as the one
+    /// accumulated entry of a dense matrix does.
+    #[test]
+    fn provisional_slots_are_checked_as_their_sums() {
+        let mut sparse = SparseSystem::<f64>::new(2);
+        let mut dense = DenseSystem::<f64>::new(2);
+        let passes: [&[(usize, usize, f64)]; 3] = [
+            &[(0, 0, 1e308), (1, 1, 1.0), (0, 0, 1e308)],
+            &[(0, 0, 1.0), (1, 1, 1.0)],
+            &[(0, 0, 1.0), (1, 1, 1.0), (0, 1, 1e308), (0, 1, 1e308)],
+        ];
+        for (i, pass) in passes.into_iter().enumerate() {
+            sparse.clear();
+            dense.clear();
+            stamp_all(&mut sparse, pass);
+            stamp_all(&mut dense, pass);
+            assert_eq!(sparse.all_finite(), dense.all_finite(), "pass {i}");
+            assert_eq!(sparse.all_finite(), i == 1, "pass {i}");
+            assert_eq!(sparse.get(0, 1), dense.get(0, 1), "pass {i}");
+            if i == 1 {
+                sparse.factor().unwrap();
+            }
+        }
+    }
+
     /// Stamps a full, diagonally dominant `n`×`n` matrix whose
     /// off-diagonal values depend on `round`.
     fn stamp_dense_block(sys: &mut dyn SystemMatrix<f64>, n: usize, round: usize) {
@@ -1075,6 +1170,107 @@ mod tests {
         stamp_all(&mut sys, &tape_base());
         let st = sys.solver_stats();
         assert_eq!((st.stamps, st.stamp_misses), (0, 0));
+    }
+
+    /// Feeds a sparse and a dense system the same sequence of passes,
+    /// each derived from the last by one edit — replayed as is, two
+    /// stamps swapped, a stamp skipped, a stamp repeated, or a
+    /// coordinate (usually new to the pattern) inserted mid-pass — and
+    /// factors after about two passes in three, so the others end
+    /// without a factor as a failed Newton assembly does. After every
+    /// factor each entry must be bit-equal between the two, and the
+    /// sparse system must have missed exactly the stamps a model tape
+    /// misses. No value is −0.0, whose first stamp a new sparse slot
+    /// keeps while the dense matrix adds it to +0.0.
+    fn sparse_matches_dense_over_passes<S: Scalar + Send + Sync + 'static>(
+        n: usize,
+        draws: &[f64],
+        lift: impl Fn(f64, f64) -> S,
+        bits: impl Fn(S) -> (u64, u64),
+    ) -> std::result::Result<(), TestCaseError> {
+        let mut draw = draws.iter().copied().cycle();
+        let mut unit = move || draw.next().expect("cycled");
+        let pick = |k: usize, u: f64| ((u * k as f64) as usize).min(k - 1);
+        // The diagonal, stamped first with a dominant value, keeps
+        // both factorizations clear of pivoting trouble.
+        let mut pass: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
+        for _ in 0..2 * n {
+            let (r, c) = (pick(n, unit()), pick(n, unit()));
+            pass.push((r, c));
+        }
+        let mut sparse = SparseSystem::<S>::new(n);
+        let mut dense = DenseSystem::<S>::new(n);
+        let (mut tape, mut misses, mut stamps) = (Vec::new(), 0u64, 0u64);
+        for round in 0..12 {
+            if round > 0 {
+                let at = n + pick(pass.len() - n + 1, unit());
+                match pick(5, unit()) {
+                    0 => {}
+                    1 if at < pass.len() => {
+                        let other = n + pick(pass.len() - n, unit());
+                        pass.swap(at, other);
+                    }
+                    2 if at < pass.len() => {
+                        pass.remove(at);
+                    }
+                    3 if at < pass.len() => pass.insert(at, pass[at]),
+                    _ => {
+                        let (r, c) = (pick(n, unit()), pick(n, unit()));
+                        pass.insert(at, (r, c));
+                    }
+                }
+            }
+            sparse.clear();
+            dense.clear();
+            for (cursor, &(r, c)) in pass.iter().enumerate() {
+                // Mixed magnitudes make every sum depend on its order.
+                let scale = [1e-17, 1e-3, 0.1, 1.0][pick(4, unit())];
+                let (re, im) = ((2.0 * unit() - 1.0) * scale, (2.0 * unit() - 1.0) * scale);
+                let v = if r == c && cursor < n {
+                    lift(8.0 * n as f64 + re, im)
+                } else {
+                    lift(re, im)
+                };
+                sparse.add(r, c, v);
+                dense.add(r, c, v);
+                stamps += 1;
+                if tape.get(cursor) != Some(&(r, c)) {
+                    misses += 1;
+                    tape.truncate(cursor);
+                    tape.push((r, c));
+                }
+            }
+            let st = sparse.solver_stats();
+            prop_assert_eq!((st.stamps, st.stamp_misses), (stamps, misses));
+            if round < 11 && pick(3, unit()) == 0 {
+                continue;
+            }
+            sparse.factor().map_err(|e| TestCaseError(format!("{e}")))?;
+            dense.factor().map_err(|e| TestCaseError(format!("{e}")))?;
+            for r in 0..n {
+                for c in 0..n {
+                    let (sv, dv) = (bits(sparse.get(r, c)), bits(dense.get(r, c)));
+                    prop_assert!(sv == dv, "round {round} ({r}, {c}): {sv:?} vs {dv:?}");
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn sparse_assembly_matches_dense_bit_for_bit(
+            n in 2usize..7,
+            draws in proptest::collection::vec(0.0f64..1.0, 1024),
+        ) {
+            sparse_matches_dense_over_passes(n, &draws, |re, _| re, |v: f64| (v.to_bits(), 0))?;
+            sparse_matches_dense_over_passes(
+                n,
+                &draws,
+                Complex64::new,
+                |v: Complex64| (v.re.to_bits(), v.im.to_bits()),
+            )?;
+        }
     }
 
     #[test]

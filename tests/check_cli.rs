@@ -1,8 +1,10 @@
 //! `mems check` refuses the analysis cards `mems run` cannot finish —
 //! malformed ranges and outputs past the point limit — with a caret
-//! at the card, before anything is simulated or allocated; `mems
-//! plot --probe` reaches every unknown, not only the printed ones;
-//! and a reader that closes stdout early ends a command quietly.
+//! at the card, before anything is simulated or allocated; both
+//! commands refuse a resistance whose conductance overflows, with a
+//! caret at the value; `mems plot --probe` reaches every unknown, not
+//! only the printed ones; and a reader that closes stdout early ends
+//! a command quietly.
 
 use std::io::Read as _;
 use std::process::{Command, Stdio};
@@ -42,6 +44,37 @@ fn check_refuses_bad_analysis_cards_fast() {
             "{card}: no caret at the card in\n{stderr}"
         );
         assert!(took < Duration::from_millis(100), "{card}: took {took:?}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `R1 1 0 1e-320` has a positive, finite value whose conductance
+/// 1/R is infinite: elaboration refuses it at the value, so `mems
+/// check` and `mems run` both exit 1 before anything is assembled.
+#[test]
+fn overflowing_conductance_is_refused_at_the_value() {
+    let dir = std::env::temp_dir().join(format!("mems-check-cli-r-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("tiny_r.cir");
+    std::fs::write(
+        &path,
+        "tiny r\nV1 2 0 PULSE(0 1 0 1m 1m 1m 4m)\nR9 2 1 1k\nR1 1 0 1e-320\n.tran 0.1m 2m\n.end\n",
+    )
+    .unwrap();
+    for command in ["check", "run"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mems"))
+            .arg(command)
+            .arg(&path)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert!(
+            stderr.contains("resistance is too small: 1/R overflows, got 9.99")
+                && stderr.contains("R1 1 0 1e-320\n       ^")
+                && stderr.contains("(line 4, col 8)"),
+            "{command}: no caret at the value in\n{stderr}"
+        );
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

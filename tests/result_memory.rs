@@ -1,4 +1,5 @@
-//! A deck run keeps what the deck prints.
+//! A deck run keeps what the deck prints, and its solver keeps lean
+//! storage.
 //!
 //! `run_elaborated_ctx` records, for each `.TRAN`, `.AC` and `.DC`
 //! card, only the unknowns `Deck::print_labels` selects (every unknown
@@ -6,14 +7,20 @@
 //! printed columns instead of points × unknowns. A counting global allocator
 //! tracks the live-byte high-water mark of a printed run and of the
 //! same deck with its `.PRINT` cards cleared, on small generated grid
-//! decks. The file holds a single test so no other test thread
-//! allocates while it counts.
+//! decks, and the bytes a `RunCtx` keeps after a run. Each test holds
+//! [`SERIAL`] while it counts, so no other test thread allocates.
 
 use mems::netlist::gen::{grid_deck, grid_deck_with, GridDeckOptions};
-use mems::netlist::{run_deck, AnalysisOutcome, Deck, DeckRun};
+use mems::netlist::{
+    run_deck, run_elaborated_ctx, AnalysisOutcome, Deck, DeckRun, Elaborator, ParamEnv, RunCtx,
+};
 use mems::numerics::Complex64;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+/// Held by each test while it counts.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// [`System`], tracking live bytes and their high-water mark.
 struct Counting;
@@ -108,6 +115,7 @@ fn columns(run: &DeckRun, kind: &str) -> (Vec<String>, Vec<String>, Vec<usize>) 
 
 #[test]
 fn runs_keep_only_the_printed_columns() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let tran = GridDeckOptions {
         tran: true,
         ..GridDeckOptions::default()
@@ -165,4 +173,43 @@ fn runs_keep_only_the_printed_columns() {
             labels.len(),
         );
     }
+}
+
+/// After an `.OP` + `.AC` run of a generated 30×30 grid, the heap its
+/// `RunCtx` keeps — the real and complex systems' values, pattern,
+/// tape and factors, and the workspace vectors — stays under 50 bytes
+/// per stored factor entry (41.3 now). Factors with 32-bit indices,
+/// trimmed to their length, cost 12 bytes per real entry and 20 per
+/// complex one; with 64-bit indices, growth slack and a coordinate
+/// hash map beside each pattern, the same run kept 67.2.
+#[test]
+fn solver_storage_per_factor_entry_stays_lean() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let ac = GridDeckOptions {
+        ac: true,
+        ..GridDeckOptions::default()
+    };
+    let deck = Deck::parse(&grid_deck_with(30, 30, &ac)).expect("deck parses");
+    let elab = Elaborator::new(&deck).expect("deck elaborates");
+    let overrides = ParamEnv::default();
+    // Fill the machine-wide ordering cache first, so the measured
+    // context shares its orders instead of adding entries.
+    drop(run_elaborated_ctx(&elab, &overrides, &mut RunCtx::default()).expect("deck runs"));
+
+    let base = LIVE.load(Ordering::Relaxed);
+    let mut ctx = RunCtx::default();
+    drop(run_elaborated_ctx(&elab, &overrides, &mut ctx).expect("deck runs"));
+    let kept = LIVE.load(Ordering::Relaxed) - base;
+    let systems = ctx.solver_snapshot();
+    assert_eq!(
+        systems.iter().map(|(name, _)| *name).collect::<Vec<_>>(),
+        ["real", "ac"]
+    );
+    let entries: usize = systems.iter().map(|(_, st)| st.factor_nnz).sum();
+    let per_entry = kept as f64 / entries as f64;
+    assert!(
+        per_entry < 50.0,
+        "the context keeps {kept} B for {entries} factor entries: {per_entry:.1} B each; {systems:?}"
+    );
+    drop(ctx);
 }

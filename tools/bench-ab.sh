@@ -2,7 +2,7 @@
 # bench-ab.sh — A/B the repository benchmark between two revisions.
 #
 #   tools/bench-ab.sh [--pairs N] [--seed S] [--also S:N]... [--seconds T]
-#                     PARENT CHANGE OUT.json
+#                     [--workloads A,B] PARENT CHANGE OUT.json
 #
 # PARENT and CHANGE are git revisions; CHANGE may also be WORKTREE,
 # the working tree as it is (tracked and untracked files, ignored
@@ -17,6 +17,10 @@
 # with `--seed S --seconds T --trace 0` (T defaults to run_seconds);
 # odd pairs run the parent first, even pairs the change first. `--also
 # S:N` adds N more pairs at seed S, reported as `workload@seedS`.
+# `--workloads A,B` runs only the named workloads, in BENCHMARK.json
+# order (default: every one); a name BENCHMARK.json does not list is
+# an error. It adds pairs on one workload without the full run, and
+# changes no verdict rule.
 #
 # OUT.json holds a `_meta` block and a `workloads` block: per metric,
 # each side's median and quartiles (linear interpolation), the pairs
@@ -38,13 +42,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  echo "usage: $0 [--pairs N] [--seed S] [--also S:N]... [--seconds T] PARENT CHANGE OUT.json" >&2
+  echo "usage: $0 [--pairs N] [--seed S] [--also S:N]... [--seconds T] [--workloads A,B] PARENT CHANGE OUT.json" >&2
   exit 2
 }
 
 pairs=10
 seed=1
 seconds=""
+only=""
 extra=()
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -52,6 +57,7 @@ while [ $# -gt 0 ]; do
     --seed) seed="${2:?}"; shift 2 ;;
     --also) extra+=("${2:?}"); shift 2 ;;
     --seconds) seconds="${2:?}"; shift 2 ;;
+    --workloads) only="${2:?}"; shift 2 ;;
     -*) usage ;;
     *) break ;;
   esac
@@ -89,12 +95,23 @@ parent_id="$(resolve "$parent_rev")"
 change_id="$(resolve "$change_rev")"
 
 export_tree parent "$parent_rev"
-export_tree change "$change_rev"
 bench="$work/parent/BENCHMARK.json"
 
 # The BENCHMARK.json command, one word per line.
 mapfile -t cmd < <(python3 -c 'import json,sys; print("\n".join(json.load(open(sys.argv[1]))["command"]))' "$bench")
-mapfile -t workloads < <(python3 -c 'import json,sys; print("\n".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' "$bench")
+# The workloads to run: every one, or those --workloads names.
+names="$(python3 - "$bench" "$only" <<'PY'
+import json, sys
+names = [w["name"] for w in json.load(open(sys.argv[1]))["workloads"]]
+want = [w for w in sys.argv[2].split(",") if w]
+unknown = [w for w in want if w not in names]
+if unknown:
+    sys.exit(f"error: BENCHMARK.json has no workload {', '.join(unknown)} (it has {', '.join(names)})")
+print("\n".join(n for n in names if not want or n in want))
+PY
+)"
+mapfile -t workloads <<<"$names"
+export_tree change "$change_rev"
 [ -n "$seconds" ] || seconds="$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$bench")"
 
 for side in parent change; do
@@ -125,11 +142,12 @@ for entry in "${plan[@]}"; do
   done
 done
 
-python3 - "$bench" "$work/runs" "$out" "$parent_id" "$change_id" "$seconds" "${plan[@]}" <<'PY'
+python3 - "$bench" "$work/runs" "$out" "$parent_id" "$change_id" "$seconds" "$(IFS=,; echo "${workloads[*]}")" "${plan[@]}" <<'PY'
 import json, os, sys
 
-bench_path, runs, out_path, parent_id, change_id, seconds, *plan = sys.argv[1:]
+bench_path, runs, out_path, parent_id, change_id, seconds, names, *plan = sys.argv[1:]
 bench = json.load(open(bench_path))
+names = names.split(",")
 metrics = bench["end_to_end"]
 # Fewest planned pairs whose medians may show a gain or a regression.
 MIN_PAIRS = 10
@@ -158,7 +176,7 @@ def load(seed, workload, side, pair):
 workloads = {}
 for entry in plan:
     seed, pairs = (int(x) for x in entry.split(":"))
-    for w in (w["name"] for w in bench["workloads"]):
+    for w in names:
         key = w if entry == plan[0] else f"{w}@seed{seed}"
         recs = [(load(seed, w, "parent", i), load(seed, w, "change", i)) for i in range(1, pairs + 1)]
         block = {}
@@ -222,6 +240,7 @@ doc = {
         "seed": first_seed,
         "seconds": float(seconds),
         "pairs": first_pairs,
+        "workloads": names,
         "extra_runs": [f"seed {e.split(':')[0]}: {e.split(':')[1]} pairs, as workload@seed{e.split(':')[0]}" for e in plan[1:]],
         "order": "alternating: parent first in odd pairs, change first in even pairs; within a pair index the workloads run back to back",
         "quartiles": "linear interpolation over the runs per side",
