@@ -18,6 +18,7 @@
 //! stored results from disk while rebuilding simulation artifacts
 //! from scratch on first touch.
 
+use crate::sync::lock;
 use mems_netlist::{deck_fingerprint, BatchPoint, Deck, IncludeResolver, NetlistError, RunCtx};
 use mems_numerics::cache::{Fingerprint, Lru};
 use std::ops::Deref;
@@ -55,7 +56,7 @@ impl DeckEntry {
     /// Hands out a warm context (or a cold one when the pool is dry)
     /// together with a flag telling whether it carries artifacts.
     pub fn checkout(&self) -> (RunCtx, bool) {
-        match self.pool.lock().expect("no poisoned pool lock").pop() {
+        match lock(&self.pool).pop() {
             Some(ctx) => {
                 let warm = ctx.is_warm();
                 (ctx, warm)
@@ -82,7 +83,7 @@ impl DeckEntry {
         // A guess chained from one job's last point must not leak
         // into another job's Newton solves.
         ctx.op_guess = None;
-        let mut pool = self.pool.lock().expect("no poisoned pool lock");
+        let mut pool = lock(&self.pool);
         if pool.len() < POOL_CAP {
             pool.push(ctx);
         }
@@ -231,6 +232,20 @@ mod tests {
         entry.checkin(ctx);
         let (ctx, warm) = entry.checkout();
         assert!(warm && ctx.is_warm());
+    }
+
+    #[test]
+    fn a_poisoned_pool_keeps_lending_contexts() {
+        let cache = ArtifactCache::new(4);
+        let (entry, _) = cache.resolve(DECK, &mut NoIncludes).unwrap();
+        crate::sync::poison(&entry.pool);
+        let (ctx, warm) = entry.checkout();
+        assert!(!warm);
+        let elab = mems_netlist::Elaborator::new(&entry.deck).unwrap();
+        let mut ctx = ctx;
+        mems_netlist::run_elaborated_ctx(&elab, &Default::default(), &mut ctx).unwrap();
+        entry.checkin(ctx);
+        assert!(entry.checkout().1);
     }
 
     #[test]

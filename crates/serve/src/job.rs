@@ -3,6 +3,7 @@
 //! and the cache/timing metadata the HTTP API reports.
 
 use crate::cache::{DeckEntry, Lookup};
+use crate::sync::{lock, wait_timeout};
 use mems_netlist::report::{json_escape, point_json, solver_stats_json};
 use mems_netlist::{BatchPoint, CancelToken, PointResult, SolverStats, CANCELLED_POINT};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -155,7 +156,7 @@ impl Job {
     /// durable store without rendering twice.
     pub fn record(&self, index: usize, result: &PointResult) -> String {
         let rendered = point_json(result);
-        self.results.lock().expect("no poisoned results lock")[index] = Some(rendered.clone());
+        lock(&self.results)[index] = Some(rendered.clone());
         self.results_cv.notify_all();
         self.completed.fetch_add(1, Ordering::SeqCst);
         let us = self.submitted.elapsed().as_micros() as u64;
@@ -172,7 +173,7 @@ impl Job {
     /// which is what actually makes the job observable as terminal.
     pub fn finish_chunk(&self, chunk_meta: JobMeta) -> bool {
         {
-            let mut meta = self.meta.lock().expect("no poisoned meta lock");
+            let mut meta = lock(&self.meta);
             meta.warm_checkout |= chunk_meta.warm_checkout;
             if let Some(s) = chunk_meta.solver {
                 let busier = meta
@@ -199,11 +200,11 @@ impl Job {
             Ordering::SeqCst,
         );
         let seq = finish_seq.fetch_add(1, Ordering::SeqCst) + 1;
-        self.meta.lock().expect("no poisoned meta lock").finish_seq = seq;
+        lock(&self.meta).finish_seq = seq;
         // Flip the flag under the results lock: `wait_result` checks
         // it under the same lock, so a streamer either sees the flag
         // or blocks until the notify below.
-        let _guard = self.results.lock().expect("no poisoned results lock");
+        let _guard = lock(&self.results);
         self.terminal.store(true, Ordering::SeqCst);
         self.results_cv.notify_all();
     }
@@ -239,11 +240,7 @@ impl Job {
 
     /// The rendered record at `index`, if that point has finished.
     pub fn result_at(&self, index: usize) -> Option<String> {
-        self.results
-            .lock()
-            .expect("no poisoned results lock")
-            .get(index)
-            .and_then(|r| r.clone())
+        lock(&self.results).get(index).and_then(|r| r.clone())
     }
 
     /// Blocks until the record at `index` exists, then returns it.
@@ -252,7 +249,7 @@ impl Job {
     /// [`CANCELLED_POINT`] markers before the last chunk retires, so
     /// a terminal job has a record at every valid index.
     pub fn wait_result(&self, index: usize) -> Option<String> {
-        let mut results = self.results.lock().expect("no poisoned results lock");
+        let mut results = lock(&self.results);
         loop {
             if let Some(Some(r)) = results.get(index) {
                 return Some(r.clone());
@@ -264,17 +261,13 @@ impl Job {
             if self.terminal.load(Ordering::SeqCst) {
                 return results.get(index).and_then(|r| r.clone());
             }
-            let (guard, _timeout) = self
-                .results_cv
-                .wait_timeout(results, Duration::from_millis(50))
-                .expect("no poisoned results lock");
-            results = guard;
+            results = wait_timeout(&self.results_cv, results, Duration::from_millis(50));
         }
     }
 
     /// Metadata snapshot.
     pub fn meta(&self) -> JobMeta {
-        *self.meta.lock().expect("no poisoned meta lock")
+        *lock(&self.meta)
     }
 
     /// The status document for `GET /v1/jobs/:id` and submit
@@ -319,23 +312,83 @@ impl Job {
     /// list. Returns the `(index, rendered)` markers it filled, so
     /// the caller can spill them to the durable store.
     pub fn mark_cancelled_gaps(&self, range: std::ops::Range<usize>) -> Vec<(usize, String)> {
-        let mut filled = Vec::new();
-        let mut results = self.results.lock().expect("no poisoned results lock");
-        for index in range {
-            if results[index].is_none() {
+        let gaps: Vec<usize> = {
+            let results = lock(&self.results);
+            range.filter(|&index| results[index].is_none()).collect()
+        };
+        // Render outside the lock, so the fill below cannot stop half
+        // done. The worker retiring the chunk is the only writer of its
+        // range, so the gaps stay gaps meanwhile.
+        let filled: Vec<(usize, String)> = gaps
+            .into_iter()
+            .map(|index| {
                 let rendered = point_json(&PointResult {
                     point: self.points[index].clone(),
                     outcome: Err(CANCELLED_POINT.to_string()),
                 });
-                results[index] = Some(rendered.clone());
-                filled.push((index, rendered));
-            }
-        }
+                (index, rendered)
+            })
+            .collect();
         if !filled.is_empty() {
+            let mut results = lock(&self.results);
+            for (index, rendered) in &filled {
+                results[*index] = Some(rendered.clone());
+            }
             self.results_cv.notify_all();
         }
-        drop(results);
         self.skipped.fetch_add(filled.len(), Ordering::SeqCst);
         filled
+    }
+
+    /// Poisons the job's locks, as a panic while holding them would.
+    #[cfg(test)]
+    pub(crate) fn poison_locks(&self) {
+        crate::sync::poison(&self.results);
+        crate::sync::poison(&self.meta);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cache::ArtifactCache;
+    use mems_netlist::NoIncludes;
+
+    #[test]
+    fn a_job_outlives_its_poisoned_locks() {
+        let cache = ArtifactCache::new(1);
+        let (entry, lookup) = cache
+            .resolve("t\nVs a 0 1\nR1 a 0 1k\n.op\n", &mut NoIncludes)
+            .unwrap();
+        let points: Vec<BatchPoint> = (0..3)
+            .map(|index| BatchPoint {
+                index,
+                overrides: Vec::new(),
+            })
+            .collect();
+        let job = Job::new(1, "c".into(), entry, lookup, points.clone(), 1, 0);
+        job.poison_locks();
+
+        let rendered = job.record(
+            0,
+            &PointResult {
+                point: points[0].clone(),
+                outcome: Ok(Vec::new()),
+            },
+        );
+        assert_eq!(job.result_at(0), Some(rendered.clone()));
+        assert_eq!(job.wait_result(0), Some(rendered));
+        job.cancel.cancel();
+        assert_eq!(job.mark_cancelled_gaps(0..3).len(), 2);
+        assert!(job.finish_chunk(JobMeta {
+            warm_checkout: true,
+            ..JobMeta::default()
+        }));
+        job.publish_terminal(&AtomicU64::new(0));
+        assert_eq!(job.state(), JobState::Cancelled);
+        assert!(job.wait_result(2).unwrap().contains(CANCELLED_POINT));
+        assert!(job.meta().warm_checkout);
+        assert_eq!(job.meta().finish_seq, 1);
+        assert!(job.status_json().contains("\"state\":\"cancelled\""));
     }
 }

@@ -88,6 +88,7 @@ pub mod metrics;
 pub mod sched;
 pub mod server;
 pub mod store;
+mod sync;
 
 pub use cache::{ArtifactCache, DeckEntry, Lookup};
 pub use job::{Job, JobState};

@@ -10,6 +10,7 @@
 //! `Retry-After` instead of queueing unboundedly.
 
 use crate::job::Job;
+use crate::sync::{lock, wait};
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -96,7 +97,7 @@ impl Scheduler {
     /// [`Refusal::OverQuota`] at the submitting client's quota,
     /// [`Refusal::Draining`] during shutdown.
     pub fn submit(&self, job: &Arc<Job>) -> Result<(), Refusal> {
-        let mut state = self.state.lock().expect("no poisoned sched lock");
+        let mut state = lock(&self.state);
         if state.draining {
             return Err(Refusal::Draining);
         }
@@ -144,7 +145,7 @@ impl Scheduler {
     /// `None` means the scheduler is draining and empty — the worker
     /// should exit.
     pub fn next_chunk(&self) -> Option<Chunk> {
-        let mut state = self.state.lock().expect("no poisoned sched lock");
+        let mut state = lock(&self.state);
         loop {
             let n = state.clients.len();
             for step in 0..n {
@@ -159,13 +160,13 @@ impl Scheduler {
             if state.draining {
                 return None;
             }
-            state = self.ready.wait(state).expect("no poisoned sched lock");
+            state = wait(&self.ready, state);
         }
     }
 
     /// Marks one of `client`'s jobs retired (its last chunk finished).
     pub fn job_retired(&self, client: &str) {
-        let mut state = self.state.lock().expect("no poisoned sched lock");
+        let mut state = lock(&self.state);
         state.active_jobs = state.active_jobs.saturating_sub(1);
         if let Some(n) = state.active_per_client.get_mut(client) {
             *n = n.saturating_sub(1);
@@ -178,21 +179,19 @@ impl Scheduler {
     /// Starts the drain: no further admissions; queued chunks still
     /// run; workers exit once the queues are dry.
     pub fn drain(&self) {
-        self.state.lock().expect("no poisoned sched lock").draining = true;
+        lock(&self.state).draining = true;
         self.ready.notify_all();
     }
 
     /// Whether the drain has been requested.
     pub fn is_draining(&self) -> bool {
-        self.state.lock().expect("no poisoned sched lock").draining
+        lock(&self.state).draining
     }
 
     /// Chunks queued across every client, not yet drawn by a worker
     /// (running chunks are not counted).
     pub fn queue_depth(&self) -> usize {
-        self.state
-            .lock()
-            .expect("no poisoned sched lock")
+        lock(&self.state)
             .clients
             .iter()
             .map(|(_, queue)| queue.len())
@@ -201,10 +200,7 @@ impl Scheduler {
 
     /// Jobs admitted and not yet retired.
     pub fn active_jobs(&self) -> usize {
-        self.state
-            .lock()
-            .expect("no poisoned sched lock")
-            .active_jobs
+        lock(&self.state).active_jobs
     }
 }
 
@@ -275,6 +271,23 @@ mod tests {
         // Retiring one of greedy's jobs frees a quota slot.
         sched.job_retired("greedy");
         sched.submit(&stub_job(5, "greedy", 1)).unwrap();
+    }
+
+    #[test]
+    fn a_poisoned_scheduler_keeps_scheduling() {
+        let sched = Scheduler::new(2, 4, 1);
+        crate::sync::poison(&sched.state);
+        sched.submit(&stub_job(1, "a", 3)).unwrap();
+        assert_eq!(sched.submit(&stub_job(2, "a", 1)), Err(Refusal::OverQuota));
+        assert_eq!(sched.queue_depth(), 2);
+        assert_eq!(sched.active_jobs(), 1);
+        assert_eq!(sched.next_chunk().unwrap().end, 2);
+        assert_eq!(sched.next_chunk().unwrap().end, 3);
+        sched.job_retired("a");
+        assert_eq!(sched.active_jobs(), 0);
+        sched.drain();
+        assert!(sched.is_draining());
+        assert!(sched.next_chunk().is_none());
     }
 
     #[test]

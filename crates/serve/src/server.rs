@@ -10,6 +10,7 @@ use crate::json::Json;
 use crate::metrics::{Gauges, Metrics};
 use crate::sched::{Chunk, Refusal, Scheduler};
 use crate::store::{JobStore, RealIo, StoreIo, StoredMeta};
+use crate::sync::lock;
 use mems_netlist::report::{diagnostics_json, Diagnostic};
 use mems_netlist::{
     run_points, warm_start_chain, Elaborator, FsResolver, IncludeResolver, NoIncludes, SolverStats,
@@ -144,11 +145,7 @@ struct Shared {
 
 impl Shared {
     fn job(&self, id: u64) -> Option<Arc<Job>> {
-        self.jobs
-            .lock()
-            .expect("no poisoned registry lock")
-            .get(&id)
-            .cloned()
+        lock(&self.jobs).get(&id).cloned()
     }
 
     fn resolver(&self) -> Box<dyn IncludeResolver> {
@@ -368,7 +365,7 @@ fn record_solver_deltas(
 /// its spill (status + results); memory-only servers answer 404 for
 /// evicted ids like any unknown job.
 fn retire_jobs(shared: &Shared) {
-    let mut jobs = shared.jobs.lock().expect("no poisoned registry lock");
+    let mut jobs = lock(&shared.jobs);
     let mut terminal: Vec<(u64, u64)> = jobs
         .values()
         .filter(|j| j.state().is_terminal())
@@ -486,8 +483,10 @@ fn run_chunk(shared: &Shared, chunk: &Chunk) {
                 job.skipped(),
             );
         }
-        job.publish_terminal(&shared.finish_seq);
+        // Free the admission slot first too: whoever sees the job
+        // terminal must not read it in the active-job gauge.
         shared.sched.job_retired(&job.client);
+        job.publish_terminal(&shared.finish_seq);
         retire_jobs(shared);
     }
 }
@@ -679,7 +678,7 @@ fn find_job(shared: &Shared, id: &str) -> Option<JobRef> {
 
 fn health(shared: &Shared, stream: &mut TcpStream) -> std::io::Result<()> {
     let (active, total) = {
-        let jobs = shared.jobs.lock().expect("no poisoned registry lock");
+        let jobs = lock(&shared.jobs);
         let active = jobs.values().filter(|j| !j.state().is_terminal()).count();
         (active, jobs.len())
     };
@@ -797,7 +796,7 @@ fn submit(shared: &Shared, stream: &mut TcpStream, req: &Request) -> std::io::Re
     // Register before admission too: a worker may finish the job
     // before `submit` returns, and its retirement pass must count it
     // against `--job-cap`.
-    let registry = || shared.jobs.lock().expect("no poisoned registry lock");
+    let registry = || lock(&shared.jobs);
     registry().insert(id, Arc::clone(&job));
     match shared.sched.submit(&job) {
         Ok(()) => {
@@ -888,6 +887,77 @@ fn submission(req: &Request) -> Result<(String, String), String> {
 mod tests {
     use super::*;
     use mems_netlist::{CancelToken, RunCtx};
+    use std::io::{Read, Write};
+
+    /// One request on a fresh `Connection: close` connection: the
+    /// status and the whole response.
+    fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let head = format!(
+            "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\
+             Content-Length: {}\r\n\r\n",
+            body.len()
+        );
+        stream
+            .write_all(format!("{head}{body}").as_bytes())
+            .unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        let status = response[9..12].parse().unwrap();
+        (status, response)
+    }
+
+    /// Submits `deck` and polls its status until it reads `done`.
+    fn run_to_done(addr: SocketAddr, deck: &str) -> u64 {
+        let (status, body) = request(addr, "POST", "/v1/jobs", deck);
+        assert_eq!(status, 201, "{body}");
+        let id: u64 = body
+            .split("\"id\":")
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .and_then(|id| id.parse().ok())
+            .unwrap_or_else(|| panic!("no job id in {body}"));
+        for _ in 0..3000 {
+            let (status, body) = request(addr, "GET", &format!("/v1/jobs/{id}"), "");
+            assert_eq!(status, 200, "{body}");
+            if body.contains("\"state\":\"done\"") {
+                return id;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("job {id} did not finish");
+    }
+
+    #[test]
+    fn a_poisoned_job_lock_does_not_stop_the_server() {
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = server.addr();
+        let deck = "divider\nVs in 0 6\nR1 in out 1k\nR2 out 0 2k\n.op\n.print op v(out)\n";
+        let id = run_to_done(addr, deck);
+        server.shared.job(id).unwrap().poison_locks();
+
+        let (status, body) = request(addr, "GET", "/v1/health", "");
+        assert_eq!(status, 200, "{body}");
+        assert!(
+            body.contains("\"jobs\":{\"active\":0,\"total\":1}"),
+            "{body}"
+        );
+        let (status, body) = request(addr, "GET", &format!("/v1/jobs/{id}"), "");
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"state\":\"done\""), "{body}");
+        // A new submission runs, and its retirement reads the poisoned
+        // job's metadata in the registry's eviction pass.
+        run_to_done(addr, &deck.replace("2k", "3k"));
+        server.shutdown();
+        server.join();
+    }
 
     #[test]
     fn a_panicking_point_is_counted_in_the_metrics() {

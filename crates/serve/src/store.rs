@@ -28,6 +28,7 @@
 //! APIs never answer 5xx because a disk died.
 
 use crate::json::Json;
+use crate::sync::lock;
 use mems_netlist::report::json_escape;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
@@ -543,11 +544,7 @@ impl JobStore {
             eprintln!("mems serve: job store degraded to memory-only mode: {err}");
         }
         // Drop open writers — no further spill I/O for in-flight jobs.
-        self.inner
-            .lock()
-            .expect("no poisoned store lock")
-            .writers
-            .clear();
+        lock(&self.inner).writers.clear();
     }
 
     fn replay(&self) -> io::Result<()> {
@@ -572,7 +569,7 @@ impl JobStore {
                 }
             }
         }
-        let mut inner = self.inner.lock().expect("no poisoned store lock");
+        let mut inner = lock(&self.inner);
         for (id, path) in meta_files {
             let text = match self.io.read(&path).map(String::from_utf8) {
                 Ok(Ok(text)) => text,
@@ -633,7 +630,7 @@ impl JobStore {
     /// The largest job id on disk — the server resumes its id counter
     /// above this so restarted ids never collide with stored ones.
     pub fn max_id(&self) -> u64 {
-        let inner = self.inner.lock().expect("no poisoned store lock");
+        let inner = lock(&self.inner);
         let stored = inner.stored.keys().next_back().copied().unwrap_or(0);
         let open = inner.writers.keys().max().copied().unwrap_or(0);
         stored.max(open)
@@ -662,18 +659,14 @@ impl JobStore {
             .and_then(|()| self.io.create(&self.results_path(id)));
         match opened {
             Ok(file) => {
-                self.inner
-                    .lock()
-                    .expect("no poisoned store lock")
-                    .writers
-                    .insert(
-                        id,
-                        Writer {
-                            file,
-                            meta,
-                            bytes: 0,
-                        },
-                    );
+                lock(&self.inner).writers.insert(
+                    id,
+                    Writer {
+                        file,
+                        meta,
+                        bytes: 0,
+                    },
+                );
             }
             Err(e) => self.degrade(&e),
         }
@@ -682,13 +675,7 @@ impl JobStore {
     /// Rolls back a [`JobStore::begin`] whose job was never admitted
     /// (scheduler refusal after the spill was opened).
     pub fn discard(&self, id: u64) {
-        let had = self
-            .inner
-            .lock()
-            .expect("no poisoned store lock")
-            .writers
-            .remove(&id)
-            .is_some();
+        let had = lock(&self.inner).writers.remove(&id).is_some();
         if had {
             let _ = self.io.remove(&self.results_path(id));
             let _ = self.io.remove(&self.meta_path(id));
@@ -708,7 +695,7 @@ impl JobStore {
         frame.extend_from_slice(&record_check(index, payload).to_le_bytes());
         frame.extend_from_slice(payload);
         let failed = {
-            let mut inner = self.inner.lock().expect("no poisoned store lock");
+            let mut inner = lock(&self.inner);
             let Some(writer) = inner.writers.get_mut(&id) else {
                 return;
             };
@@ -738,13 +725,7 @@ impl JobStore {
         if self.is_degraded() {
             return;
         }
-        let Some(mut writer) = self
-            .inner
-            .lock()
-            .expect("no poisoned store lock")
-            .writers
-            .remove(&id)
-        else {
+        let Some(mut writer) = lock(&self.inner).writers.remove(&id) else {
             return;
         };
         if let Err(e) = writer.file.sync() {
@@ -760,7 +741,7 @@ impl JobStore {
             self.degrade(&e);
             return;
         }
-        let mut inner = self.inner.lock().expect("no poisoned store lock");
+        let mut inner = lock(&self.inner);
         inner.bytes += writer.bytes;
         inner.stored.insert(id, writer.meta);
         // Oldest-first disk eviction; the newest job always stays even
@@ -777,12 +758,7 @@ impl JobStore {
 
     /// The stored meta for `id`, if it is a disk-backed terminal job.
     pub fn lookup(&self, id: u64) -> Option<StoredMeta> {
-        self.inner
-            .lock()
-            .expect("no poisoned store lock")
-            .stored
-            .get(&id)
-            .cloned()
+        lock(&self.inner).stored.get(&id).cloned()
     }
 
     /// The verified records of a stored job, as `(index, rendered)`
@@ -799,7 +775,7 @@ impl JobStore {
 
     /// Counter snapshot for metrics and health.
     pub fn stats(&self) -> StoreStats {
-        let inner = self.inner.lock().expect("no poisoned store lock");
+        let inner = lock(&self.inner);
         StoreStats {
             jobs: inner.stored.len(),
             disk_bytes: inner.bytes,
@@ -876,6 +852,27 @@ mod tests {
         let (records, _, torn) = decode_records(&flipped);
         assert!(records.is_empty());
         assert!(torn);
+    }
+
+    #[test]
+    fn a_poisoned_store_keeps_spilling() {
+        let tmp = TempDir::new("poison");
+        let store = open(&tmp.0);
+        crate::sync::poison(&store.inner);
+        store.begin(3, "bob", 1, 0x1);
+        store.append(3, 0, b"{\"index\":0}");
+        store.finalize(3, "done", 1, 0);
+        assert_eq!(store.max_id(), 3);
+        assert_eq!(store.lookup(3).expect("stored job").state, "done");
+        assert_eq!(
+            store.read_results(3).expect("spill"),
+            vec![(0, "{\"index\":0}".to_string())]
+        );
+        assert_eq!(store.stats().jobs, 1);
+        store.begin(4, "bob", 1, 0x2);
+        store.discard(4);
+        assert!(store.lookup(4).is_none());
+        assert!(!store.is_degraded());
     }
 
     #[test]

@@ -842,14 +842,17 @@ fn draining_still_completes_open_streams() {
 /// sparse-backend threshold, so the job's solver stats report a real
 /// fill-ordering cost. The source voltage is a parameter so two
 /// submissions can share the MNA *pattern* while hashing to different
-/// artifact-cache fingerprints.
+/// artifact-cache fingerprints. A small quadratic sink at the end
+/// (`Bq`) makes the circuit nonlinear, so its operating point takes
+/// more than one Newton iteration and the later ones replay the
+/// stamp tape.
 fn ladder_deck(volts: u32) -> String {
     use std::fmt::Write as _;
     let mut src = format!("serve ladder\nVs n0 0 {volts}\n");
     for i in 1..=60 {
         let _ = writeln!(src, "R{i} n{} n{i} 100", i - 1);
     }
-    src.push_str("Rl n60 0 1k\n.op\n.print op v(n60)\n");
+    src.push_str("Rl n60 0 1k\nBq n60 0 n60 0 n60 0 1e-6\n.op\n.print op v(n60)\n");
     src
 }
 

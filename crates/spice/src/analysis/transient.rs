@@ -7,7 +7,7 @@ use crate::circuit::Circuit;
 use crate::device::{CommitKind, LoadKind};
 use crate::error::{Result, SpiceError};
 use crate::output::{OpSolution, Record, TranResult};
-use crate::solver::{newton, SimOptions, Workspace};
+use crate::solver::{newton_in, SimOptions, Workspace};
 use mems_numerics::ode::IntegrationMethod;
 
 /// Options for a transient run.
@@ -146,8 +146,15 @@ pub fn run_in(
         rejected_steps: 0,
     };
 
+    // Three state vectors rotate through the loop, so a step
+    // allocates only its recorded row: `x` is the accepted state at
+    // `t`, `x_new` the candidate Newton iterates in place, and
+    // `x_prev` the state one step before `x` (valid while `h_prev` is
+    // set).
+    let mut x_new = x.clone();
+    let mut x_prev = x.clone();
+    let mut h_prev: Option<f64> = None;
     let mut t = 0.0f64;
-    let mut x_prev: Option<(f64, Vec<f64>)> = None; // (h_prev, solution before x)
     let mut h = h_init.min(h_max);
     let mut bp_idx = 0usize;
     // Restart integration with backward Euler on the first step and
@@ -155,17 +162,29 @@ pub fn run_in(
     // derivative history, and a waveform corner invalidates it (the
     // classic TR "ringing" failure).
     let mut be_restart = true;
+    // Set by a failed Newton solve until a step is accepted (see the
+    // snap).
+    let mut retrying = false;
 
     while t < opts.t_stop * (1.0 - 1e-12) {
         // Snap to the next breakpoint or the horizon, also when the
-        // step would end within `h_min` short of it: accumulated steps
-        // can stop a rounding sliver before a breakpoint, and that
-        // sliver, taken as a step of its own, can fail below `h_min`.
+        // step would stop less than `4·h_min` short of it, so no step
+        // is a sliver: a failed step is quartered, and a failed
+        // remainder of at least `4·h_min` then stays above `h_min`.
+        // Until a step is accepted, a retry after a failed solve is
+        // stretched only over a rounding sliver, or it could repeat
+        // the step that failed, forever.
         let mut h_attempt = h.min(h_max);
         let next_bp = breakpoints.get(bp_idx).copied().unwrap_or(f64::INFINITY);
         let limit = next_bp.min(opts.t_stop);
+        let rounding = 1e-15 * limit.abs().max(1.0);
+        let sliver = if retrying {
+            rounding
+        } else {
+            (4.0 * h_min).max(rounding)
+        };
         let mut snapped = false;
-        if t + h_attempt >= limit - h_min.max(1e-15 * limit.abs().max(1.0)) {
+        if t + h_attempt >= limit - sliver {
             h_attempt = limit - t;
             snapped = true;
         }
@@ -191,21 +210,22 @@ pub fn run_in(
             h: h_attempt,
             method,
         };
-        let solve = newton(circuit, &layout, kind, sim.gmin, sim, &x, ws);
+        x_new.copy_from_slice(&x);
+        let solve = newton_in(circuit, &layout, kind, sim.gmin, sim, &mut x_new, ws);
         match solve {
-            Ok(out) => {
-                result.total_newton_iterations += out.iterations;
+            Ok(iterations) => {
+                result.total_newton_iterations += iterations;
                 // LTE estimate: compare with the linear predictor.
                 if opts.adaptive {
-                    if let Some((h_prev, ref xp)) = x_prev {
+                    if let Some(h_prev) = h_prev {
                         let mut worst: f64 = 0.0;
                         for k in 0..layout.n_unknowns {
-                            let slope = (x[k] - xp[k]) / h_prev;
+                            let slope = (x[k] - x_prev[k]) / h_prev;
                             let pred = x[k] + slope * h_attempt;
                             let tol = opts.lte_factor
-                                * (sim.reltol * x[k].abs().max(out.x[k].abs())
+                                * (sim.reltol * x[k].abs().max(x_new[k].abs())
                                     + sim.abstol(layout.kinds[k]));
-                            let err = (out.x[k] - pred).abs() / tol;
+                            let err = (x_new[k] - pred).abs() / tol;
                             worst = worst.max(err);
                         }
                         if worst > 1.0 && h_attempt > h_min && !snapped {
@@ -231,7 +251,7 @@ pub fn run_in(
                 // Commit.
                 for dev in circuit.devices_mut() {
                     dev.commit(
-                        &out.x,
+                        &x_new,
                         &layout,
                         CommitKind {
                             is_dc: false,
@@ -239,14 +259,18 @@ pub fn run_in(
                         },
                     );
                 }
-                x_prev = Some((h_attempt, std::mem::replace(&mut x, out.x)));
+                // x_prev ← x ← x_new; the old x_prev is the next scratch.
+                std::mem::swap(&mut x_prev, &mut x);
+                std::mem::swap(&mut x, &mut x_new);
+                h_prev = Some(h_attempt);
                 t = t_new;
                 be_restart = false;
+                retrying = false;
                 if snapped && (t - next_bp).abs() < 1e-15 * next_bp.abs().max(1.0) {
                     bp_idx += 1;
                     // Restart small, with BE, after a slope discontinuity.
                     h = h_init.min(h_max);
-                    x_prev = None;
+                    h_prev = None;
                     be_restart = true;
                 }
                 result.time.push(t);
@@ -259,6 +283,7 @@ pub fn run_in(
                     return Err(SpiceError::StepUnderflow { time: t, h: h_new });
                 }
                 h = h_new;
+                retrying = true;
             }
             Err(e) => return Err(e),
         }
@@ -527,9 +552,11 @@ mod tests {
     fn fixed_steps_snap_over_rounding_slivers() {
         // `.tran 1u 0.403 fixed`: the accumulated 1 µs steps stop
         // 2.7e-14 s short of the 0.301 s and 0.402 s corners, below
-        // `h_min`. Taken as a step of its own, that sliver failed at
-        // 0.402 s with a time step underflow; now the step before it
-        // snaps onto the corner.
+        // `h_min`, and 1.19e-12 s and 2.68e-12 s short of 0.3 s and
+        // 0.401 s, just above it. Taken as a step of its own, the
+        // 0.402 s sliver failed with a time step underflow, and the
+        // other two ran as steps; now the step before each snaps onto
+        // the corner.
         let opts = TranOptions {
             record: Record::Unknowns(vec![1]),
             ..TranOptions::fixed_step(0.403, 1e-6)
@@ -541,13 +568,81 @@ mod tests {
                 "breakpoint {bp} missed"
             );
         }
-        // Slivers of at least `h_min` (1e-12 s) are still steps.
+        // No step is shorter than `4·h_min` (h_min = 1e-12 s).
         let shortest = res
             .time
             .windows(2)
             .map(|w| w[1] - w[0])
             .fold(f64::INFINITY, f64::min);
-        assert!(shortest >= 1e-12, "a {shortest:e} s step");
+        assert!(shortest >= 4e-12, "a {shortest:e} s step");
+        assert_eq!(res.time.len(), 403_001);
+    }
+
+    /// A conductance whose load fails on any step longer than `h_max`
+    /// that ends inside `window`.
+    struct FailsLongStepsIn {
+        pins: [crate::circuit::NodeId; 2],
+        window: std::ops::RangeInclusive<f64>,
+        h_max: f64,
+    }
+
+    impl crate::device::Device for FailsLongStepsIn {
+        fn name(&self) -> &str {
+            "fails"
+        }
+
+        fn pins(&self) -> &[crate::circuit::NodeId] {
+            &self.pins
+        }
+
+        fn load(&mut self, ctx: &mut crate::device::LoadCtx<'_>) -> Result<()> {
+            if let LoadKind::Transient { t, h, .. } = ctx.kind {
+                if self.window.contains(&t) && h > self.h_max {
+                    return Err(SpiceError::Device {
+                        device: "fails".into(),
+                        detail: format!("step {h:e} too long"),
+                    });
+                }
+            }
+            ctx.conductance(self.pins[0], self.pins[1], 1e-3);
+            Ok(())
+        }
+
+        fn load_ac(&mut self, _ctx: &mut crate::device::AcLoadCtx<'_>) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_remainder_step_is_cut_not_retried_whole() {
+        // 1 µs fixed steps (h_min = 1e-12 s) before a corner 4.5e-12 s
+        // past the first step: the second step is the 4.5e-12 s
+        // remainder, which fails. Its quartered retry must not be
+        // stretched back over the same remainder, or the run would
+        // repeat the failing step forever.
+        let bp = 1e-6 + 4.5e-12;
+        let mut c = Circuit::new();
+        let a = c.enode("a").unwrap();
+        let g = c.ground();
+        let wave = Waveform::Pwl(vec![(0.0, 0.0), (bp, 1.0), (1.0, 1.0)]);
+        c.add(VoltageSource::new("v1", a, g, wave)).unwrap();
+        c.add(FailsLongStepsIn {
+            pins: [a, g],
+            window: 1e-6 + 1e-12..=bp + 1e-18,
+            h_max: 4e-12,
+        })
+        .unwrap();
+        let res = run(
+            &mut c,
+            &TranOptions::fixed_step(3e-6, 1e-6),
+            &SimOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(res.rejected_steps, 1);
+        let steps: Vec<f64> = res.time.windows(2).map(|w| w[1] - w[0]).collect();
+        assert!((steps[1] - 1.125e-12).abs() < 1e-20, "{steps:?}");
+        assert!((steps[2] - 3.375e-12).abs() < 1e-20, "{steps:?}");
+        assert!(res.time.iter().any(|t| (t - bp).abs() < 1e-18));
     }
 
     #[test]

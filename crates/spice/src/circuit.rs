@@ -136,6 +136,8 @@ impl NodeTable {
 pub struct Circuit {
     nodes: Arc<NodeTable>,
     devices: Vec<Box<dyn Device>>,
+    /// Devices whose [`Device::is_linear`] is `false`.
+    nonlinear: usize,
 }
 
 impl std::fmt::Debug for Circuit {
@@ -165,6 +167,7 @@ impl Circuit {
         Circuit {
             nodes,
             devices: Vec::with_capacity(devices),
+            nonlinear: 0,
         }
     }
 
@@ -242,8 +245,17 @@ impl Circuit {
                 )));
             }
         }
+        self.nonlinear += usize::from(!device.is_linear());
         self.devices.push(device);
         Ok(())
+    }
+
+    /// Whether every device is [linear](Device::is_linear), so `F` is
+    /// affine in the unknowns. O(1): [`add_boxed`](Self::add_boxed)
+    /// counts the nonlinear devices, and the list is never edited
+    /// after that.
+    pub fn is_linear(&self) -> bool {
+        self.nonlinear == 0
     }
 
     /// Immutable device list.
@@ -251,9 +263,11 @@ impl Circuit {
         &self.devices
     }
 
-    /// Mutable device list (used by the analyses).
-    pub fn devices_mut(&mut self) -> &mut [Box<dyn Device>] {
-        &mut self.devices
+    /// Each device, mutably (used by the analyses). Devices can be
+    /// updated in place but not replaced, which keeps
+    /// [`is_linear`](Self::is_linear) true to the list.
+    pub fn devices_mut(&mut self) -> impl Iterator<Item = &mut (dyn Device + 'static)> {
+        self.devices.iter_mut().map(|d| d.as_mut())
     }
 
     /// Finds the index of the first device named `name`, by a scan.

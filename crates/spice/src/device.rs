@@ -277,6 +277,22 @@ pub trait Device: Send {
     /// Returns a device error when evaluation fails.
     fn load_ac(&mut self, ctx: &mut AcLoadCtx<'_>) -> Result<()>;
 
+    /// Whether the device's contribution to `F` is affine in the
+    /// unknowns for every [`LoadKind`]: its Jacobian entries do not
+    /// depend on the iterate, and its residual moves by exactly `J·Δx`
+    /// (up to rounding). A circuit of such devices lets Newton accept
+    /// its first undamped update (see
+    /// [`newton_in`](crate::solver::newton_in)).
+    ///
+    /// It is a constant of the device type, not of its parameter
+    /// values or state, and it defaults to `false`, so a new device
+    /// is solved as nonlinear until it opts in. An implementation
+    /// that returns `true` must pass the linearity property test in
+    /// `tests/device_linearity.rs`.
+    fn is_linear(&self) -> bool {
+        false
+    }
+
     /// Accepts the converged solution `x` (update histories).
     fn commit(&mut self, _x: &[f64], _layout: &UnknownLayout, _kind: CommitKind) {}
 

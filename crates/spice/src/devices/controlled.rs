@@ -49,6 +49,10 @@ impl Device for Vccs {
         &self.pins
     }
 
+    fn is_linear(&self) -> bool {
+        true
+    }
+
     fn load(&mut self, ctx: &mut LoadCtx<'_>) -> Result<()> {
         let [op, on, cp, cn] = self.pins;
         let vc = ctx.v(cp) - ctx.v(cn);
@@ -119,6 +123,10 @@ impl Device for Vcvs {
 
     fn set_internal_base(&mut self, base: usize) {
         self.base = base;
+    }
+
+    fn is_linear(&self) -> bool {
+        true
     }
 
     fn load(&mut self, ctx: &mut LoadCtx<'_>) -> Result<()> {
@@ -210,6 +218,10 @@ impl Device for Cccs {
         self.base = base;
     }
 
+    fn is_linear(&self) -> bool {
+        true
+    }
+
     fn load(&mut self, ctx: &mut LoadCtx<'_>) -> Result<()> {
         let [op, on, sp, sn] = self.pins;
         let j = ctx.unknown(self.base);
@@ -288,6 +300,10 @@ impl Device for Ccvs {
 
     fn set_internal_base(&mut self, base: usize) {
         self.base = base;
+    }
+
+    fn is_linear(&self) -> bool {
+        true
     }
 
     fn load(&mut self, ctx: &mut LoadCtx<'_>) -> Result<()> {

@@ -63,6 +63,10 @@ impl Device for IdealTransformer {
         self.base = base;
     }
 
+    fn is_linear(&self) -> bool {
+        true
+    }
+
     fn load(&mut self, ctx: &mut LoadCtx<'_>) -> Result<()> {
         if self.base == usize::MAX {
             return Err(SpiceError::Device {
@@ -148,6 +152,10 @@ impl Device for Gyrator {
 
     fn pins(&self) -> &[NodeId] {
         &self.pins
+    }
+
+    fn is_linear(&self) -> bool {
+        true
     }
 
     fn load(&mut self, ctx: &mut LoadCtx<'_>) -> Result<()> {

@@ -43,6 +43,9 @@ impl Device for Mass {
     fn pins(&self) -> &[NodeId] {
         self.inner.pins()
     }
+    fn is_linear(&self) -> bool {
+        true
+    }
     fn load(&mut self, ctx: &mut LoadCtx<'_>) -> Result<()> {
         self.inner.load(ctx)
     }
@@ -97,6 +100,9 @@ impl Device for Spring {
     fn set_internal_base(&mut self, base: usize) {
         self.inner.set_internal_base(base);
     }
+    fn is_linear(&self) -> bool {
+        true
+    }
     fn load(&mut self, ctx: &mut LoadCtx<'_>) -> Result<()> {
         self.inner.load(ctx)
     }
@@ -136,6 +142,9 @@ impl Device for Damper {
     }
     fn pins(&self) -> &[NodeId] {
         self.inner.pins()
+    }
+    fn is_linear(&self) -> bool {
+        true
     }
     fn load(&mut self, ctx: &mut LoadCtx<'_>) -> Result<()> {
         self.inner.load(ctx)

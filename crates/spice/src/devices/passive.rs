@@ -49,6 +49,10 @@ impl Device for Resistor {
         &self.pins
     }
 
+    fn is_linear(&self) -> bool {
+        true
+    }
+
     fn load(&mut self, ctx: &mut LoadCtx<'_>) -> Result<()> {
         ctx.conductance(self.pins[0], self.pins[1], 1.0 / self.resistance);
         Ok(())
@@ -118,6 +122,10 @@ impl Device for Capacitor {
 
     fn pins(&self) -> &[NodeId] {
         &self.pins
+    }
+
+    fn is_linear(&self) -> bool {
+        true
     }
 
     fn load(&mut self, ctx: &mut LoadCtx<'_>) -> Result<()> {
@@ -249,6 +257,10 @@ impl Device for Inductor {
 
     fn set_internal_base(&mut self, base: usize) {
         self.base = base;
+    }
+
+    fn is_linear(&self) -> bool {
+        true
     }
 
     fn load(&mut self, ctx: &mut LoadCtx<'_>) -> Result<()> {

@@ -89,6 +89,10 @@ impl Device for VoltageSource {
         self.base = base;
     }
 
+    fn is_linear(&self) -> bool {
+        true
+    }
+
     fn load(&mut self, ctx: &mut LoadCtx<'_>) -> Result<()> {
         if self.base == usize::MAX {
             return Err(SpiceError::Device {
@@ -171,6 +175,10 @@ impl Device for CurrentSource {
 
     fn pins(&self) -> &[NodeId] {
         &self.pins
+    }
+
+    fn is_linear(&self) -> bool {
+        true
     }
 
     fn load(&mut self, ctx: &mut LoadCtx<'_>) -> Result<()> {

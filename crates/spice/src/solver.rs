@@ -191,14 +191,11 @@ pub struct NewtonOutcome {
     pub iterations: usize,
 }
 
-/// Runs the Newton iteration from `x0`.
+/// Runs the Newton iteration from `x0`: [`newton_in`] on a copy.
 ///
 /// # Errors
 ///
-/// - [`SpiceError::NoConvergence`] when the budget is exhausted or an
-///   update or residual is not finite;
-/// - [`SpiceError::Singular`] from the linear solver;
-/// - device errors from assembly.
+/// As [`newton_in`].
 pub fn newton(
     circuit: &mut Circuit,
     layout: &UnknownLayout,
@@ -208,10 +205,38 @@ pub fn newton(
     x0: &[f64],
     ws: &mut Workspace,
 ) -> Result<NewtonOutcome> {
-    let n = layout.n_unknowns;
     let mut x = x0.to_vec();
+    let iterations = newton_in(circuit, layout, kind, gmin, opts, &mut x, ws)?;
+    Ok(NewtonOutcome { x, iterations })
+}
+
+/// Runs the Newton iteration in place: `x` holds the initial guess
+/// and, on success, the solution. Returns the iterations used; on an
+/// error `x` holds the last iterate.
+///
+/// On a [linear](Circuit::is_linear) circuit `F` is affine, so an
+/// undamped update already solves `F(x) = 0`: it is accepted once it
+/// and the residual are finite, without a confirming iteration.
+///
+/// # Errors
+///
+/// - [`SpiceError::NoConvergence`] when the budget is exhausted or an
+///   update or residual is not finite;
+/// - [`SpiceError::Singular`] from the linear solver;
+/// - device errors from assembly.
+pub fn newton_in(
+    circuit: &mut Circuit,
+    layout: &UnknownLayout,
+    kind: LoadKind,
+    gmin: f64,
+    opts: &SimOptions,
+    x: &mut [f64],
+    ws: &mut Workspace,
+) -> Result<usize> {
+    let n = layout.n_unknowns;
+    let linear = circuit.is_linear();
     for it in 0..opts.max_iter {
-        assemble(circuit, layout, kind, gmin, &x, ws)?;
+        assemble(circuit, layout, kind, gmin, x, ws)?;
         if !ws.sys.all_finite() {
             return Err(SpiceError::Device {
                 device: "<assembly>".into(),
@@ -231,11 +256,13 @@ pub fn newton(
         let delta = &mut ws.delta;
 
         // Optional damping.
+        let mut damped = false;
         if opts.max_step > 0.0 {
             let worst = delta.iter().fold(0.0f64, |m, d| m.max(d.abs()));
             if worst > opts.max_step {
                 let k = opts.max_step / worst;
                 delta.iter_mut().for_each(|d| *d *= k);
+                damped = true;
             }
         }
 
@@ -260,6 +287,9 @@ pub fn newton(
             }
             x[k] = x_new;
         }
+        if linear && !damped {
+            return Ok(it + 1);
+        }
         // Residual criterion on the *pre-update* residual: a row must
         // be small relative to the terms that built it.
         if converged {
@@ -272,10 +302,7 @@ pub fn newton(
             }
         }
         if converged {
-            return Ok(NewtonOutcome {
-                x,
-                iterations: it + 1,
-            });
+            return Ok(it + 1);
         }
     }
     Err(SpiceError::NoConvergence {

@@ -1,23 +1,31 @@
-//! A steady-state Newton iteration makes no heap allocation.
+//! A steady-state Newton iteration makes no heap allocation, and a
+//! warm transient step allocates only its recorded row.
 //!
 //! Once the sparse pattern, stamp tape and symbolic factorization (or
 //! the dense factor storage) are warm, one `assemble → factor →
 //! solve_into` cycle must run without touching the allocator on
-//! either backend. A counting global allocator checks it; the file
-//! holds a single test so no other test thread allocates while it
-//! counts. On the dense backend the warm cycles read no clock either:
-//! `last_factor_us` keeps the cold factor's time.
+//! either backend, and `transient::run_in` may grow its allocations by
+//! at most one per accepted step. A counting global allocator checks
+//! both; each test holds [`SERIAL`] while it counts, so no other test
+//! thread allocates. On the dense backend the warm cycles read no
+//! clock either: `last_factor_us` keeps the cold factor's time.
 
 use mems::netlist::elab::sim_options;
 use mems::netlist::gen::{grid_deck_with, GridDeckOptions};
 use mems::netlist::{Deck, Elaborator, ParamEnv};
 use mems::numerics::ode::IntegrationMethod;
 use mems::spice::analysis::dcop;
+use mems::spice::analysis::transient::{run_in, TranOptions};
 use mems::spice::device::LoadKind;
+use mems::spice::output::Record;
 use mems::spice::solver::{assemble, Workspace};
 use mems::spice::MatrixBackend;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
+/// Held by each test while it counts.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// [`System`], counting every allocation and reallocation.
 struct Counting;
@@ -98,22 +106,94 @@ fn steady_state_allocations(src: &str, backend: MatrixBackend) -> usize {
     allocations
 }
 
-#[test]
-fn warm_newton_cycles_do_not_allocate() {
-    let grid = grid_deck_with(
+fn grid_tran_deck() -> String {
+    grid_deck_with(
         25,
         25,
         &GridDeckOptions {
             tran: true,
             ..Default::default()
         },
-    );
-    assert_eq!(steady_state_allocations(&grid, MatrixBackend::Sparse), 0);
+    )
+}
+
+fn resonator_deck() -> String {
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/decks/resonator_step.cir");
-    let resonator = std::fs::read_to_string(&path).expect("shipped deck");
+    std::fs::read_to_string(&path).expect("shipped deck")
+}
+
+#[test]
+fn warm_newton_cycles_do_not_allocate() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     assert_eq!(
-        steady_state_allocations(&resonator, MatrixBackend::Dense),
+        steady_state_allocations(&grid_tran_deck(), MatrixBackend::Sparse),
         0
+    );
+    assert_eq!(
+        steady_state_allocations(&resonator_deck(), MatrixBackend::Dense),
+        0
+    );
+}
+
+/// Asserts that a warm `transient::run_in` on `src`'s circuit, with
+/// `.TRAN tstep` steps, allocates at most one block per accepted step
+/// beyond a horizon-independent cost. It runs to `horizons[1]` once to
+/// warm one workspace, then counts runs to both horizons on it: their
+/// difference may be the extra recorded rows, plus the reallocations
+/// of the growing `time` and `samples` vectors (at most one per
+/// doubling each).
+fn assert_one_allocation_per_step(
+    src: &str,
+    tstep: f64,
+    horizons: [f64; 2],
+    backend: MatrixBackend,
+) {
+    let deck = Deck::parse(src).expect("deck parses");
+    let elab = Elaborator::new(&deck).expect("deck elaborates");
+    let (mut ckt, env) = elab.build(&ParamEnv::new(), None).expect("circuit builds");
+    let sim = sim_options(&deck, &env).expect("options");
+    let opts = |t_stop: f64| TranOptions {
+        h_init: Some(tstep),
+        h_max: Some(tstep),
+        record: Record::Unknowns(vec![0]),
+        ..TranOptions::new(t_stop)
+    };
+    let mut ws = Workspace::new(0);
+    run_in(&mut ckt, &opts(horizons[1]), &sim, None, &mut ws).expect("warm-up run");
+    assert_eq!(ws.sys.backend(), backend);
+    let mut counted = |t_stop: f64| {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let res = run_in(&mut ckt, &opts(t_stop), &sim, None, &mut ws).expect("run");
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        (allocations, res.time.len() - 1)
+    };
+    let (short, short_steps) = counted(horizons[0]);
+    let (long, long_steps) = counted(horizons[1]);
+    let steps = long_steps - short_steps;
+    assert!(steps > 100, "{short_steps} → {long_steps} steps");
+    let regrowth = 2 * (usize::BITS - long_steps.leading_zeros()) as usize;
+    assert!(
+        long - short <= steps + regrowth,
+        "{} more allocations for {steps} more steps ({short} for {short_steps} steps, \
+         {long} for {long_steps})",
+        long - short
+    );
+}
+
+#[test]
+fn warm_transient_steps_allocate_only_their_row() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    assert_one_allocation_per_step(
+        &resonator_deck(),
+        0.5e-3,
+        [20e-3, 40e-3],
+        MatrixBackend::Dense,
+    );
+    assert_one_allocation_per_step(
+        &grid_tran_deck(),
+        0.2e-3,
+        [1e-3, 2e-3],
+        MatrixBackend::Sparse,
     );
 }
